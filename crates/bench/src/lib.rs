@@ -29,7 +29,6 @@
 
 pub mod corpus;
 pub mod figure9;
-pub mod harness;
 pub mod pipeline_bench;
 pub mod runner;
 pub mod spec;

@@ -8,10 +8,11 @@
 //!
 //! ## Wire protocol (version [`WIRE_PROTOCOL_VERSION`])
 //!
-//! Every message is a *frame*: a little-endian `u32` byte length followed
-//! by that many body bytes, encoded with the same [`Encoder`]/[`Decoder`]
-//! codec the on-disk formats use. Frames over [`MAX_FRAME_BYTES`] are
-//! rejected — a corrupt length prefix must not allocate unbounded memory.
+//! The daemon is a [`Handler`] on [`ffisafe_support::wire`], which owns
+//! the framing (a little-endian `u32` length, then the body, capped at
+//! [`ffisafe_support::wire::MAX_FRAME_BYTES`]), the version check, the
+//! session loop and the snapshot export. Bodies here are encoded with the
+//! same [`Encoder`]/[`Decoder`] codec the on-disk formats use.
 //!
 //! A connection starts with one handshake round-trip, then carries any
 //! number of requests, one reply per request, strictly in order:
@@ -47,22 +48,21 @@
 //! socket any more than they do on one index lock.
 
 use crate::backend::CacheBackend;
-use crate::codec::{Decoder, Encoder};
+use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::store::{CacheStats, CacheStore, Tier};
-use ffisafe_support::telemetry::{self, LogLevel, MetricsRegistry, TraceFileWriter};
+use ffisafe_support::telemetry::{self, LogLevel, MetricsRegistry};
+use ffisafe_support::wire::{
+    bad_data, dial, read_frame, write_frame, Daemon, Handled, Handler, Shared,
+};
 use ffisafe_support::Fingerprint;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
+use std::io;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Bump when the frame layout or operation set changes. A mismatch ends
 /// the session at the handshake. Version 2 added the METRICS op.
 pub const WIRE_PROTOCOL_VERSION: u32 = 2;
-
-/// Upper bound on one frame body; larger length prefixes are corruption.
-const MAX_FRAME_BYTES: usize = 512 * 1024 * 1024;
 
 /// Connections a client holds, addressed by fingerprint prefix.
 const CLIENT_CONNS: usize = 4;
@@ -78,75 +78,33 @@ const OP_METRICS: u8 = 6;
 const STATUS_OK: u8 = 0;
 const STATUS_ERR: u8 = 1;
 
-/// Stable lowercase op name, used in span names, logs, and metric labels.
-fn op_name(op: u8) -> &'static str {
-    match op {
-        OP_HELLO => "hello",
-        OP_GET => "get",
-        OP_PUT => "put",
-        OP_FLUSH => "flush",
-        OP_STATS => "stats",
-        OP_ADOPT => "adopt",
-        OP_METRICS => "metrics",
-        _ => "unknown",
-    }
+/// Per op code: the metric label, the client span and the server span.
+/// Unknown ops share the last row.
+const OP_NAMES: [[&str; 3]; 8] = [
+    ["hello", "cache.rpc.hello", "cache.serve.hello"],
+    ["get", "cache.rpc.get", "cache.serve.get"],
+    ["put", "cache.rpc.put", "cache.serve.put"],
+    ["flush", "cache.rpc.flush", "cache.serve.flush"],
+    ["stats", "cache.rpc.stats", "cache.serve.stats"],
+    ["adopt", "cache.rpc.adopt", "cache.serve.adopt"],
+    ["metrics", "cache.rpc.metrics", "cache.serve.metrics"],
+    ["unknown", "cache.rpc.unknown", "cache.serve.unknown"],
+];
+
+/// The row of [`OP_NAMES`] (and the counter slot) for a frame's op byte.
+fn op_index(body: &[u8]) -> usize {
+    body.first().map_or(OP_NAMES.len() - 1, |&op| (op as usize).min(OP_NAMES.len() - 1))
 }
 
-/// Client-side span name for an op (`cache.rpc.<op>`).
-fn rpc_span_name(op: u8) -> &'static str {
-    match op {
-        OP_HELLO => "cache.rpc.hello",
-        OP_GET => "cache.rpc.get",
-        OP_PUT => "cache.rpc.put",
-        OP_FLUSH => "cache.rpc.flush",
-        OP_STATS => "cache.rpc.stats",
-        OP_ADOPT => "cache.rpc.adopt",
-        OP_METRICS => "cache.rpc.metrics",
-        _ => "cache.rpc.unknown",
-    }
-}
-
-/// Server-side span name for an op (`cache.serve.<op>`).
-fn serve_span_name(op: u8) -> &'static str {
-    match op {
-        OP_HELLO => "cache.serve.hello",
-        OP_GET => "cache.serve.get",
-        OP_PUT => "cache.serve.put",
-        OP_FLUSH => "cache.serve.flush",
-        OP_STATS => "cache.serve.stats",
-        OP_ADOPT => "cache.serve.adopt",
-        OP_METRICS => "cache.serve.metrics",
-        _ => "cache.serve.unknown",
-    }
-}
-
-fn bad_data(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn write_frame(stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
-    stream.write_all(&(body.len() as u32).to_le_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
-fn read_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(bad_data(format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES} cap")));
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Ok(body)
+fn decode_error(e: DecodeError) -> io::Error {
+    bad_data(e.to_string())
 }
 
 /// Splits a frame whose tail is a length-prefixed payload: decodes the
 /// length with `d`, checks it spans exactly the rest of `body`, and
 /// returns the payload bytes.
 fn tail_payload(d: &mut Decoder<'_>, body: &[u8]) -> io::Result<Vec<u8>> {
-    let len = d.get_len().map_err(|e| bad_data(e.to_string()))?;
+    let len = d.get_len().map_err(decode_error)?;
     if d.remaining() != len {
         return Err(bad_data("payload length does not match the frame"));
     }
@@ -157,311 +115,99 @@ fn tail_payload(d: &mut Decoder<'_>, body: &[u8]) -> io::Result<Vec<u8>> {
 // Server
 // ---------------------------------------------------------------------
 
-/// Lock-free lifetime counters for one daemon: sessions, per-op request
-/// counts, bytes moved, request errors. Feeds the `METRICS` wire op and
-/// the daemon's `--metrics-out` file.
-#[derive(Debug, Default)]
-struct ServerCounters {
-    sessions_opened: AtomicU64,
-    sessions_refused: AtomicU64,
-    /// Requests served, indexed by op code (unknown ops land in the last
-    /// slot).
-    ops: [AtomicU64; 8],
-    op_errors: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-}
-
-impl ServerCounters {
-    fn count_op(&self, op: u8) {
-        let idx = (op as usize).min(self.ops.len() - 1);
-        self.ops[idx].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// State shared by every session thread of one daemon.
-struct ServerShared {
-    store: Arc<CacheStore>,
-    counters: ServerCounters,
-    /// Shared trace-flush policy (accumulate + atomic whole-snapshot
-    /// rewrite); also used by `ffisafe serve`, so both daemons age their
-    /// `--trace-out` files identically.
-    trace: Option<TraceFileWriter>,
-    metrics_out: Option<PathBuf>,
-}
-
-impl ServerShared {
-    /// Builds the daemon's metrics registry: store counters/occupancy plus
-    /// server lifetime counters.
-    fn metrics(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        self.store.stats().feed_metrics(&mut reg);
-        let c = &self.counters;
-        reg.inc_counter(
-            "ffisafe_server_sessions_opened_total",
-            "Client sessions accepted after a successful handshake",
-            &[],
-            c.sessions_opened.load(Ordering::Relaxed),
-        );
-        reg.inc_counter(
-            "ffisafe_server_sessions_refused_total",
-            "Client sessions refused at the handshake (version mismatch)",
-            &[],
-            c.sessions_refused.load(Ordering::Relaxed),
-        );
-        for (op, slot) in c.ops.iter().enumerate() {
-            let count = slot.load(Ordering::Relaxed);
-            if count > 0 {
-                reg.inc_counter(
-                    "ffisafe_server_ops_total",
-                    "Requests served, by wire op",
-                    &[("op", op_name(op as u8))],
-                    count,
-                );
-            }
-        }
-        reg.inc_counter(
-            "ffisafe_server_op_errors_total",
-            "Requests that returned an error status",
-            &[],
-            c.op_errors.load(Ordering::Relaxed),
-        );
-        reg.inc_counter(
-            "ffisafe_server_bytes_read_total",
-            "Request frame bytes read from clients",
-            &[],
-            c.bytes_read.load(Ordering::Relaxed),
-        );
-        reg.inc_counter(
-            "ffisafe_server_bytes_written_total",
-            "Reply frame bytes written to clients",
-            &[],
-            c.bytes_written.load(Ordering::Relaxed),
-        );
-        reg
-    }
-
-    /// Rewrites the daemon's `--trace-out` / `--metrics-out` files; called
-    /// by each session thread as it ends, so the files are always a
-    /// complete snapshot of the daemon so far.
-    fn export(&self) {
-        if let Some(path) = &self.metrics_out {
-            if let Err(e) = std::fs::write(path, self.metrics().to_prometheus()) {
-                telemetry::log(
-                    LogLevel::Error,
-                    "cache-serve",
-                    &format!("failed to write {}: {e}", path.display()),
-                );
-            }
-        }
-        if let Some(writer) = &self.trace {
-            if let Err(e) = writer.flush() {
-                telemetry::log(
-                    LogLevel::Error,
-                    "cache-serve",
-                    &format!("failed to write {}: {e}", writer.path().display()),
-                );
-            }
-        }
-    }
-}
-
-/// A daemon serving one [`CacheStore`] to many TCP clients.
+/// A daemon serving one [`CacheStore`] to many TCP clients:
+/// `CacheServer::bind(addr, store)`.
 ///
 /// Each accepted connection gets its own thread; the store itself is
 /// internally sharded, so concurrent clients contend only on the index
-/// shards their keys map to, exactly as in-process workers do.
-pub struct CacheServer {
-    listener: TcpListener,
-    shared: Arc<ServerShared>,
+/// shards their keys map to, exactly as in-process workers do. Snapshots
+/// are rewritten as each session ends.
+pub type CacheServer = Daemon<StoreHandler>;
+
+/// The `cache-serve` protocol over one store, plus its per-op counters.
+pub struct StoreHandler {
+    store: CacheStore,
+    /// Requests served, by [`op_index`].
+    ops: [AtomicU64; OP_NAMES.len()],
 }
 
-impl CacheServer {
-    /// Binds `addr` (e.g. `127.0.0.1:7441`, or port 0 for an ephemeral
-    /// port) and prepares to serve `store`.
-    pub fn bind(addr: impl ToSocketAddrs, store: CacheStore) -> io::Result<CacheServer> {
-        Ok(CacheServer {
-            listener: TcpListener::bind(addr)?,
-            shared: Arc::new(ServerShared {
-                store: Arc::new(store),
-                counters: ServerCounters::default(),
-                trace: None,
-                metrics_out: None,
-            }),
-        })
-    }
+/// What `CacheServer::bind` builds its handler from; this cannot fail.
+impl TryFrom<CacheStore> for StoreHandler {
+    type Error = io::Error;
 
-    /// Rewrite a Chrome trace-event JSON snapshot of the daemon's spans to
-    /// `path` after each session ends. Must be called before serving.
-    pub fn set_trace_out(&mut self, path: PathBuf) {
-        if let Some(shared) = Arc::get_mut(&mut self.shared) {
-            shared.trace = Some(TraceFileWriter::new(path));
-        }
-    }
-
-    /// Rewrite a Prometheus text snapshot of the daemon's metrics to
-    /// `path` after each session ends. Must be called before serving.
-    pub fn set_metrics_out(&mut self, path: PathBuf) {
-        if let Some(shared) = Arc::get_mut(&mut self.shared) {
-            shared.metrics_out = Some(path);
-        }
-    }
-
-    /// The bound address — useful when binding port 0.
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Accepts clients forever, one thread per connection. Per-connection
-    /// errors end that session only; the daemon keeps serving. Returns
-    /// only if the listener itself fails.
-    pub fn serve(&self) -> io::Result<()> {
-        if let Ok(addr) = self.local_addr() {
-            telemetry::log(LogLevel::Info, "cache-serve", &format!("listening on {addr}"));
-        }
-        loop {
-            let (stream, _) = self.listener.accept()?;
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || {
-                let _ = serve_client(stream, &shared);
-                shared.export();
-            });
-        }
-    }
-
-    /// Runs [`CacheServer::serve`] on a background thread and returns the
-    /// bound address. The thread runs for the rest of the process; tests
-    /// and in-process callers use this, the CLI calls `serve` directly.
-    pub fn spawn(self) -> io::Result<std::net::SocketAddr> {
-        let addr = self.local_addr()?;
-        std::thread::spawn(move || {
-            let _ = self.serve();
-        });
-        Ok(addr)
+    fn try_from(store: CacheStore) -> io::Result<StoreHandler> {
+        Ok(StoreHandler { store, ops: Default::default() })
     }
 }
 
-/// One client session: handshake, then request/reply until disconnect.
-fn serve_client(mut stream: TcpStream, shared: &ServerShared) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let peer =
-        stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "<unknown>".to_string());
-    handshake_server(&mut stream, shared, &peer)?;
-    let (mut ops, mut bytes_in, mut bytes_out) = (0u64, 0u64, 0u64);
-    let result = loop {
-        let body = match read_frame(&mut stream) {
-            Ok(body) => body,
-            // Disconnect is the normal end of a session.
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break Ok(()),
-            Err(e) => break Err(e),
+impl Handler for StoreHandler {
+    const NAME: &'static str = "cache-serve";
+    const HELLO_SPAN: &'static str = "cache.serve.hello";
+    const PROTOCOL: u32 = WIRE_PROTOCOL_VERSION;
+
+    fn analyzer_version(&self) -> &str {
+        self.store.analyzer_version()
+    }
+
+    fn decode_hello(&self, body: &[u8]) -> Result<(u32, String), String> {
+        // Every HELLO counts as a `hello` op, accepted or refused.
+        self.ops[OP_HELLO as usize].fetch_add(1, Ordering::Relaxed);
+        let malformed = |e: DecodeError| format!("malformed HELLO: {e}");
+        let mut d = Decoder::new(body);
+        if d.get_u8().map_err(malformed)? != OP_HELLO {
+            return Err("expected HELLO".to_string());
+        }
+        let protocol = d.get_u32().map_err(malformed)?;
+        // Another protocol version may lay out the rest differently; its
+        // refusal names the version only.
+        let analyzer = match protocol {
+            WIRE_PROTOCOL_VERSION => d.get_str().map_err(malformed)?,
+            _ => String::new(),
         };
-        let op = body.first().copied().unwrap_or(u8::MAX);
-        let mut span = telemetry::span_with(serve_span_name(op), || {
-            vec![("bytes_in", body.len().to_string())]
-        });
-        let reply = handle_request(&body, shared).unwrap_or_else(|e| {
-            shared.counters.op_errors.fetch_add(1, Ordering::Relaxed);
-            telemetry::log(
-                LogLevel::Warn,
-                "cache-serve",
-                &format!("{} from {peer}: {} failed: {e}", op_name(op), op_name(op)),
-            );
-            let mut r = Encoder::new();
-            r.put_u8(STATUS_ERR);
-            r.put_str(&e.to_string());
-            r.into_bytes()
-        });
-        span.arg("bytes_out", reply.len().to_string());
-        drop(span);
-        if telemetry::log_enabled(LogLevel::Debug) {
-            telemetry::log(
-                LogLevel::Debug,
-                "cache-serve",
-                &format!("{} from {peer}: {} B in, {} B out", op_name(op), body.len(), reply.len()),
-            );
-        }
-        shared.counters.count_op(op);
-        shared.counters.bytes_read.fetch_add(body.len() as u64, Ordering::Relaxed);
-        shared.counters.bytes_written.fetch_add(reply.len() as u64, Ordering::Relaxed);
-        ops += 1;
-        bytes_in += body.len() as u64;
-        bytes_out += reply.len() as u64;
-        if let Err(e) = write_frame(&mut stream, &reply) {
-            break Err(e);
-        }
-    };
-    telemetry::log(
-        LogLevel::Info,
-        "cache-serve",
-        &format!("session closed ({peer}): {ops} op(s), {bytes_in} B in, {bytes_out} B out"),
-    );
-    result
-}
+        Ok((protocol, analyzer))
+    }
 
-fn handshake_server(stream: &mut TcpStream, shared: &ServerShared, peer: &str) -> io::Result<()> {
-    let body = read_frame(stream)?;
-    let _span =
-        telemetry::span_with("cache.serve.hello", || vec![("bytes_in", body.len().to_string())]);
-    let refusal = check_hello(&body, shared.store.analyzer_version());
-    shared.counters.count_op(OP_HELLO);
-    let mut r = Encoder::new();
-    match &refusal {
-        None => {
-            r.put_u8(STATUS_OK);
-            shared.counters.sessions_opened.fetch_add(1, Ordering::Relaxed);
-            telemetry::log(LogLevel::Info, "cache-serve", &format!("session open ({peer})"));
-        }
-        Some(msg) => {
-            r.put_u8(STATUS_ERR);
-            r.put_str(msg);
-            shared.counters.sessions_refused.fetch_add(1, Ordering::Relaxed);
-            telemetry::log(
-                LogLevel::Warn,
-                "cache-serve",
-                &format!("session refused ({peer}): {msg}"),
-            );
+    fn hello_ok(&self) -> Vec<u8> {
+        vec![STATUS_OK]
+    }
+
+    fn error_reply(&self, message: &str) -> Vec<u8> {
+        let mut r = Encoder::new();
+        r.put_u8(STATUS_ERR);
+        r.put_str(message);
+        r.into_bytes()
+    }
+
+    fn request_span(body: &[u8]) -> Option<&'static str> {
+        Some(OP_NAMES[op_index(body)][2])
+    }
+
+    fn handle(shared: &Shared<Self>, body: &[u8]) -> Handled {
+        let result = serve_op(shared, body);
+        shared.ops[op_index(body)].fetch_add(1, Ordering::Relaxed);
+        match result {
+            Ok(reply) => Handled::Reply(reply),
+            Err(e) => Handled::Error(e.to_string()),
         }
     }
-    write_frame(stream, &r.into_bytes())?;
-    match refusal {
-        None => Ok(()),
-        Some(msg) => Err(bad_data(msg)),
+
+    /// Store counters and occupancy, plus requests served by op.
+    fn feed_metrics(&self, reg: &mut MetricsRegistry) {
+        self.store.stats().feed_metrics(reg);
+        for (names, slot) in OP_NAMES.iter().zip(&self.ops) {
+            let count = slot.load(Ordering::Relaxed);
+            if count > 0 {
+                let help = "Requests served, by wire op";
+                reg.inc_counter("ffisafe_server_ops_total", help, &[("op", names[0])], count);
+            }
+        }
     }
 }
 
-/// Why a HELLO must be refused, or `None` to accept the session.
-fn check_hello(body: &[u8], server_version: &str) -> Option<String> {
+fn serve_op(shared: &Shared<StoreHandler>, body: &[u8]) -> io::Result<Vec<u8>> {
+    let store = &shared.store;
     let mut d = Decoder::new(body);
-    match d.get_u8() {
-        Ok(OP_HELLO) => {}
-        Ok(_) => return Some("expected HELLO".to_string()),
-        Err(e) => return Some(format!("malformed HELLO: {e}")),
-    }
-    let proto = match d.get_u32() {
-        Ok(v) => v,
-        Err(e) => return Some(format!("malformed HELLO: {e}")),
-    };
-    if proto != WIRE_PROTOCOL_VERSION {
-        return Some(format!(
-            "protocol version mismatch: client {proto}, server {WIRE_PROTOCOL_VERSION}"
-        ));
-    }
-    let version = match d.get_str() {
-        Ok(v) => v,
-        Err(e) => return Some(format!("malformed HELLO: {e}")),
-    };
-    if version != server_version {
-        return Some(format!(
-            "analyzer version mismatch: client {version:?}, server {server_version:?}"
-        ));
-    }
-    None
-}
-
-fn handle_request(body: &[u8], shared: &ServerShared) -> io::Result<Vec<u8>> {
-    let store = &*shared.store;
-    let mut d = Decoder::new(body);
-    let op = d.get_u8().map_err(|e| bad_data(e.to_string()))?;
+    let op = d.get_u8().map_err(decode_error)?;
     let mut r = Encoder::new();
     match op {
         OP_GET => {
@@ -513,16 +259,12 @@ fn handle_request(body: &[u8], shared: &ServerShared) -> io::Result<Vec<u8>> {
 }
 
 fn decode_key(d: &mut Decoder<'_>) -> io::Result<(Tier, Fingerprint)> {
-    let raw = d.get_u8().map_err(|e| bad_data(e.to_string()))?;
-    let tier = match raw {
+    let tier = match d.get_u8().map_err(decode_error)? {
         0 => Tier::Function,
         1 => Tier::Report,
         other => return Err(bad_data(format!("unknown tier {other}"))),
     };
-    let fp = Fingerprint(
-        d.get_u64().map_err(|e| bad_data(e.to_string()))?,
-        d.get_u64().map_err(|e| bad_data(e.to_string()))?,
-    );
+    let fp = Fingerprint(d.get_u64().map_err(decode_error)?, d.get_u64().map_err(decode_error)?);
     Ok((tier, fp))
 }
 
@@ -533,14 +275,15 @@ fn decode_key(d: &mut Decoder<'_>) -> io::Result<(Tier, Fingerprint)> {
 /// A [`CacheBackend`] forwarding every operation to a `cache-serve`
 /// daemon over TCP.
 pub struct RemoteBackend {
-    addr: String,
-    analyzer_version: String,
+    url: String,
+    /// The encoded HELLO, sent again on every redial.
+    hello: Vec<u8>,
     conns: Vec<Mutex<Option<TcpStream>>>,
 }
 
 impl std::fmt::Debug for RemoteBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteBackend").field("addr", &self.addr).finish()
+        f.debug_struct("RemoteBackend").field("url", &self.url).finish()
     }
 }
 
@@ -550,13 +293,13 @@ impl RemoteBackend {
     /// different analyzer/protocol version — a silently absent cache
     /// would turn every sweep into a cold one.
     pub fn connect(url: &str, analyzer_version: &str) -> io::Result<RemoteBackend> {
-        let addr = url
-            .strip_prefix("tcp://")
-            .ok_or_else(|| bad_data(format!("cache URL {url:?} must start with tcp://")))?
-            .to_string();
+        let mut hello = Encoder::new();
+        hello.put_u8(OP_HELLO);
+        hello.put_u32(WIRE_PROTOCOL_VERSION);
+        hello.put_str(analyzer_version);
         let backend = RemoteBackend {
-            addr,
-            analyzer_version: analyzer_version.to_string(),
+            url: url.to_string(),
+            hello: hello.into_bytes(),
             conns: (0..CLIENT_CONNS).map(|_| Mutex::new(None)).collect(),
         };
         // Probe connection: surfaces bad address / refused handshake now.
@@ -566,25 +309,20 @@ impl RemoteBackend {
     }
 
     fn dial(&self) -> io::Result<TcpStream> {
-        let mut stream = TcpStream::connect(&self.addr)?;
-        stream.set_nodelay(true).ok();
-        let mut hello = Encoder::new();
-        hello.put_u8(OP_HELLO);
-        hello.put_u32(WIRE_PROTOCOL_VERSION);
-        hello.put_str(&self.analyzer_version);
-        let request = hello.into_bytes();
-        let mut span = telemetry::span_with("cache.rpc.hello", || {
-            vec![("bytes_out", request.len().to_string())]
-        });
-        write_frame(&mut stream, &request)?;
-        let reply = read_frame(&mut stream)?;
-        span.arg("bytes_in", reply.len().to_string());
+        let (stream, reply) = dial(&self.url, "cache.rpc.hello", &self.hello)?;
+        self.status_ok(reply, "handshake refused").map(|_| stream)
+    }
+
+    /// Passes a reply whose status byte is OK; turns any other into an
+    /// error carrying the daemon's message (or `fallback`).
+    fn status_ok(&self, reply: Vec<u8>, fallback: &str) -> io::Result<Vec<u8>> {
         let mut d = Decoder::new(&reply);
-        match d.get_u8().map_err(|e| bad_data(e.to_string()))? {
-            STATUS_OK => Ok(stream),
+        match d.get_u8().map_err(decode_error)? {
+            STATUS_OK => Ok(reply),
             _ => {
-                let msg = d.get_str().unwrap_or_else(|_| "handshake refused".to_string());
-                Err(bad_data(format!("cache server {}: {msg}", self.addr)))
+                let msg = d.get_str().unwrap_or_else(|_| fallback.to_string());
+                let addr = self.url.trim_start_matches("tcp://");
+                Err(bad_data(format!("cache server {addr}: {msg}")))
             }
         }
     }
@@ -594,8 +332,7 @@ impl RemoteBackend {
     /// fresh connection covers a daemon restart; a second failure is
     /// returned to the caller.
     fn round_trip(&self, fp: Fingerprint, request: &[u8]) -> io::Result<Vec<u8>> {
-        let op = request.first().copied().unwrap_or(u8::MAX);
-        let mut span = telemetry::span_with(rpc_span_name(op), || {
+        let mut span = telemetry::span_with(OP_NAMES[op_index(request)][1], || {
             vec![("bytes_out", request.len().to_string())]
         });
         let reply = self.round_trip_inner(fp, request);
@@ -633,15 +370,7 @@ impl RemoteBackend {
     }
 
     fn expect_ok(&self, fp: Fingerprint, request: &[u8]) -> io::Result<Vec<u8>> {
-        let reply = self.round_trip(fp, request)?;
-        let mut d = Decoder::new(&reply);
-        match d.get_u8().map_err(|e| bad_data(e.to_string()))? {
-            STATUS_OK => Ok(reply),
-            _ => {
-                let msg = d.get_str().unwrap_or_else(|_| "request failed".to_string());
-                Err(bad_data(format!("cache server {}: {msg}", self.addr)))
-            }
-        }
+        self.status_ok(self.round_trip(fp, request)?, "request failed")
     }
 
     /// Scrapes the daemon's metrics (the `METRICS` wire op): the same
@@ -650,7 +379,7 @@ impl RemoteBackend {
         let reply = self.expect_ok(Fingerprint(0, 0), &[OP_METRICS])?;
         let mut d = Decoder::new(&reply);
         let _ = d.get_u8();
-        d.get_str().map_err(|e| bad_data(e.to_string()))
+        d.get_str().map_err(decode_error)
     }
 }
 
@@ -667,7 +396,7 @@ impl CacheBackend for RemoteBackend {
                 telemetry::log(
                     LogLevel::Warn,
                     "cache-client",
-                    &format!("get from {} degraded to miss: {e}", self.addr),
+                    &format!("get from {} degraded to miss: {e}", self.url),
                 );
                 return None;
             }
@@ -702,7 +431,7 @@ impl CacheBackend for RemoteBackend {
                 telemetry::log(
                     LogLevel::Warn,
                     "cache-client",
-                    &format!("stats from {} degraded to defaults: {e}", self.addr),
+                    &format!("stats from {} degraded to defaults: {e}", self.url),
                 );
                 return CacheStats::default();
             }
@@ -727,6 +456,6 @@ impl CacheBackend for RemoteBackend {
     }
 
     fn location(&self) -> String {
-        format!("tcp://{}", self.addr)
+        self.url.clone()
     }
 }

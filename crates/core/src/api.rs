@@ -462,9 +462,8 @@ impl ServiceConfig {
 ///   tier-1/tier-2 traffic on the same store, so a batch over N corpora
 ///   warms one cache, not N.
 ///
-/// Reports are byte-identical to the deprecated single-corpus
-/// [`crate::Analyzer`] facade (which now delegates here), at any batch
-/// width, submission order or `jobs` setting.
+/// Reports are byte-identical at any batch width, submission order or
+/// `jobs` setting.
 #[derive(Debug)]
 pub struct AnalysisService {
     cache: Option<Arc<dyn CacheBackend>>,
@@ -707,8 +706,8 @@ pub(crate) fn parse_sources<'a>(
 ///
 /// `content_fp` is the corpus content digest, present exactly when `cache`
 /// is; the tier-2 report key combines it with the session's semantic
-/// options. This is the single engine entry both [`AnalysisService`] and
-/// the deprecated [`crate::Analyzer`] facade go through.
+/// options. This is the single engine entry every [`AnalysisService`]
+/// call goes through.
 pub(crate) fn execute(
     parsed: ParsedSources,
     content_fp: Option<Fingerprint>,

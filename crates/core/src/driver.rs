@@ -1,4 +1,4 @@
-//! The analysis report and the deprecated single-corpus facade.
+//! The analysis report.
 //!
 //! The engine itself lives in [`crate::api`]: [`crate::api::AnalysisService`]
 //! parses a [`crate::api::Corpus`] through the frontend registry and runs
@@ -7,9 +7,7 @@
 //! [`pipeline::infer`] (parallel), [`pipeline::discharge`]. This module
 //! holds what comes *out*:
 //! [`AnalysisReport`] with its stable rendering and versioned
-//! [`AnalysisReport::to_json`] form, plus [`Analyzer`], the original
-//! mutable one-shot entry point, kept as a thin deprecated facade over a
-//! single-corpus service.
+//! [`AnalysisReport::to_json`] form.
 //!
 //! [`pipeline::frontend_ml`]: crate::pipeline::frontend_ml
 //! [`pipeline::frontend_c`]: crate::pipeline::frontend_c
@@ -17,13 +15,10 @@
 //! [`pipeline::infer`]: crate::pipeline::infer
 //! [`pipeline::discharge`]: crate::pipeline::discharge
 
-use crate::api::{AnalysisRequest, AnalysisService, Corpus, SourceKind};
-use crate::engine::AnalysisOptions;
 use crate::pipeline::cache::CachedReport;
 use ffisafe_support::json::escape_into;
 use ffisafe_support::telemetry::{self, MetricsRegistry};
 use ffisafe_support::{DiagnosticBag, DiagnosticCode, Loc, Phase, PhaseTimings, SourceMap};
-use std::path::PathBuf;
 
 /// Version of the structured report schema emitted by
 /// [`AnalysisReport::to_json`]. Bumped whenever a field changes meaning,
@@ -508,105 +503,4 @@ fn push_loc_fields(out: &mut String, loc: &Loc) {
     out.push_str("\"file\": \"");
     escape_into(out, &loc.file);
     out.push_str(&format!("\", \"line\": {}, \"column\": {}", loc.line, loc.col));
-}
-
-/// Multi-lingual type inference for OCaml→C foreign function calls — the
-/// original one-shot entry point, now a thin facade over a single-corpus
-/// [`AnalysisService`].
-///
-/// Prefer the service API: build an immutable [`Corpus`], submit
-/// [`AnalysisRequest`]s to a long-lived [`AnalysisService`]. This facade
-/// remains for source compatibility and produces byte-identical reports
-/// (it delegates to the same engine).
-///
-/// # Examples
-///
-/// ```
-/// #![allow(deprecated)]
-/// use ffisafe_core::Analyzer;
-///
-/// let mut az = Analyzer::new();
-/// az.add_ml_source("lib.ml", r#"external double : int -> int = "ml_double""#);
-/// az.add_c_source("glue.c", r#"
-///     value ml_double(value n) {
-///         return Val_int(2 * Int_val(n));
-///     }
-/// "#);
-/// let report = az.analyze();
-/// assert_eq!(report.error_count(), 0);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Corpus` and submit an `AnalysisRequest` to an `AnalysisService` instead"
-)]
-#[derive(Debug, Default)]
-pub struct Analyzer {
-    options: AnalysisOptions,
-    cache_dir: Option<PathBuf>,
-    files: Vec<(SourceKind, String, String)>,
-}
-
-#[allow(deprecated)]
-impl Analyzer {
-    /// Creates an analyzer with default options.
-    pub fn new() -> Self {
-        Analyzer::default()
-    }
-
-    /// Creates an analyzer with explicit options (ablation experiments,
-    /// worker-pool sizing).
-    pub fn with_options(options: AnalysisOptions) -> Self {
-        Analyzer { options, ..Analyzer::default() }
-    }
-
-    /// Enables (`Some`) or disables (`None`) the on-disk two-tier
-    /// incremental-reanalysis cache rooted at `dir`.
-    pub fn set_cache_dir(&mut self, dir: Option<std::path::PathBuf>) {
-        self.cache_dir = dir;
-    }
-
-    /// Adds one OCaml source file.
-    pub fn add_ml_source(&mut self, name: &str, src: &str) {
-        self.files.push((SourceKind::Ml, name.to_string(), src.to_string()));
-    }
-
-    /// Adds one C source file.
-    pub fn add_c_source(&mut self, name: &str, src: &str) {
-        self.files.push((SourceKind::C, name.to_string(), src.to_string()));
-    }
-
-    /// Adds one Rust source file.
-    pub fn add_rust_source(&mut self, name: &str, src: &str) {
-        self.files.push((SourceKind::Rust, name.to_string(), src.to_string()));
-    }
-
-    /// Runs the full pipeline: both frontends, linking, parallel
-    /// inference, and discharge.
-    ///
-    /// Delegates to a single-corpus [`AnalysisService`]: the recorded
-    /// sources become a [`Corpus`], the cache directory (if any) becomes
-    /// the service's shared store. A cache directory that cannot be
-    /// opened degrades to an uncached run, preserving this facade's
-    /// historical leniency — the service API reports that condition as
-    /// [`crate::api::ApiError::Cache`] instead.
-    pub fn analyze(&mut self) -> AnalysisReport {
-        let mut builder = Corpus::builder();
-        for (kind, name, src) in &self.files {
-            builder = match kind {
-                SourceKind::Ml => builder.ml_source(name, src),
-                SourceKind::C => builder.c_source(name, src),
-                SourceKind::Rust => builder.rust_source(name, src),
-            };
-        }
-        let corpus = builder.build();
-        let service = match &self.cache_dir {
-            Some(dir) => {
-                AnalysisService::with_cache_dir(dir).unwrap_or_else(|_| AnalysisService::new())
-            }
-            None => AnalysisService::new(),
-        };
-        service
-            .analyze(&AnalysisRequest::new(corpus).options(self.options))
-            .expect("analyzing an in-memory corpus cannot fail")
-    }
 }

@@ -79,8 +79,6 @@ pub use api::{
     available_cores, fair_share_jobs, source_files_under, AnalysisRequest, AnalysisService,
     ApiError, CacheMode, Corpus, CorpusBuilder, CorpusFile, ServiceConfig, SourceKind,
 };
-#[allow(deprecated)]
-pub use driver::Analyzer;
 pub use driver::{
     AnalysisReport, AnalysisStats, ReportSummary, RuntimeCheckSuggestion, REPORT_SCHEMA_VERSION,
 };

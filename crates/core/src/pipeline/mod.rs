@@ -1,7 +1,6 @@
 //! The staged analysis pipeline.
 //!
-//! The old driver ran both phases of the paper inside one monolithic
-//! `Analyzer::analyze`. This module splits it into explicit stages with a
+//! The analysis runs both phases of the paper as explicit stages with a
 //! typed artifact flowing between them, all sharing one
 //! [`ffisafe_support::Session`]. Parsing dispatches through the pluggable
 //! [`frontend::Frontend`] registry (one implementation per language);

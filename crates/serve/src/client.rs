@@ -13,12 +13,9 @@ use crate::protocol::{
 };
 use ffisafe_core::{AnalysisOptions, CacheMode, Corpus};
 use ffisafe_support::telemetry;
+use ffisafe_support::wire::{bad_data, dial};
 use std::io;
 use std::net::TcpStream;
-
-fn bad_data(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// A connection to an `ffisafe serve` daemon.
 pub struct ServeClient {
@@ -37,19 +34,12 @@ impl ServeClient {
     /// handshake. Fails eagerly on an unreachable daemon or a refused
     /// handshake, surfacing the daemon's reason.
     pub fn connect(url: &str) -> io::Result<ServeClient> {
-        let addr = url
-            .strip_prefix("tcp://")
-            .ok_or_else(|| bad_data(format!("server URL {url:?} must start with tcp://")))?
-            .to_string();
-        let mut stream = TcpStream::connect(&addr)?;
-        stream.set_nodelay(true).ok();
         let hello = Request::Hello {
             protocol: SERVE_PROTOCOL_VERSION,
             analyzer: ANALYZER_VERSION.to_string(),
         };
-        let _span = telemetry::span("serve.rpc.hello");
-        write_frame(&mut stream, hello.to_json().as_bytes())?;
-        let reply = read_frame(&mut stream)?;
+        let (stream, reply) = dial(url, "serve.rpc.hello", hello.to_json().as_bytes())?;
+        let addr = url.trim_start_matches("tcp://").to_string();
         match Reply::parse(&reply).map_err(bad_data)? {
             Reply::HelloOk { .. } => Ok(ServeClient { stream, addr }),
             Reply::Error { message } => Err(bad_data(format!("server {addr}: {message}"))),

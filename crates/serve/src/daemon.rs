@@ -1,10 +1,10 @@
 //! The resident analysis daemon: `ffisafe serve`.
 //!
-//! An [`AnalysisServer`] wraps ONE shared
-//! [`AnalysisService`] and serves it to any number of clients over plain
-//! `std::net` — the same zero-dependency TCP discipline as
-//! `ffisafe cache-serve`, one thread per connection, per-connection
-//! failures ending that session only.
+//! An [`AnalysisServer`] wraps ONE shared [`AnalysisService`] and serves
+//! it to any number of clients. It is a [`ServeHandler`] on the daemon
+//! skeleton `ffisafe cache-serve` uses too ([`ffisafe_support::wire`]):
+//! one thread per connection, per-connection failures ending that
+//! session only.
 //!
 //! What makes it more than a socket wrapper:
 //!
@@ -25,17 +25,18 @@
 
 use crate::admission::Admission;
 use crate::protocol::{
-    read_frame, write_frame, AnalyzeOutcome, Reply, Request, WatchEvent, SERVE_PROTOCOL_VERSION,
+    write_frame, AnalyzeOutcome, Reply, Request, WatchEvent, SERVE_PROTOCOL_VERSION,
 };
 use ffisafe_core::{
     available_cores, fair_share_jobs, AnalysisRequest, AnalysisService, CacheMode, Corpus,
     ServiceConfig,
 };
 use ffisafe_support::telemetry::{
-    self, HistogramValue, LogLevel, MetricsRegistry, TraceFileWriter, LATENCY_BUCKETS,
+    self, HistogramValue, LogLevel, MetricsRegistry, LATENCY_BUCKETS,
 };
-use std::io;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use ffisafe_support::wire::{Daemon, Handled, Handler, Shared};
+use std::io::{self, Read as _};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -75,174 +76,42 @@ impl Default for ServeConfig {
     }
 }
 
-/// Lock-free lifetime counters for one daemon. Feeds the METRICS wire op
-/// and the `--metrics-out` file.
+/// Lock-free lifetime counters for the analysis ops; the session
+/// counters live in the wire layer. Feeds the METRICS wire op and the
+/// `--metrics-out` file.
 #[derive(Debug, Default)]
 pub(crate) struct ServeCounters {
-    pub(crate) sessions_opened: AtomicU64,
-    pub(crate) sessions_refused: AtomicU64,
     pub(crate) requests_total: AtomicU64,
     pub(crate) busy_total: AtomicU64,
-    pub(crate) op_errors: AtomicU64,
     pub(crate) metrics_requests: AtomicU64,
-    pub(crate) bytes_read: AtomicU64,
-    pub(crate) bytes_written: AtomicU64,
     pub(crate) workers_executed_total: AtomicU64,
     pub(crate) report_hits_total: AtomicU64,
     pub(crate) watch_runs_total: AtomicU64,
     pub(crate) watch_events_sent: AtomicU64,
 }
 
-/// State shared by every session thread (and the watcher) of one daemon.
-pub(crate) struct ServeShared {
-    pub(crate) service: AnalysisService,
+/// The `serve` protocol over one shared service: admission, fair share,
+/// watch subscribers, and the daemon's own metric families. Session
+/// threads and the watcher share it through the wire layer's `Shared`.
+pub struct ServeHandler {
+    service: AnalysisService,
     pub(crate) admission: Admission,
     pub(crate) counters: ServeCounters,
     /// Request latency observations, drained into the registry per scrape.
     latency: Mutex<HistogramValue>,
-    /// Shared trace-flush policy (accumulate + atomic whole-snapshot
-    /// rewrite), identical to `cache-serve`.
-    trace: Option<TraceFileWriter>,
-    metrics_out: Option<PathBuf>,
-    /// Connections subscribed to watch events. The session thread stops
+    /// Connections subscribed to watch events. Their session threads stop
     /// writing after the subscription, so the broadcaster is the only
     /// writer on these streams.
-    pub(crate) subscribers: Mutex<Vec<TcpStream>>,
-    /// Whether a watcher is running (`--watch` was given).
-    pub(crate) watching: bool,
+    subscribers: Mutex<Vec<TcpStream>>,
+    /// The tree to watch and its poll interval (`--watch`).
+    watch: Option<(PathBuf, Duration)>,
 }
 
-impl ServeShared {
-    /// Builds the daemon's metrics registry from the lifetime counters
-    /// and the current admission state.
-    pub(crate) fn metrics(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        let c = &self.counters;
-        reg.inc_counter(
-            "ffisafe_server_sessions_opened_total",
-            "Client sessions accepted after a successful handshake",
-            &[],
-            c.sessions_opened.load(Ordering::Relaxed),
-        );
-        reg.inc_counter(
-            "ffisafe_server_sessions_refused_total",
-            "Client sessions refused at the handshake (version mismatch)",
-            &[],
-            c.sessions_refused.load(Ordering::Relaxed),
-        );
-        reg.inc_counter(
-            "ffisafe_server_requests_total",
-            "Analyze requests completed",
-            &[],
-            c.requests_total.load(Ordering::Relaxed),
-        );
-        reg.inc_counter(
-            "ffisafe_server_busy_total",
-            "Analyze requests refused by admission control",
-            &[],
-            c.busy_total.load(Ordering::Relaxed),
-        );
-        reg.inc_counter(
-            "ffisafe_server_op_errors_total",
-            "Requests that returned an error status",
-            &[],
-            c.op_errors.load(Ordering::Relaxed),
-        );
-        reg.inc_counter(
-            "ffisafe_server_metrics_requests_total",
-            "METRICS wire ops served",
-            &[],
-            c.metrics_requests.load(Ordering::Relaxed),
-        );
-        reg.inc_counter(
-            "ffisafe_server_bytes_read_total",
-            "Request frame bytes read from clients",
-            &[],
-            c.bytes_read.load(Ordering::Relaxed),
-        );
-        reg.inc_counter(
-            "ffisafe_server_bytes_written_total",
-            "Reply frame bytes written to clients",
-            &[],
-            c.bytes_written.load(Ordering::Relaxed),
-        );
-        reg.inc_counter(
-            "ffisafe_server_workers_executed_total",
-            "Inference workers executed across all requests",
-            &[],
-            c.workers_executed_total.load(Ordering::Relaxed),
-        );
-        reg.inc_counter(
-            "ffisafe_server_report_hits_total",
-            "Requests answered whole from the tier-2 report cache",
-            &[],
-            c.report_hits_total.load(Ordering::Relaxed),
-        );
-        reg.inc_counter(
-            "ffisafe_server_watch_runs_total",
-            "Watch-mode re-analyses triggered by tree changes",
-            &[],
-            c.watch_runs_total.load(Ordering::Relaxed),
-        );
-        reg.inc_counter(
-            "ffisafe_server_watch_events_sent_total",
-            "Watch change events delivered to subscribers",
-            &[],
-            c.watch_events_sent.load(Ordering::Relaxed),
-        );
-        reg.set_gauge(
-            "ffisafe_server_inflight",
-            "Analyses currently executing",
-            &[],
-            self.admission.running() as f64,
-        );
-        reg.set_gauge(
-            "ffisafe_server_queued",
-            "Analyses currently waiting for an execution slot",
-            &[],
-            self.admission.queued() as f64,
-        );
-        reg.set_gauge(
-            "ffisafe_server_watch_subscribers",
-            "Connections subscribed to watch events",
-            &[],
-            self.subscribers.lock().unwrap_or_else(|p| p.into_inner()).len() as f64,
-        );
-        reg.record_histogram(
-            "ffisafe_server_request_seconds",
-            "End-to-end analyze request latency (admission wait included)",
-            &[],
-            self.latency.lock().unwrap_or_else(|p| p.into_inner()).clone(),
-        );
-        reg
-    }
-
-    fn observe_latency(&self, seconds: f64) {
-        self.latency.lock().unwrap_or_else(|p| p.into_inner()).observe(seconds);
-    }
-
-    /// Rewrites the daemon's `--trace-out` / `--metrics-out` snapshot
-    /// files; called as each session (and each watch run) ends, so the
-    /// files always cover the daemon so far.
-    pub(crate) fn export(&self) {
-        if let Some(path) = &self.metrics_out {
-            if let Err(e) = std::fs::write(path, self.metrics().to_prometheus()) {
-                telemetry::log(
-                    LogLevel::Error,
-                    "serve",
-                    &format!("failed to write {}: {e}", path.display()),
-                );
-            }
-        }
-        if let Some(writer) = &self.trace {
-            if let Err(e) = writer.flush() {
-                telemetry::log(
-                    LogLevel::Error,
-                    "serve",
-                    &format!("failed to write {}: {e}", writer.path().display()),
-                );
-            }
-        }
+impl ServeHandler {
+    /// The admission gate, exposed so tests can saturate it
+    /// deterministically before exercising the BUSY path.
+    pub fn admission(&self) -> &Admission {
+        &self.admission
     }
 
     /// Runs one admitted analysis and folds the outcome into counters,
@@ -282,7 +151,10 @@ impl ServeShared {
         span.arg("workers_executed", outcome.workers_executed.to_string());
         span.arg("report_hit", outcome.report_hit.to_string());
         drop(span);
-        self.observe_latency(started.elapsed().as_secs_f64());
+        self.latency
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .observe(started.elapsed().as_secs_f64());
         let c = &self.counters;
         c.requests_total.fetch_add(1, Ordering::Relaxed);
         c.workers_executed_total.fetch_add(outcome.workers_executed, Ordering::Relaxed);
@@ -303,271 +175,207 @@ impl ServeShared {
             Err(_) => false,
         });
     }
-}
 
-/// A resident daemon serving one [`AnalysisService`] to many TCP clients.
-pub struct AnalysisServer {
-    listener: TcpListener,
-    config: ServeConfig,
-    shared: Arc<ServeShared>,
-}
-
-impl AnalysisServer {
-    /// Binds `addr` (port 0 for an ephemeral port) and prepares to serve.
-    /// Fails when the listener cannot bind or the service's cache cannot
-    /// open.
-    pub fn bind(addr: impl ToSocketAddrs, config: ServeConfig) -> io::Result<AnalysisServer> {
-        let service = AnalysisService::with_config(config.service.clone())
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        let max_inflight =
-            if config.max_inflight == 0 { available_cores() } else { config.max_inflight };
-        Ok(AnalysisServer {
-            listener: TcpListener::bind(addr)?,
-            shared: Arc::new(ServeShared {
-                service,
-                admission: Admission::new(max_inflight, config.queue_depth),
-                counters: ServeCounters::default(),
-                latency: Mutex::new(HistogramValue::new(LATENCY_BUCKETS)),
-                trace: None,
-                metrics_out: None,
-                subscribers: Mutex::new(Vec::new()),
-                watching: config.watch_root.is_some(),
-            }),
-            config,
-        })
-    }
-
-    /// Rewrite a Chrome trace-event JSON snapshot of the daemon's spans
-    /// to `path` after each session ends. Must be called before serving.
-    pub fn set_trace_out(&mut self, path: PathBuf) {
-        if let Some(shared) = Arc::get_mut(&mut self.shared) {
-            shared.trace = Some(TraceFileWriter::new(path));
-        }
-    }
-
-    /// Rewrite a Prometheus text snapshot of the daemon's metrics to
-    /// `path` after each session ends. Must be called before serving.
-    pub fn set_metrics_out(&mut self, path: PathBuf) {
-        if let Some(shared) = Arc::get_mut(&mut self.shared) {
-            shared.metrics_out = Some(path);
-        }
-    }
-
-    /// The bound address — useful when binding port 0.
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// The admission gate, exposed so tests can saturate it
-    /// deterministically before exercising the BUSY path.
-    pub fn admission(&self) -> &Admission {
-        &self.shared.admission
-    }
-
-    /// Accepts clients forever, one thread per connection; starts the
-    /// watcher first when configured. Per-connection errors end that
-    /// session only. Returns only if the listener itself fails.
-    pub fn serve(&self) -> io::Result<()> {
-        if let Ok(addr) = self.local_addr() {
-            telemetry::log(LogLevel::Info, "serve", &format!("listening on {addr}"));
-        }
-        if let Some(root) = &self.config.watch_root {
-            crate::watch::spawn_watcher(
-                Arc::clone(&self.shared),
-                root.clone(),
-                self.config.watch_interval,
-            );
-        }
-        loop {
-            let (stream, _) = self.listener.accept()?;
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || {
-                let _ = serve_session(stream, &shared);
-                telemetry::flush_thread();
-                shared.export();
-            });
-        }
-    }
-
-    /// Runs [`AnalysisServer::serve`] on a background thread and returns
-    /// the bound address. Tests and in-process callers use this; the CLI
-    /// calls `serve` directly.
-    pub fn spawn(self) -> io::Result<std::net::SocketAddr> {
-        let addr = self.local_addr()?;
-        std::thread::spawn(move || {
-            let _ = self.serve();
-        });
-        Ok(addr)
-    }
-}
-
-/// One client session: handshake, then request/reply until disconnect.
-/// A `WATCH` request turns the session into a subscription: the reply
-/// stream is handed to the broadcaster and this thread only keeps
-/// reading to notice the disconnect.
-fn serve_session(mut stream: TcpStream, shared: &ServeShared) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let peer =
-        stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "<unknown>".to_string());
-    handshake_server(&mut stream, shared, &peer)?;
-    let (mut requests, mut bytes_in, mut bytes_out) = (0u64, 0u64, 0u64);
-    let result = loop {
-        let body = match read_frame(&mut stream) {
-            Ok(body) => body,
-            // Disconnect is the normal end of a session.
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break Ok(()),
-            Err(e) => {
-                // Oversized frame or mid-frame garbage: the stream cannot
-                // be resynchronized, so answer with an error and end the
-                // session — the listener and every other client live on.
-                if e.kind() == io::ErrorKind::InvalidData {
-                    shared.counters.op_errors.fetch_add(1, Ordering::Relaxed);
-                    let reply = Reply::Error { message: e.to_string() }.to_json();
-                    let _ = write_frame(&mut stream, reply.as_bytes());
-                }
-                break Err(e);
+    /// One ANALYZE request: admission, corpus, analysis.
+    fn analyze(
+        &self,
+        bypass: bool,
+        options: ffisafe_core::AnalysisOptions,
+        files: Vec<(String, String)>,
+    ) -> Handled {
+        let permit = match self.admission.try_admit() {
+            Ok(permit) => permit,
+            Err(busy) => {
+                self.counters.busy_total.fetch_add(1, Ordering::Relaxed);
+                return reply(Reply::Busy {
+                    running: busy.running as u64,
+                    queued: busy.queued as u64,
+                });
             }
         };
-        bytes_in += body.len() as u64;
-        shared.counters.bytes_read.fetch_add(body.len() as u64, Ordering::Relaxed);
-        let mut subscribed = false;
-        let reply = match Request::parse(&body) {
+        let mut builder = Corpus::builder();
+        for (name, src) in files {
+            builder = match builder.source(name, src) {
+                Ok(builder) => builder,
+                Err(e) => return Handled::Error(e.to_string()),
+            };
+        }
+        let mode = if bypass { CacheMode::Bypass } else { CacheMode::Shared };
+        let result = self.run_analysis("server.request", builder.build(), options, mode);
+        drop(permit);
+        match result {
+            Ok(outcome) => reply(Reply::Analyze(Box::new(outcome))),
+            Err(message) => Handled::Error(message),
+        }
+    }
+}
+
+fn reply(reply: Reply) -> Handled {
+    Handled::Reply(reply.to_json().into_bytes())
+}
+
+impl Handler for ServeHandler {
+    const NAME: &'static str = "serve";
+    const HELLO_SPAN: &'static str = "server.hello";
+    const PROTOCOL: u32 = SERVE_PROTOCOL_VERSION;
+    // Each reply is one whole analysis, so the trace stays small enough to
+    // rewrite after every reply (and every watch run).
+    const EXPORT_EVERY_REPLY: bool = true;
+
+    fn analyzer_version(&self) -> &str {
+        ANALYZER_VERSION
+    }
+
+    fn decode_hello(&self, body: &[u8]) -> Result<(u32, String), String> {
+        match Request::parse(body) {
+            Ok(Request::Hello { protocol, analyzer }) => Ok((protocol, analyzer)),
+            Ok(_) => Err("expected HELLO".to_string()),
+            Err(msg) => Err(format!("malformed HELLO: {msg}")),
+        }
+    }
+
+    fn hello_ok(&self) -> Vec<u8> {
+        let ok = Reply::HelloOk {
+            protocol: SERVE_PROTOCOL_VERSION,
+            analyzer: ANALYZER_VERSION.to_string(),
+        };
+        ok.to_json().into_bytes()
+    }
+
+    fn error_reply(&self, message: &str) -> Vec<u8> {
+        Reply::Error { message: message.to_string() }.to_json().into_bytes()
+    }
+
+    fn handle(shared: &Shared<Self>, body: &[u8]) -> Handled {
+        match Request::parse(body) {
             Ok(Request::Analyze { bypass, options, files }) => {
-                handle_analyze(shared, bypass, options, files)
+                shared.analyze(bypass, options, files)
             }
             Ok(Request::Metrics) => {
                 shared.counters.metrics_requests.fetch_add(1, Ordering::Relaxed);
-                Reply::Metrics { prometheus: shared.metrics().to_prometheus() }
+                reply(Reply::Metrics { prometheus: shared.metrics().to_prometheus() })
             }
             Ok(Request::Watch) => {
-                subscribed = shared.watching;
-                Reply::WatchOk { watching: shared.watching }
-            }
-            Ok(Request::Hello { .. }) => {
-                shared.counters.op_errors.fetch_add(1, Ordering::Relaxed);
-                Reply::Error { message: "unexpected HELLO after the handshake".to_string() }
-            }
-            Err(msg) => {
-                shared.counters.op_errors.fetch_add(1, Ordering::Relaxed);
-                telemetry::log(LogLevel::Warn, "serve", &format!("bad request from {peer}: {msg}"));
-                Reply::Error { message: msg }
-            }
-        };
-        let reply = reply.to_json();
-        bytes_out += reply.len() as u64;
-        shared.counters.bytes_written.fetch_add(reply.len() as u64, Ordering::Relaxed);
-        requests += 1;
-        if let Err(e) = write_frame(&mut stream, reply.as_bytes()) {
-            break Err(e);
-        }
-        // Flush this thread's spans into the global sink while the
-        // session is still alive, so METRICS/trace snapshots from other
-        // sessions see them.
-        telemetry::flush_thread();
-        shared.export();
-        if subscribed {
-            // From here the broadcaster owns writes; we hold the read
-            // half only to notice the disconnect.
-            let clone = match stream.try_clone() {
-                Ok(clone) => clone,
-                Err(e) => break Err(e),
-            };
-            shared.subscribers.lock().unwrap_or_else(|p| p.into_inner()).push(clone);
-            telemetry::log(LogLevel::Info, "serve", &format!("watch subscriber ({peer})"));
-            let mut probe = [0u8; 1];
-            loop {
-                use std::io::Read as _;
-                match stream.read(&mut probe) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {} // Subscribers shouldn't send; tolerate it.
+                let watching = shared.watch.is_some();
+                let ok = Reply::WatchOk { watching }.to_json().into_bytes();
+                if watching {
+                    Handled::TakeOver(ok)
+                } else {
+                    Handled::Reply(ok)
                 }
             }
-            break Ok(());
-        }
-    };
-    telemetry::log(
-        LogLevel::Info,
-        "serve",
-        &format!(
-            "session closed ({peer}): {requests} request(s), {bytes_in} B in, {bytes_out} B out"
-        ),
-    );
-    result
-}
-
-fn handle_analyze(
-    shared: &ServeShared,
-    bypass: bool,
-    options: ffisafe_core::AnalysisOptions,
-    files: Vec<(String, String)>,
-) -> Reply {
-    let permit = match shared.admission.try_admit() {
-        Ok(permit) => permit,
-        Err(busy) => {
-            shared.counters.busy_total.fetch_add(1, Ordering::Relaxed);
-            return Reply::Busy { running: busy.running as u64, queued: busy.queued as u64 };
-        }
-    };
-    let mut builder = Corpus::builder();
-    for (name, src) in files {
-        builder = match builder.source(name, src) {
-            Ok(builder) => builder,
-            Err(e) => {
-                shared.counters.op_errors.fetch_add(1, Ordering::Relaxed);
-                return Reply::Error { message: e.to_string() };
+            Ok(Request::Hello { .. }) => {
+                Handled::Error("unexpected HELLO after the handshake".to_string())
             }
-        };
-    }
-    let mode = if bypass { CacheMode::Bypass } else { CacheMode::Shared };
-    let result = shared.run_analysis("server.request", builder.build(), options, mode);
-    drop(permit);
-    match result {
-        Ok(outcome) => Reply::Analyze(Box::new(outcome)),
-        Err(message) => {
-            shared.counters.op_errors.fetch_add(1, Ordering::Relaxed);
-            Reply::Error { message }
+            Err(msg) => Handled::Error(msg),
         }
     }
+
+    fn start(shared: &Arc<Shared<Self>>) {
+        if let Some((root, interval)) = &shared.watch {
+            crate::watch::spawn_watcher(Arc::clone(shared), root.clone(), *interval);
+        }
+    }
+
+    /// A WATCH subscription: the broadcaster owns writes from here, and
+    /// this thread keeps the read half only to notice the disconnect.
+    fn take_over(&self, mut stream: TcpStream, peer: &str) -> io::Result<()> {
+        self.subscribers.lock().unwrap_or_else(|p| p.into_inner()).push(stream.try_clone()?);
+        telemetry::log(LogLevel::Info, Self::NAME, &format!("watch subscriber ({peer})"));
+        let mut probe = [0u8; 1];
+        // Subscribers shouldn't send; tolerate it.
+        while let Ok(1..) = stream.read(&mut probe) {}
+        Ok(())
+    }
+
+    /// Request and watch counters, admission gauges and the request
+    /// latency histogram.
+    fn feed_metrics(&self, reg: &mut MetricsRegistry) {
+        let c = &self.counters;
+        for (name, help, counter) in [
+            ("ffisafe_server_requests_total", "Analyze requests completed", &c.requests_total),
+            (
+                "ffisafe_server_busy_total",
+                "Analyze requests refused by admission control",
+                &c.busy_total,
+            ),
+            (
+                "ffisafe_server_metrics_requests_total",
+                "METRICS wire ops served",
+                &c.metrics_requests,
+            ),
+            (
+                "ffisafe_server_workers_executed_total",
+                "Inference workers executed across all requests",
+                &c.workers_executed_total,
+            ),
+            (
+                "ffisafe_server_report_hits_total",
+                "Requests answered whole from the tier-2 report cache",
+                &c.report_hits_total,
+            ),
+            (
+                "ffisafe_server_watch_runs_total",
+                "Watch-mode re-analyses triggered by tree changes",
+                &c.watch_runs_total,
+            ),
+            (
+                "ffisafe_server_watch_events_sent_total",
+                "Watch change events delivered to subscribers",
+                &c.watch_events_sent,
+            ),
+        ] {
+            reg.inc_counter(name, help, &[], counter.load(Ordering::Relaxed));
+        }
+        reg.set_gauge(
+            "ffisafe_server_inflight",
+            "Analyses currently executing",
+            &[],
+            self.admission.running() as f64,
+        );
+        reg.set_gauge(
+            "ffisafe_server_queued",
+            "Analyses currently waiting for an execution slot",
+            &[],
+            self.admission.queued() as f64,
+        );
+        reg.set_gauge(
+            "ffisafe_server_watch_subscribers",
+            "Connections subscribed to watch events",
+            &[],
+            self.subscribers.lock().unwrap_or_else(|p| p.into_inner()).len() as f64,
+        );
+        reg.record_histogram(
+            "ffisafe_server_request_seconds",
+            "End-to-end analyze request latency (admission wait included)",
+            &[],
+            self.latency.lock().unwrap_or_else(|p| p.into_inner()).clone(),
+        );
+    }
 }
 
-fn handshake_server(stream: &mut TcpStream, shared: &ServeShared, peer: &str) -> io::Result<()> {
-    let body = read_frame(stream)?;
-    let _span = telemetry::span_with("server.hello", || vec![("bytes_in", body.len().to_string())]);
-    let refusal = match Request::parse(&body) {
-        Ok(Request::Hello { protocol, analyzer }) => {
-            if protocol != SERVE_PROTOCOL_VERSION {
-                Some(format!(
-                    "protocol version mismatch: client {protocol}, server {SERVE_PROTOCOL_VERSION}"
-                ))
-            } else if analyzer != ANALYZER_VERSION {
-                Some(format!(
-                    "analyzer version mismatch: client {analyzer:?}, server {ANALYZER_VERSION:?}"
-                ))
-            } else {
-                None
-            }
-        }
-        Ok(_) => Some("expected HELLO".to_string()),
-        Err(msg) => Some(format!("malformed HELLO: {msg}")),
-    };
-    let reply = match &refusal {
-        None => {
-            shared.counters.sessions_opened.fetch_add(1, Ordering::Relaxed);
-            telemetry::log(LogLevel::Info, "serve", &format!("session open ({peer})"));
-            Reply::HelloOk {
-                protocol: SERVE_PROTOCOL_VERSION,
-                analyzer: ANALYZER_VERSION.to_string(),
-            }
-        }
-        Some(msg) => {
-            shared.counters.sessions_refused.fetch_add(1, Ordering::Relaxed);
-            telemetry::log(LogLevel::Warn, "serve", &format!("session refused ({peer}): {msg}"));
-            Reply::Error { message: msg.clone() }
-        }
-    };
-    write_frame(stream, reply.to_json().as_bytes())?;
-    match refusal {
-        None => Ok(()),
-        Some(msg) => Err(io::Error::new(io::ErrorKind::InvalidData, msg)),
+/// A resident daemon serving one [`AnalysisService`] to many TCP clients:
+/// `AnalysisServer::bind(addr, config)`. Snapshots are rewritten after
+/// every reply and every watch run.
+pub type AnalysisServer = Daemon<ServeHandler>;
+
+/// What `AnalysisServer::bind` builds its handler from. Fails when the
+/// service's cache cannot open.
+impl TryFrom<ServeConfig> for ServeHandler {
+    type Error = io::Error;
+
+    fn try_from(config: ServeConfig) -> io::Result<ServeHandler> {
+        let service = AnalysisService::with_config(config.service)
+            .map_err(|e| io::Error::other(e.to_string()))?;
+        let max_inflight =
+            if config.max_inflight == 0 { available_cores() } else { config.max_inflight };
+        Ok(ServeHandler {
+            service,
+            admission: Admission::new(max_inflight, config.queue_depth),
+            counters: ServeCounters::default(),
+            latency: Mutex::new(HistogramValue::new(LATENCY_BUCKETS)),
+            subscribers: Mutex::new(Vec::new()),
+            watch: config.watch_root.map(|root| (root, config.watch_interval)),
+        })
     }
 }

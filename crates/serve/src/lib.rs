@@ -6,13 +6,12 @@
 //! TCP listener so that editors, CI fan-out, and repeated local runs
 //! share its warm caches and its machine budget:
 //!
-//! - [`protocol`] — the u32-length-prefixed JSON wire format: versioned
-//!   HELLO handshake, analyze/metrics/watch ops, typed
-//!   [`Request`]/[`Reply`] codec.
+//! - [`protocol`] — the JSON messages on `ffisafe_support::wire` frames:
+//!   HELLO, analyze/metrics/watch ops, typed [`Request`]/[`Reply`] codec.
 //! - [`admission`] — the bounded execution gate behind explicit BUSY
 //!   backpressure.
-//! - [`daemon`] — [`AnalysisServer`]: the listener, per-client fair
-//!   scheduling, telemetry, `--trace-out`/`--metrics-out` snapshots.
+//! - [`daemon`] — [`AnalysisServer`]: the wire handler for those ops,
+//!   per-client fair scheduling and the daemon's metric families.
 //! - [`watch`] — fingerprint-polling re-analysis of a source tree,
 //!   streaming [`WatchEvent`]s to subscribers.
 //! - [`client`] — [`ServeClient`], the blocking client the CLI's

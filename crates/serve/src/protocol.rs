@@ -1,12 +1,10 @@
 //! The `ffisafe serve` wire protocol: u32-length-prefixed JSON frames.
 //!
-//! Every message is a *frame* — a little-endian `u32` byte length followed
-//! by that many bytes of UTF-8 JSON — the same framing discipline as the
-//! cache wire protocol, with a smaller [`MAX_FRAME_BYTES`] cap because
-//! requests carry source text, not cache payloads. A length prefix over
-//! the cap is treated as corruption: the daemon answers with an error
-//! reply and ends that session (the stream cannot be resynchronized), but
-//! keeps serving every other client.
+//! Every message is a frame of UTF-8 JSON on [`ffisafe_support::wire`],
+//! the framing, handshake and session loop `cache-serve` uses too: a
+//! little-endian `u32` byte length, then the body, capped at
+//! [`MAX_FRAME_BYTES`]. A length prefix over the cap gets an error reply
+//! and ends that session only.
 //!
 //! A connection starts with one HELLO round-trip pinning both the
 //! protocol version ([`SERVE_PROTOCOL_VERSION`]) and the analyzer
@@ -40,42 +38,12 @@
 use ffisafe_core::{AnalysisOptions, CacheMode, Corpus};
 use ffisafe_support::json::{self, escape_into, Json};
 use std::fmt::Write as _;
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+
+pub use ffisafe_support::wire::{read_frame, write_frame, MAX_FRAME_BYTES};
 
 /// Bump when the frame layout or operation set changes. A mismatch
 /// refuses the session at the handshake.
 pub const SERVE_PROTOCOL_VERSION: u32 = 1;
-
-/// Upper bound on one frame body. Larger length prefixes are corruption
-/// (or abuse) and must not allocate unbounded memory.
-pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
-
-fn bad_data(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Writes one frame: length prefix, body, flush.
-pub fn write_frame(stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
-    stream.write_all(&(body.len() as u32).to_le_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
-/// Reads one frame. `UnexpectedEof` on the length prefix is the normal
-/// end of a session; a prefix over [`MAX_FRAME_BYTES`] is `InvalidData`
-/// (the caller must not try to resynchronize the stream after it).
-pub fn read_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(bad_data(format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES} cap")));
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Ok(body)
-}
 
 fn quote_into(out: &mut String, s: &str) {
     out.push('"');

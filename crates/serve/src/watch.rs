@@ -11,19 +11,20 @@
 //! (warm functions replay from the cache), and broadcasts one
 //! [`WatchEvent`] frame to every subscribed connection.
 
-use crate::daemon::ServeShared;
+use crate::daemon::ServeHandler;
 use crate::protocol::WatchEvent;
 use ffisafe_core::{AnalysisOptions, CacheMode, Corpus};
 use ffisafe_support::telemetry::{self, LogLevel};
+use ffisafe_support::wire::Shared;
 use ffisafe_support::Fingerprint;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Starts the watch loop on a background thread. The thread runs for the
 /// rest of the process, like the session threads it feeds.
-pub(crate) fn spawn_watcher(shared: Arc<ServeShared>, root: PathBuf, interval: Duration) {
+pub(crate) fn spawn_watcher(shared: Arc<Shared<ServeHandler>>, root: PathBuf, interval: Duration) {
     std::thread::spawn(move || {
         telemetry::log(
             LogLevel::Info,
@@ -59,7 +60,7 @@ pub(crate) fn spawn_watcher(shared: Arc<ServeShared>, root: PathBuf, interval: D
 }
 
 /// One watch re-analysis: admit (blocking), analyze, count, broadcast.
-fn run_once(shared: &ServeShared, root: &std::path::Path, corpus: Corpus, generation: u64) {
+fn run_once(shared: &Shared<ServeHandler>, root: &Path, corpus: Corpus, generation: u64) {
     let permit = shared.admission.admit();
     let result =
         shared.run_analysis("server.watch", corpus, AnalysisOptions::default(), CacheMode::Shared);
@@ -92,6 +93,5 @@ fn run_once(shared: &ServeShared, root: &std::path::Path, corpus: Corpus, genera
         workers_executed: outcome.workers_executed,
         rendered_stable: outcome.rendered_stable,
     });
-    telemetry::flush_thread();
     shared.export();
 }

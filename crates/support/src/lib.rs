@@ -14,6 +14,8 @@
 //!   content hashes keying the incremental-reanalysis cache.
 //! * [`table`] — a small plain-text table renderer used by the Figure 9
 //!   harness and the CLI.
+//! * [`wire`] — the daemon skeleton both TCP daemons are built on: frame
+//!   codec, versioned HELLO, session loop and snapshot export.
 //!
 //! # Examples
 //!
@@ -39,6 +41,7 @@ pub mod source_map;
 pub mod span;
 pub mod table;
 pub mod telemetry;
+pub mod wire;
 
 pub use diagnostics::{Diagnostic, DiagnosticBag, DiagnosticCode, Severity};
 pub use fingerprint::{Fingerprint, FingerprintHasher};

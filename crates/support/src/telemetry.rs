@@ -363,18 +363,24 @@ impl TraceFileWriter {
         flush_thread();
         let mut accumulated = self.accumulated.lock().unwrap_or_else(|p| p.into_inner());
         accumulated.extend(drain_spans());
-        let tmp = self.path.with_file_name(format!(
-            "{}.tmp",
-            self.path.file_name().and_then(|n| n.to_str()).unwrap_or("trace.json")
-        ));
-        std::fs::write(&tmp, chrome_trace_json(&accumulated))?;
-        std::fs::rename(&tmp, &self.path)
+        write_snapshot(&self.path, &chrome_trace_json(&accumulated))
     }
 
     /// Number of spans accumulated so far (observability for tests).
     pub fn span_count(&self) -> usize {
         self.accumulated.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
+}
+
+/// Replaces `path` with `contents` atomically: the bytes go to a sibling
+/// `.tmp` file that is then renamed over `path`, so a reader sees the
+/// previous snapshot or the new one, never an empty or half-written file.
+/// Callers writing the same path from several threads must serialize.
+pub fn write_snapshot(path: &Path, contents: &str) -> std::io::Result<()> {
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("snapshot");
+    let tmp = path.with_file_name(format!("{name}.tmp"));
+    std::fs::write(&tmp, contents)?;
+    std::fs::rename(&tmp, path)
 }
 
 // ---------------------------------------------------------------------------

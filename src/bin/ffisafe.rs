@@ -37,9 +37,11 @@
 
 use ffisafe::shard::{sweep, MapMode, SweepConfig};
 use ffisafe::support::telemetry::{self, LogLevel, MetricsRegistry};
+use ffisafe::support::wire::{Daemon, Handler};
 use ffisafe::{
     AnalysisOptions, AnalysisRequest, AnalysisService, CacheMode, Corpus, ServiceConfig,
 };
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: ffisafe [options] <file.ml|file.rs|file.c|dir>...
@@ -156,10 +158,181 @@ enum Format {
     Json,
 }
 
+/// How a subcommand ends: `Ok` carries the status of a completed run,
+/// `Err` an early exit (a usage or I/O error, `--help`, `--version`).
+type Exit = Result<ExitCode, ExitCode>;
+
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("ffisafe: {message}");
     eprintln!("{USAGE}");
     ExitCode::from(2)
+}
+
+/// An I/O or setup failure: the message alone, exit 2.
+fn io_error(message: impl std::fmt::Display) -> ExitCode {
+    eprintln!("ffisafe: {message}");
+    ExitCode::from(2)
+}
+
+/// The common flags `ffisafe <files>`, `client` and `sweep` accept.
+const RUN_FLAGS: &[&str] = &[
+    "--no-flow",
+    "--no-gc",
+    "--jobs",
+    "-j",
+    "--cache-dir",
+    "--cache-url",
+    "--no-cache",
+    "--cache-stats",
+    "--format",
+    "--timings",
+    "--trace-out",
+    "--metrics-out",
+];
+
+/// The common flags `cache-serve` accepts.
+const CACHE_SERVE_FLAGS: &[&str] =
+    &["--cache-dir", "--listen", "--log-level", "--trace-out", "--metrics-out"];
+
+/// The common flags `serve` accepts.
+const SERVE_FLAGS: &[&str] =
+    &["--cache-dir", "--cache-url", "--listen", "--log-level", "--trace-out", "--metrics-out"];
+
+type Args<'a> = dyn Iterator<Item = String> + 'a;
+
+/// The next argument as a flag's value, or a usage error saying what the
+/// flag needs.
+fn value(args: &mut Args<'_>, missing: &str) -> Result<String, ExitCode> {
+    args.next().ok_or_else(|| usage_error(missing))
+}
+
+/// The next argument parsed as a number, or a usage error.
+fn number<T: std::str::FromStr>(args: &mut Args<'_>, missing: &str) -> Result<T, ExitCode> {
+    args.next().and_then(|v| v.parse().ok()).ok_or_else(|| usage_error(missing))
+}
+
+/// An argument no flag claimed: an input path, or a usage error when it
+/// looks like an option.
+fn positional(arg: &str, paths: &mut Vec<String>) -> Result<(), ExitCode> {
+    if arg.starts_with('-') && arg.len() > 1 {
+        return Err(usage_error(&format!("unknown option `{arg}`")));
+    }
+    paths.push(arg.to_string());
+    Ok(())
+}
+
+/// The flags several subcommands share, parsed in one place. Each
+/// subcommand names the ones it accepts; `--help` and `--version` work
+/// everywhere.
+struct CommonFlags {
+    /// `--no-flow`, `--no-gc` and `--jobs`/`-j`.
+    options: AnalysisOptions,
+    cache_dir: Option<PathBuf>,
+    cache_url: Option<String>,
+    no_cache: bool,
+    cache_stats: bool,
+    format: Format,
+    timings: bool,
+    trace_out: Option<PathBuf>,
+    metrics_out: Option<PathBuf>,
+    log_level: LogLevel,
+    listen: String,
+}
+
+impl CommonFlags {
+    /// Parses `args` left to right: the common flags in `accepted` land
+    /// here, and every other argument goes to `own` with the remaining
+    /// arguments, so it can take a value.
+    fn parse(
+        args: &[String],
+        accepted: &[&str],
+        mut own: impl FnMut(&str, &mut Args<'_>) -> Result<(), ExitCode>,
+    ) -> Result<CommonFlags, ExitCode> {
+        let mut flags = CommonFlags {
+            options: AnalysisOptions::default(),
+            cache_dir: None,
+            cache_url: None,
+            no_cache: false,
+            cache_stats: false,
+            format: Format::Text,
+            timings: false,
+            trace_out: None,
+            metrics_out: None,
+            log_level: LogLevel::Info,
+            listen: "127.0.0.1:0".to_string(),
+        };
+        let mut args = args.iter().cloned();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--version" | "-V" => {
+                    println!("ffisafe {}", env!("CARGO_PKG_VERSION"));
+                    return Err(ExitCode::SUCCESS);
+                }
+                "--help" | "-h" => {
+                    println!("{USAGE}");
+                    return Err(ExitCode::SUCCESS);
+                }
+                flag if !accepted.contains(&flag) => own(flag, &mut args)?,
+                "--no-flow" => flags.options.flow_sensitive = false,
+                "--no-gc" => flags.options.gc_effects = false,
+                "--no-cache" => flags.no_cache = true,
+                "--cache-stats" => flags.cache_stats = true,
+                "--timings" => flags.timings = true,
+                "--jobs" | "-j" => {
+                    flags.options.jobs = number(&mut args, "--jobs requires a positive integer")?;
+                    if flags.options.jobs == 0 {
+                        return Err(io_error("--jobs requires a positive integer"));
+                    }
+                }
+                "--cache-dir" => {
+                    flags.cache_dir =
+                        Some(value(&mut args, "--cache-dir requires a directory")?.into())
+                }
+                "--cache-url" => {
+                    flags.cache_url =
+                        Some(value(&mut args, "--cache-url requires a tcp://host:port URL")?)
+                }
+                "--format" => flags.format = parse_format(args.next().as_deref())?,
+                "--trace-out" => {
+                    flags.trace_out =
+                        Some(value(&mut args, "--trace-out requires a file path")?.into())
+                }
+                "--metrics-out" => {
+                    flags.metrics_out =
+                        Some(value(&mut args, "--metrics-out requires a file path")?.into())
+                }
+                "--log-level" => {
+                    flags.log_level =
+                        args.next().as_deref().and_then(LogLevel::parse).ok_or_else(|| {
+                            usage_error("--log-level expects `error`, `warn`, `info`, or `debug`")
+                        })?
+                }
+                "--listen" => {
+                    flags.listen = value(&mut args, "--listen requires a host:port address")?
+                }
+                other => own(other, &mut args)?,
+            }
+        }
+        Ok(flags)
+    }
+
+    /// Turns span recording on when a trace was asked for.
+    fn start_tracing(&self) {
+        if self.trace_out.is_some() {
+            telemetry::set_tracing(true);
+        }
+    }
+}
+
+fn parse_format(value: Option<&str>) -> Result<Format, ExitCode> {
+    match value {
+        Some("text") => Ok(Format::Text),
+        Some("json") => Ok(Format::Json),
+        Some(other) => {
+            Err(usage_error(&format!("--format expects `text` or `json`, got `{other}`")))
+        }
+        None => Err(usage_error("--format requires `text` or `json`")),
+    }
 }
 
 fn print_cache_stats(stats: Option<ffisafe::cache::CacheStats>) {
@@ -183,30 +356,26 @@ fn print_cache_stats(stats: Option<ffisafe::cache::CacheStats>) {
 /// identical whether or not telemetry is enabled; a write failure is an
 /// I/O error (exit 2) like any other unusable output path.
 fn write_telemetry_outputs(
-    trace_out: Option<&std::path::Path>,
-    metrics_out: Option<&std::path::Path>,
+    trace_out: Option<&Path>,
+    metrics_out: Option<&Path>,
     registry: &MetricsRegistry,
 ) -> Result<(), ExitCode> {
     if let Some(path) = trace_out {
         telemetry::flush_thread();
         let spans = telemetry::drain_spans();
-        if let Err(e) = std::fs::write(path, telemetry::chrome_trace_json(&spans)) {
-            eprintln!("ffisafe: cannot write trace to {}: {e}", path.display());
-            return Err(ExitCode::from(2));
-        }
+        std::fs::write(path, telemetry::chrome_trace_json(&spans))
+            .map_err(|e| io_error(format!("cannot write trace to {}: {e}", path.display())))?;
     }
     if let Some(path) = metrics_out {
-        if let Err(e) = std::fs::write(path, registry.to_prometheus()) {
-            eprintln!("ffisafe: cannot write metrics to {}: {e}", path.display());
-            return Err(ExitCode::from(2));
-        }
+        std::fs::write(path, registry.to_prometheus())
+            .map_err(|e| io_error(format!("cannot write metrics to {}: {e}", path.display())))?;
     }
     Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let exit = match args.first().map(String::as_str) {
         Some("sweep") => sweep_main(&args[1..]),
         Some("cache-serve") => cache_serve_main(&args[1..]),
         Some("serve") => serve_main(&args[1..]),
@@ -214,331 +383,115 @@ fn main() -> ExitCode {
         // output, same exit codes.
         Some("client") => analyze_main(&args[1..], true),
         _ => analyze_main(&args, false),
-    }
+    };
+    exit.unwrap_or_else(|code| code)
 }
 
-// ---- `ffisafe serve` ----------------------------------------------------
+// ---- the daemons: `ffisafe serve` and `ffisafe cache-serve` ---------------
 
-fn serve_main(args: &[String]) -> ExitCode {
+/// The start-up both daemons share: log level, bind, tracing, snapshot
+/// paths, the chosen `tcp://` URL on stdout, then serve until the
+/// listener fails.
+fn run_daemon<H: Handler>(
+    flags: CommonFlags,
+    bind: impl FnOnce(&str) -> std::io::Result<Daemon<H>>,
+) -> Exit {
+    telemetry::set_log_level(flags.log_level);
+    let mut daemon = bind(&flags.listen)
+        .map_err(|e| io_error(format!("cannot start daemon on {}: {e}", flags.listen)))?;
+    flags.start_tracing();
+    if let Some(path) = flags.trace_out {
+        daemon.set_trace_out(path);
+    }
+    if let Some(path) = flags.metrics_out {
+        daemon.set_metrics_out(path);
+    }
+    let addr = daemon
+        .local_addr()
+        .map_err(|e| io_error(format!("cannot resolve listening address: {e}")))?;
+    // The chosen URL goes to *stdout* (and is flushed by println) so
+    // scripts binding port 0 can capture it; chatter stays on stderr.
+    println!("tcp://{addr}");
+    daemon.serve().map_err(|e| io_error(format!("{}: {e}", H::NAME)))?;
+    Ok(ExitCode::SUCCESS)
+}
+
+fn serve_main(args: &[String]) -> Exit {
     let mut config = ffisafe::ServeConfig::default();
-    let mut listen = "127.0.0.1:0".to_string();
-    let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut metrics_out: Option<std::path::PathBuf> = None;
-    let mut log_level = LogLevel::Info;
-    let mut args = args.iter().cloned();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--listen" => {
-                let Some(addr) = args.next() else {
-                    return usage_error("--listen requires a host:port address");
-                };
-                listen = addr;
-            }
-            "--cache-dir" => {
-                let Some(dir) = args.next() else {
-                    return usage_error("--cache-dir requires a directory");
-                };
-                config.service.cache_dir = Some(std::path::PathBuf::from(dir));
-            }
-            "--cache-url" => {
-                let Some(url) = args.next() else {
-                    return usage_error("--cache-url requires a tcp://host:port URL");
-                };
-                config.service.cache_url = Some(url);
-            }
+    let flags = CommonFlags::parse(args, SERVE_FLAGS, |arg, args| {
+        match arg {
             "--max-inflight" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    return usage_error("--max-inflight requires an integer");
-                };
-                config.max_inflight = n;
+                config.max_inflight = number(args, "--max-inflight requires an integer")?
             }
-            "--queue" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    return usage_error("--queue requires an integer");
-                };
-                config.queue_depth = n;
-            }
+            "--queue" => config.queue_depth = number(args, "--queue requires an integer")?,
             "--watch" => {
-                let Some(root) = args.next() else {
-                    return usage_error("--watch requires a directory");
-                };
-                config.watch_root = Some(std::path::PathBuf::from(root));
+                config.watch_root = Some(value(args, "--watch requires a directory")?.into())
             }
             "--watch-interval-ms" => {
-                let Some(ms) = args.next().and_then(|v| v.parse::<u64>().ok()) else {
-                    return usage_error("--watch-interval-ms requires an integer");
-                };
+                let ms = number(args, "--watch-interval-ms requires an integer")?;
                 config.watch_interval = std::time::Duration::from_millis(ms);
             }
-            "--log-level" => match args.next().as_deref().and_then(LogLevel::parse) {
-                Some(level) => log_level = level,
-                None => {
-                    return usage_error("--log-level expects `error`, `warn`, `info`, or `debug`");
-                }
-            },
-            "--trace-out" => {
-                let Some(path) = args.next() else {
-                    return usage_error("--trace-out requires a file path");
-                };
-                trace_out = Some(std::path::PathBuf::from(path));
-            }
-            "--metrics-out" => {
-                let Some(path) = args.next() else {
-                    return usage_error("--metrics-out requires a file path");
-                };
-                metrics_out = Some(std::path::PathBuf::from(path));
-            }
-            "--version" | "-V" => {
-                println!("ffisafe {}", env!("CARGO_PKG_VERSION"));
-                return ExitCode::SUCCESS;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return usage_error(&format!("unknown serve argument `{other}`")),
+            other => return Err(usage_error(&format!("unknown serve argument `{other}`"))),
         }
+        Ok(())
+    })?;
+    if let Some(root) = config.watch_root.as_deref().filter(|root| !root.is_dir()) {
+        return Err(io_error(format!("--watch root {} is not a directory", root.display())));
     }
-    if let Some(root) = &config.watch_root {
-        if !root.is_dir() {
-            eprintln!("ffisafe: --watch root {} is not a directory", root.display());
-            return ExitCode::from(2);
-        }
-    }
-    telemetry::set_log_level(log_level);
-    let mut server = match ffisafe::AnalysisServer::bind(listen.as_str(), config) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("ffisafe: cannot start daemon on {listen}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(path) = trace_out {
-        telemetry::set_tracing(true);
-        server.set_trace_out(path);
-    }
-    if let Some(path) = metrics_out {
-        server.set_metrics_out(path);
-    }
-    match server.local_addr() {
-        // The chosen URL goes to *stdout* (and is flushed by println) so
-        // scripts binding port 0 can capture it; chatter stays on stderr.
-        Ok(addr) => println!("tcp://{addr}"),
-        Err(e) => {
-            eprintln!("ffisafe: cannot resolve listening address: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if let Err(e) = server.serve() {
-        eprintln!("ffisafe: serve: {e}");
-        return ExitCode::from(2);
-    }
-    ExitCode::SUCCESS
+    config.service.cache_dir = flags.cache_dir.clone();
+    config.service.cache_url = flags.cache_url.clone();
+    run_daemon(flags, |listen| ffisafe::AnalysisServer::bind(listen, config))
 }
 
-// ---- `ffisafe cache-serve` ----------------------------------------------
-
-fn cache_serve_main(args: &[String]) -> ExitCode {
-    let mut cache_dir: Option<std::path::PathBuf> = None;
-    let mut listen = "127.0.0.1:0".to_string();
-    let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut metrics_out: Option<std::path::PathBuf> = None;
-    let mut log_level = LogLevel::Info;
-    let mut args = args.iter().cloned();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--cache-dir" => {
-                let Some(dir) = args.next() else {
-                    return usage_error("--cache-dir requires a directory");
-                };
-                cache_dir = Some(std::path::PathBuf::from(dir));
-            }
-            "--listen" => {
-                let Some(addr) = args.next() else {
-                    return usage_error("--listen requires a host:port address");
-                };
-                listen = addr;
-            }
-            "--log-level" => match args.next().as_deref().and_then(LogLevel::parse) {
-                Some(level) => log_level = level,
-                None => {
-                    return usage_error("--log-level expects `error`, `warn`, `info`, or `debug`");
-                }
-            },
-            "--trace-out" => {
-                let Some(path) = args.next() else {
-                    return usage_error("--trace-out requires a file path");
-                };
-                trace_out = Some(std::path::PathBuf::from(path));
-            }
-            "--metrics-out" => {
-                let Some(path) = args.next() else {
-                    return usage_error("--metrics-out requires a file path");
-                };
-                metrics_out = Some(std::path::PathBuf::from(path));
-            }
-            "--version" | "-V" => {
-                println!("ffisafe {}", env!("CARGO_PKG_VERSION"));
-                return ExitCode::SUCCESS;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return usage_error(&format!("unknown cache-serve argument `{other}`")),
-        }
-    }
-    let Some(dir) = cache_dir else {
-        return usage_error("cache-serve requires --cache-dir");
+fn cache_serve_main(args: &[String]) -> Exit {
+    let flags = CommonFlags::parse(args, CACHE_SERVE_FLAGS, |arg, _| {
+        Err(usage_error(&format!("unknown cache-serve argument `{arg}`")))
+    })?;
+    let Some(dir) = flags.cache_dir.clone() else {
+        return Err(usage_error("cache-serve requires --cache-dir"));
     };
-    let store = match ffisafe::cache::CacheStore::open(
-        &dir,
-        &ffisafe::core::pipeline::cache::analyzer_cache_version(),
-    ) {
-        Ok(store) => store,
-        Err(e) => {
-            eprintln!("ffisafe: cannot open cache at {}: {e}", dir.display());
-            return ExitCode::from(2);
-        }
-    };
-    telemetry::set_log_level(log_level);
-    let mut server = match ffisafe::cache::CacheServer::bind(listen.as_str(), store) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("ffisafe: cannot listen on {listen}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(path) = trace_out {
-        telemetry::set_tracing(true);
-        server.set_trace_out(path);
-    }
-    if let Some(path) = metrics_out {
-        server.set_metrics_out(path);
-    }
-    match server.local_addr() {
-        // The chosen URL goes to *stdout* (and is flushed by println) so
-        // scripts binding port 0 can capture it; chatter stays on stderr.
-        Ok(addr) => println!("tcp://{addr}"),
-        Err(e) => {
-            eprintln!("ffisafe: cannot resolve listening address: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    telemetry::log(
-        LogLevel::Info,
-        "cache-serve",
-        &format!("exporting {} (Ctrl-C to stop)", dir.display()),
-    );
-    if let Err(e) = server.serve() {
-        eprintln!("ffisafe: cache-serve: {e}");
-        return ExitCode::from(2);
-    }
-    ExitCode::SUCCESS
+    let version = ffisafe::core::pipeline::cache::analyzer_cache_version();
+    let store = ffisafe::cache::CacheStore::open(&dir, &version)
+        .map_err(|e| io_error(format!("cannot open cache at {}: {e}", dir.display())))?;
+    run_daemon(flags, |listen| {
+        let server = ffisafe::cache::CacheServer::bind(listen, store)?;
+        let exporting = format!("exporting {} (Ctrl-C to stop)", dir.display());
+        telemetry::log(LogLevel::Info, "cache-serve", &exporting);
+        Ok(server)
+    })
 }
 
 // ---- `ffisafe <files-or-dirs>` / `ffisafe client` -----------------------
 
-fn analyze_main(args: &[String], require_server: bool) -> ExitCode {
-    let mut options = AnalysisOptions::default();
-    let mut timings = false;
-    let mut cache_stats = false;
-    let mut cache_dir: Option<std::path::PathBuf> = None;
-    let mut cache_url: Option<String> = None;
+fn analyze_main(args: &[String], require_server: bool) -> Exit {
     let mut server_url: Option<String> = None;
-    let mut no_cache = false;
-    let mut format = Format::Text;
-    let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut metrics_out: Option<std::path::PathBuf> = None;
     let mut files = Vec::new();
-    let mut args = args.iter().cloned();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--server-url" => {
-                let Some(url) = args.next() else {
-                    return usage_error("--server-url requires a tcp://host:port URL");
-                };
-                server_url = Some(url);
-            }
-            "--no-flow" => options.flow_sensitive = false,
-            "--no-gc" => options.gc_effects = false,
-            "--timings" => timings = true,
-            "--cache-stats" => cache_stats = true,
-            "--no-cache" => no_cache = true,
-            "--trace-out" => {
-                let Some(path) = args.next() else {
-                    return usage_error("--trace-out requires a file path");
-                };
-                trace_out = Some(std::path::PathBuf::from(path));
-            }
-            "--metrics-out" => {
-                let Some(path) = args.next() else {
-                    return usage_error("--metrics-out requires a file path");
-                };
-                metrics_out = Some(std::path::PathBuf::from(path));
-            }
-            "--cache-dir" => {
-                let Some(dir) = args.next() else {
-                    return usage_error("--cache-dir requires a directory");
-                };
-                cache_dir = Some(std::path::PathBuf::from(dir));
-            }
-            "--cache-url" => {
-                let Some(url) = args.next() else {
-                    return usage_error("--cache-url requires a tcp://host:port URL");
-                };
-                cache_url = Some(url);
-            }
-            "--format" => {
-                format = match parse_format(args.next().as_deref()) {
-                    Ok(f) => f,
-                    Err(code) => return code,
-                };
-            }
-            "--jobs" | "-j" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    return usage_error("--jobs requires a positive integer");
-                };
-                if n == 0 {
-                    eprintln!("ffisafe: --jobs requires a positive integer");
-                    return ExitCode::from(2);
-                }
-                options.jobs = n;
-            }
-            "--version" | "-V" => {
-                println!("ffisafe {}", env!("CARGO_PKG_VERSION"));
-                return ExitCode::SUCCESS;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') && other.len() > 1 => {
-                return usage_error(&format!("unknown option `{other}`"));
-            }
-            other => files.push(other.to_string()),
+    let flags = CommonFlags::parse(args, RUN_FLAGS, |arg, args| match arg {
+        "--server-url" => {
+            server_url = Some(value(args, "--server-url requires a tcp://host:port URL")?);
+            Ok(())
         }
-    }
+        other => positional(other, &mut files),
+    })?;
     if files.is_empty() {
-        eprintln!("ffisafe: no input files (try --help)");
-        return ExitCode::from(2);
+        return Err(io_error("no input files (try --help)"));
     }
     if require_server && server_url.is_none() {
-        return usage_error("client requires --server-url tcp://HOST:PORT");
+        return Err(usage_error("client requires --server-url tcp://HOST:PORT"));
     }
     if server_url.is_some() {
         // The daemon owns the cache; a client-side cache location would
         // silently diverge from what the daemon actually used.
-        if cache_dir.is_some() || cache_url.is_some() {
-            return usage_error("--server-url is mutually exclusive with --cache-dir/--cache-url");
+        if flags.cache_dir.is_some() || flags.cache_url.is_some() {
+            return Err(usage_error(
+                "--server-url is mutually exclusive with --cache-dir/--cache-url",
+            ));
         }
-        if timings || cache_stats {
-            return usage_error("--timings/--cache-stats are not available with --server-url");
+        if flags.timings || flags.cache_stats {
+            return Err(usage_error("--timings/--cache-stats are not available with --server-url"));
         }
     }
-    if trace_out.is_some() {
-        telemetry::set_tracing(true);
-    }
+    flags.start_tracing();
 
     let mut builder = Corpus::builder();
     for path in &files {
@@ -546,125 +499,82 @@ fn analyze_main(args: &[String], require_server: bool) -> ExitCode {
         // added as-is. A directory with *no* FFI sources is almost always
         // a typo'd path — reporting "no errors found" for it would be a
         // lie, so it is a usage error like an unknown file kind.
-        let result = if std::path::Path::new(path).is_dir() {
-            match ffisafe::core::source_files_under(std::path::Path::new(path)) {
+        let result = if Path::new(path).is_dir() {
+            match ffisafe::core::source_files_under(Path::new(path)) {
                 Ok(dir_files) if dir_files.is_empty() => {
-                    eprintln!("ffisafe: {path}: no .ml/.mli/.rs/.c/.h files under directory");
-                    return ExitCode::from(2);
+                    return Err(io_error(format!(
+                        "{path}: no .ml/.mli/.rs/.c/.h files under directory"
+                    )));
                 }
                 Ok(dir_files) => {
-                    let mut b = Ok(builder);
-                    for file in dir_files {
-                        b = b.and_then(|b| b.source_path(file));
-                    }
-                    b
+                    dir_files.into_iter().try_fold(builder, |b, file| b.source_path(file))
                 }
                 Err(e) => Err(e),
             }
         } else {
             builder.source_path(path)
         };
-        builder = match result {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("ffisafe: {e}");
-                return ExitCode::from(2);
-            }
-        };
+        builder = result.map_err(io_error)?;
     }
     let corpus = builder.build();
 
     if let Some(url) = server_url {
-        return analyze_remote(&url, &corpus, options, no_cache, format, trace_out.as_deref());
+        return analyze_remote(&url, &corpus, &flags);
     }
 
-    let service = match AnalysisService::with_config(ServiceConfig {
-        cache_dir: if no_cache { None } else { cache_dir },
-        cache_url: if no_cache { None } else { cache_url },
+    let service = AnalysisService::with_config(ServiceConfig {
+        cache_dir: if flags.no_cache { None } else { flags.cache_dir.clone() },
+        cache_url: if flags.no_cache { None } else { flags.cache_url.clone() },
         batch_jobs: 0,
-    }) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("ffisafe: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    })
+    .map_err(io_error)?;
 
-    let request = AnalysisRequest::new(corpus).options(options).cache_mode(if no_cache {
-        CacheMode::Bypass
-    } else {
-        CacheMode::Shared
-    });
-    let report = match service.analyze(&request) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("ffisafe: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let request = AnalysisRequest::new(corpus)
+        .options(flags.options)
+        .cache_mode(if flags.no_cache { CacheMode::Bypass } else { CacheMode::Shared });
+    let report = service.analyze(&request).map_err(io_error)?;
 
-    match format {
+    match flags.format {
         Format::Text => print!("{}", report.render()),
         Format::Json => print!("{}", report.to_json()),
     }
     // The --timings table and the --metrics-out file are two renderers over
     // the same registry, so they can never disagree.
     let mut registry = MetricsRegistry::new();
-    if timings || metrics_out.is_some() {
+    if flags.timings || flags.metrics_out.is_some() {
         report.feed_metrics(&mut registry);
         if let Some(stats) = service.cache_stats() {
             stats.feed_metrics(&mut registry);
         }
     }
-    if timings {
+    if flags.timings {
         eprint!("{}", registry.render_text());
         if registry.counter("ffisafe_cache_report_hits_total", &[]).unwrap_or(0) > 0 {
             eprintln!("  cache: report tier hit (analysis skipped)");
         }
     }
-    if let Err(code) =
-        write_telemetry_outputs(trace_out.as_deref(), metrics_out.as_deref(), &registry)
-    {
-        return code;
-    }
-    if cache_stats {
+    write_telemetry_outputs(flags.trace_out.as_deref(), flags.metrics_out.as_deref(), &registry)?;
+    if flags.cache_stats {
         print_cache_stats(service.cache_stats());
     }
-    if report.error_count() > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(if report.error_count() > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 /// Submits `corpus` to a resident `ffisafe serve` daemon and renders the
 /// daemon's report exactly as a local run would. BUSY replies are retried
 /// briefly (the daemon advertises backpressure; a short wait usually
 /// clears it), then reported as exit 2.
-fn analyze_remote(
-    url: &str,
-    corpus: &Corpus,
-    options: AnalysisOptions,
-    no_cache: bool,
-    format: Format,
-    trace_out: Option<&std::path::Path>,
-) -> ExitCode {
-    let mut client = match ffisafe::ServeClient::connect(url) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("ffisafe: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mode = if no_cache { CacheMode::Bypass } else { CacheMode::Shared };
+fn analyze_remote(url: &str, corpus: &Corpus, flags: &CommonFlags) -> Exit {
+    let mut client = ffisafe::ServeClient::connect(url).map_err(io_error)?;
+    let mode = if flags.no_cache { CacheMode::Bypass } else { CacheMode::Shared };
     let mut outcome = None;
     for attempt in 0..20 {
-        match client.analyze(corpus, options, mode) {
-            Ok(ffisafe::serve::Reply::Analyze(o)) => {
+        match client.analyze(corpus, flags.options, mode).map_err(io_error)? {
+            ffisafe::serve::Reply::Analyze(o) => {
                 outcome = Some(*o);
                 break;
             }
-            Ok(ffisafe::serve::Reply::Busy { running, queued }) => {
+            ffisafe::serve::Reply::Busy { running, queued } => {
                 if attempt == 0 {
                     eprintln!(
                         "ffisafe: server busy ({running} running, {queued} queued), retrying"
@@ -672,209 +582,100 @@ fn analyze_remote(
                 }
                 std::thread::sleep(std::time::Duration::from_millis(50));
             }
-            Ok(ffisafe::serve::Reply::Error { message }) => {
-                eprintln!("ffisafe: server: {message}");
-                return ExitCode::from(2);
+            ffisafe::serve::Reply::Error { message } => {
+                return Err(io_error(format!("server: {message}")));
             }
-            Ok(other) => {
-                eprintln!("ffisafe: server sent an unexpected reply: {other:?}");
-                return ExitCode::from(2);
-            }
-            Err(e) => {
-                eprintln!("ffisafe: {e}");
-                return ExitCode::from(2);
-            }
+            other => return Err(io_error(format!("server sent an unexpected reply: {other:?}"))),
         }
     }
-    let Some(outcome) = outcome else {
-        eprintln!("ffisafe: server still busy after 20 attempts; giving up");
-        return ExitCode::from(2);
-    };
-    match format {
+    let outcome =
+        outcome.ok_or_else(|| io_error("server still busy after 20 attempts; giving up"))?;
+    match flags.format {
         Format::Text => print!("{}", outcome.rendered),
         Format::Json => print!("{}", outcome.report_json),
     }
-    if let Err(code) = write_telemetry_outputs(trace_out, None, &MetricsRegistry::new()) {
-        return code;
-    }
-    if outcome.errors > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    write_telemetry_outputs(flags.trace_out.as_deref(), None, &MetricsRegistry::new())?;
+    Ok(if outcome.errors > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 // ---- `ffisafe sweep <root>` ---------------------------------------------
 
-fn sweep_main(args: &[String]) -> ExitCode {
+fn sweep_main(args: &[String]) -> Exit {
     let mut config = SweepConfig::default();
-    let mut no_cache = false;
-    let mut format = Format::Text;
-    let mut timings = false;
-    let mut cache_stats = false;
     let mut child_mode = false;
-    let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut metrics_out: Option<std::path::PathBuf> = None;
     let mut roots = Vec::new();
-    let mut args = args.iter().cloned();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--no-flow" => config.options.flow_sensitive = false,
-            "--no-gc" => config.options.gc_effects = false,
-            "--timings" => timings = true,
-            "--cache-stats" => cache_stats = true,
-            "--no-cache" => no_cache = true,
-            "--trace-out" => {
-                let Some(path) = args.next() else {
-                    return usage_error("--trace-out requires a file path");
-                };
-                trace_out = Some(std::path::PathBuf::from(path));
-            }
-            "--metrics-out" => {
-                let Some(path) = args.next() else {
-                    return usage_error("--metrics-out requires a file path");
-                };
-                metrics_out = Some(std::path::PathBuf::from(path));
-            }
-            "--version" | "-V" => {
-                println!("ffisafe {}", env!("CARGO_PKG_VERSION"));
-                return ExitCode::SUCCESS;
-            }
-            "--shards" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    return usage_error("--shards requires an integer");
-                };
-                config.shards = n;
-            }
-            "--jobs" | "-j" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    return usage_error("--jobs requires a positive integer");
-                };
-                if n == 0 {
-                    eprintln!("ffisafe: --jobs requires a positive integer");
-                    return ExitCode::from(2);
-                }
-                config.jobs = n;
-            }
-            "--retries" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    return usage_error("--retries requires an integer");
-                };
-                config.retries = n;
-            }
-            "--cache-dir" => {
-                let Some(dir) = args.next() else {
-                    return usage_error("--cache-dir requires a directory");
-                };
-                config.cache_dir = Some(std::path::PathBuf::from(dir));
-            }
-            "--cache-url" => {
-                let Some(url) = args.next() else {
-                    return usage_error("--cache-url requires a tcp://host:port URL");
-                };
-                config.cache_url = Some(url);
-            }
+    let flags = CommonFlags::parse(args, RUN_FLAGS, |arg, args| {
+        match arg {
+            "--shards" => config.shards = number(args, "--shards requires an integer")?,
+            "--retries" => config.retries = number(args, "--retries requires an integer")?,
             "--schedule" => {
-                match args.next().as_deref().and_then(ffisafe::shard::Schedule::parse) {
-                    Some(schedule) => config.schedule = schedule,
-                    None => return usage_error("--schedule expects `name` or `cost`"),
-                }
+                config.schedule =
+                    args.next()
+                        .as_deref()
+                        .and_then(ffisafe::shard::Schedule::parse)
+                        .ok_or_else(|| usage_error("--schedule expects `name` or `cost`"))?
             }
             "--manifest" => {
-                let Some(path) = args.next() else {
-                    return usage_error("--manifest requires a file path");
-                };
-                config.manifest_path = Some(std::path::PathBuf::from(path));
+                config.manifest_path = Some(value(args, "--manifest requires a file path")?.into())
             }
-            "--mode" => match args.next().as_deref() {
-                Some("in-process") => child_mode = false,
-                Some("child") => child_mode = true,
-                Some(other) => {
-                    return usage_error(&format!(
-                        "--mode expects `in-process` or `child`, got `{other}`"
-                    ));
+            "--mode" => {
+                child_mode = match args.next().as_deref() {
+                    Some("in-process") => false,
+                    Some("child") => true,
+                    Some(other) => {
+                        return Err(usage_error(&format!(
+                            "--mode expects `in-process` or `child`, got `{other}`"
+                        )));
+                    }
+                    None => return Err(usage_error("--mode requires `in-process` or `child`")),
                 }
-                None => return usage_error("--mode requires `in-process` or `child`"),
-            },
-            "--format" => {
-                format = match parse_format(args.next().as_deref()) {
-                    Ok(f) => f,
-                    Err(code) => return code,
-                };
             }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') && other.len() > 1 => {
-                return usage_error(&format!("unknown option `{other}`"));
-            }
-            other => roots.push(other.to_string()),
+            other => positional(other, &mut roots)?,
         }
-    }
+        Ok(())
+    })?;
     let [root] = roots.as_slice() else {
-        return usage_error("sweep expects exactly one corpus root directory");
+        return Err(usage_error("sweep expects exactly one corpus root directory"));
     };
-    if no_cache {
-        config.cache_dir = None;
-        config.cache_url = None;
+    config.jobs = flags.options.jobs;
+    config.options = AnalysisOptions { jobs: 0, ..flags.options };
+    if !flags.no_cache {
+        config.cache_dir = flags.cache_dir.clone();
+        config.cache_url = flags.cache_url.clone();
     }
     if child_mode {
         let program = std::env::current_exe().unwrap_or_else(|_| "ffisafe".into());
         config.mode = MapMode::ChildProcess { program };
     }
-    if trace_out.is_some() {
-        telemetry::set_tracing(true);
-    }
+    flags.start_tracing();
 
-    let output = match sweep(std::path::Path::new(root), &config) {
-        Ok(output) => output,
-        Err(e) => {
-            eprintln!("ffisafe: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let output = sweep(Path::new(root), &config).map_err(io_error)?;
 
-    match format {
+    match flags.format {
         Format::Text => print!("{}", output.report.render()),
         Format::Json => print!("{}", output.report.to_json()),
     }
     // The --timings table and the --metrics-out file are two renderers over
     // the same registry, so they can never disagree.
     let mut registry = MetricsRegistry::new();
-    if timings || metrics_out.is_some() {
+    if flags.timings || flags.metrics_out.is_some() {
         output.feed_metrics(&mut registry);
     }
-    if timings {
+    if flags.timings {
         eprint!("{}", registry.render_text());
     }
-    if let Err(code) =
-        write_telemetry_outputs(trace_out.as_deref(), metrics_out.as_deref(), &registry)
-    {
-        return code;
-    }
-    if cache_stats {
+    write_telemetry_outputs(flags.trace_out.as_deref(), flags.metrics_out.as_deref(), &registry)?;
+    if flags.cache_stats {
         print_cache_stats(output.report.cache_store);
     }
     for failure in &output.report.failures {
         eprintln!("ffisafe: {}: {}", failure.library, failure.error);
     }
-    if !output.report.failures.is_empty() {
+    Ok(if !output.report.failures.is_empty() {
         ExitCode::from(2)
     } else if output.report.error_count() > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-fn parse_format(value: Option<&str>) -> Result<Format, ExitCode> {
-    match value {
-        Some("text") => Ok(Format::Text),
-        Some("json") => Ok(Format::Json),
-        Some(other) => {
-            Err(usage_error(&format!("--format expects `text` or `json`, got `{other}`")))
-        }
-        None => Err(usage_error("--format requires `text` or `json`")),
-    }
+    })
 }

@@ -88,27 +88,6 @@
 //! }
 //! ```
 //!
-//! ## Migrating from the deprecated [`Analyzer`]
-//!
-//! The original mutable one-shot [`Analyzer`] still works (it now
-//! delegates to a single-corpus service and produces byte-identical
-//! reports), but new code should use the service API:
-//!
-//! | Deprecated `Analyzer` call | Service API equivalent |
-//! |----------------------------|------------------------|
-//! | `Analyzer::new()` | `AnalysisService::new()` + `Corpus::builder()` |
-//! | `Analyzer::with_options(opts)` | `AnalysisRequest::new(corpus).options(opts)` |
-//! | `az.add_ml_source(name, src)` | `builder.ml_source(name, src)` |
-//! | `az.add_c_source(name, src)` | `builder.c_source(name, src)` |
-//! | `az.set_cache_dir(Some(dir))` | `AnalysisService::with_cache_dir(dir)?` |
-//! | `az.set_cache_dir(None)` on one run | `request.cache_mode(CacheMode::Bypass)` |
-//! | `az.analyze()` | `service.analyze(&request)?` |
-//! | (N analyzers in a loop) | `service.analyze_batch(&requests)` |
-//!
-//! Error handling changes shape too: the facade silently degraded on an
-//! unopenable cache directory, while the service reports a typed
-//! [`ApiError`] (`Io`, `UnknownFileKind`, `Cache`).
-//!
 //! ## Crate map
 //!
 //! | Crate | Role |
@@ -141,8 +120,6 @@ pub use ffisafe_types as types;
 pub use ffisafe_cache::{
     CacheBackend, CacheLocation, CacheServer, RemoteBackend, WIRE_PROTOCOL_VERSION,
 };
-#[allow(deprecated)]
-pub use ffisafe_core::Analyzer;
 pub use ffisafe_core::{
     AnalysisOptions, AnalysisReport, AnalysisRequest, AnalysisService, AnalysisStats, ApiError,
     CacheMode, Corpus, CorpusBuilder, CorpusFile, ReportSummary, ServiceConfig, SourceKind,

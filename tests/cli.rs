@@ -151,6 +151,31 @@ fn cli_unknown_flag_is_usage_error() {
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 
+/// Each subcommand accepts only its own share of the common flags: one
+/// that belongs to another subcommand is a usage error (exit 2) before
+/// anything starts, never silently ignored.
+#[test]
+fn cli_subcommands_reject_flags_of_other_subcommands() {
+    let corpus = write_temp("sub.ml", r#"external f : int -> int = "ml_f""#);
+    let corpus = corpus.to_str().unwrap();
+    for args in [
+        &["cache-serve", "--jobs", "2"][..],
+        &["serve", "--format", "json"],
+        &["sweep", "--listen", "x"],
+        &["client", "--shards", "2", "--server-url", "tcp://127.0.0.1:1", corpus],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ffisafe")).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?} must be a usage error: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} must not start: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
+
 #[test]
 fn cli_jobs_flag_parses_and_rejects_garbage() {
     let ml = write_temp("j.ml", r#"external add : int -> int = "ml_add""#);

@@ -1,56 +1,18 @@
-//! Acceptance tests for the service-grade API redesign:
+//! Acceptance tests for the service API:
 //!
-//! * for every workload in the Figure 9 corpus, [`AnalysisService::analyze`]
-//!   output is byte-identical to the pre-redesign `Analyzer::analyze`
-//!   render (the deprecated facade, which still exercises the historical
-//!   entry points);
 //! * `analyze_batch` results are independent of submission order and
-//!   `--jobs`;
+//!   `--jobs`, and `render()` is the stable render plus only the
+//!   wall-clock suffix;
 //! * the versioned JSON schema round-trips: serialize → parse →
 //!   counts/diagnostics match the in-memory report.
 
-#![allow(deprecated)]
-
 use ffisafe::support::json::{self, Json};
 use ffisafe::{
-    AnalysisOptions, AnalysisRequest, AnalysisService, Analyzer, Corpus, ServiceConfig,
-    REPORT_SCHEMA_VERSION,
+    AnalysisOptions, AnalysisRequest, AnalysisService, Corpus, ServiceConfig, REPORT_SCHEMA_VERSION,
 };
 use ffisafe_bench::corpus::generate;
 use ffisafe_bench::figure9::benchmark_corpus;
 use ffisafe_bench::spec::paper_benchmarks;
-
-#[test]
-fn figure9_service_render_matches_deprecated_analyzer() {
-    let service = AnalysisService::new();
-    for spec in paper_benchmarks() {
-        let bench = generate(&spec);
-
-        let mut az = Analyzer::new();
-        az.add_ml_source("lib.ml", &bench.ml_source);
-        az.add_c_source("glue.c", &bench.c_source);
-        let facade = az.analyze();
-
-        let report = service.analyze(&AnalysisRequest::new(benchmark_corpus(&bench))).unwrap();
-
-        assert_eq!(
-            report.render_stable(),
-            facade.render_stable(),
-            "{}: service and facade renders diverged",
-            spec.name
-        );
-        assert_eq!(report.render(), {
-            // render() differs only in the wall-clock suffix
-            let mut r = report.render_stable();
-            r.pop();
-            r.push_str(&format!(", {:.3}s\n", report.stats.seconds));
-            r
-        });
-        assert_eq!(report.error_count(), facade.error_count(), "{}", spec.name);
-        assert_eq!(report.warning_count(), facade.warning_count(), "{}", spec.name);
-        assert_eq!(report.imprecision_count(), facade.imprecision_count(), "{}", spec.name);
-    }
-}
 
 #[test]
 fn figure9_batch_is_order_and_jobs_invariant() {
@@ -62,13 +24,20 @@ fn figure9_batch_is_order_and_jobs_invariant() {
     let reference: Vec<String> = corpora
         .iter()
         .map(|c| {
-            service
+            let report = service
                 .analyze(
                     &AnalysisRequest::new(c.clone())
                         .options(AnalysisOptions::default().with_jobs(1)),
                 )
-                .unwrap()
-                .render_stable()
+                .unwrap();
+            assert_eq!(report.render(), {
+                // render() differs only in the wall-clock suffix
+                let mut r = report.render_stable();
+                r.pop();
+                r.push_str(&format!(", {:.3}s\n", report.stats.seconds));
+                r
+            });
+            report.render_stable()
         })
         .collect();
 
