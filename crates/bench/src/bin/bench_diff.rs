@@ -21,19 +21,6 @@
 //!   adding workers should not multiply the work itself, and a blow-up
 //!   here means per-worker setup (the old snapshot-clone tax) or
 //!   contention is scaling with the worker count;
-//! * **skew makespan** — on the skewed sweep corpus (one heavy library
-//!   that name order starts last), the cost-scheduled run must come in at
-//!   ≤ 0.75× the name-chunked static run: the LPT scheduler stopped
-//!   paying for itself otherwise. The comparison uses wall clock when the
-//!   measuring host has ≥ 4 cores; on smaller hosts the two runs' wall
-//!   clocks cannot separate, so it falls back to each row's
-//!   `critical_path_seconds` — the packing's longest per-shard cost
-//!   chain, which is what wall clock converges to with enough cores.
-//!   Each row records *how* its critical path was computed
-//!   (`critical_path_method`: `"live"`, `"packing"` or `"untracked"`),
-//!   and the fallback only fires when both rows used the same method —
-//!   a live thread timing and a packing makespan are different
-//!   quantities, so comparing them would be apples-to-oranges;
 //! * **telemetry overhead** — the `telemetry-on` row of the current
 //!   artifact (same workload as `telemetry-off`, but with span recording
 //!   enabled) must come in at ≤ 1.05× the untraced wall clock, with a
@@ -83,15 +70,6 @@ const MAX_JOBS_INFLATION: f64 = 1.5;
 /// many seconds of extra work.
 const MIN_JOBS_INFLATION_EXCESS: f64 = 0.010;
 
-/// Skew-makespan budget: the cost-scheduled sweep of the skewed corpus
-/// must finish within this factor of the static name-chunked one.
-const MAX_SKEW_RATIO: f64 = 0.75;
-
-/// Wall clock only separates the two skew runs when the host can actually
-/// run the shards in parallel; below this many cores the gate compares
-/// packing critical paths instead.
-const MIN_CORES_FOR_WALL: u64 = 4;
-
 /// Telemetry budget: the traced run may cost at most this factor of the
 /// untraced run of the same workload.
 const MAX_TELEMETRY_RATIO: f64 = 1.05;
@@ -110,10 +88,6 @@ struct Row {
     /// workloads and on artifacts written before the field existed.
     p50_seconds: f64,
     work_seconds: f64,
-    critical_path_seconds: f64,
-    /// `"live"`, `"packing"` or `"untracked"`; empty on artifacts written
-    /// before the method was recorded.
-    critical_path_method: String,
 }
 
 fn rows(doc: &Json, which: &str) -> Result<Vec<Row>, String> {
@@ -145,15 +119,6 @@ fn rows(doc: &Json, which: &str) -> Result<Vec<Row>, String> {
                 work_seconds: field("work_seconds")?
                     .as_f64()
                     .ok_or_else(|| format!("{which}: rows[{i}].work_seconds not a number"))?,
-                critical_path_seconds: r
-                    .get("critical_path_seconds")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0),
-                critical_path_method: r
-                    .get("critical_path_method")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string(),
             })
         })
         .collect()
@@ -209,40 +174,6 @@ fn jobs_inflations(rows: &[Row]) -> Vec<String> {
             })
         })
         .collect()
-}
-
-/// The skew-makespan verdict over the current artifact, or `None` when it
-/// carries no skew rows (older artifacts) or the static metric is zero.
-/// Returns `(message, failed)`.
-fn skew_verdict(rows: &[Row], host_cores: u64) -> Option<(String, bool)> {
-    let find = |name: &str| rows.iter().find(|r| r.name == name && r.cache == "off");
-    let static_row = find("sweep-skew-static")?;
-    let cost_row = find("sweep-skew-cost")?;
-    let (metric, static_v, cost_v) = if host_cores >= MIN_CORES_FOR_WALL {
-        ("wall", static_row.seconds, cost_row.seconds)
-    } else {
-        // Critical paths are only comparable when both rows computed them
-        // the same way (live timing vs packing makespan are different
-        // quantities that share a unit).
-        if static_row.critical_path_method != cost_row.critical_path_method {
-            return Some((
-                format!(
-                    "skew makespan: critical-path methods differ (static `{}` vs cost `{}`); skipping the comparison",
-                    static_row.critical_path_method, cost_row.critical_path_method
-                ),
-                false,
-            ));
-        }
-        ("critical path", static_row.critical_path_seconds, cost_row.critical_path_seconds)
-    };
-    if static_v <= 0.0 {
-        return None;
-    }
-    let ratio = cost_v / static_v;
-    let message = format!(
-        "skew makespan ({metric}, {host_cores} core(s)): static {static_v:.4}s -> cost {cost_v:.4}s ({ratio:.3}x, budget {MAX_SKEW_RATIO:.2}x)"
-    );
-    Some((message, ratio > MAX_SKEW_RATIO))
 }
 
 /// The telemetry-overhead verdict over the current artifact, or `None`
@@ -335,20 +266,6 @@ fn main() -> ExitCode {
         for r in &inflations {
             println!("  {r}");
         }
-    }
-
-    match skew_verdict(&current_rows, current.get("host_cores").and_then(Json::as_u64).unwrap_or(1))
-    {
-        Some((message, skew_failed)) => {
-            println!("{message}");
-            if skew_failed {
-                failed = true;
-                println!(
-                    "REGRESSION: cost scheduling no longer beats static partitioning on the skewed corpus"
-                );
-            }
-        }
-        None => println!("no skew-makespan rows in the current artifact; skipping that gate"),
     }
 
     match telemetry_verdict(&current_rows) {

@@ -16,9 +16,8 @@ use crate::spec::paper_benchmarks;
 use ffisafe_core::{
     AnalysisOptions, AnalysisRequest, AnalysisService, CacheMode, Corpus, ServiceConfig,
 };
-use ffisafe_shard::{planner, sweep, LibraryCost, Schedule, SweepConfig, SweepOutput};
+use ffisafe_shard::{sweep, SweepConfig};
 use ffisafe_support::telemetry;
-use std::collections::HashMap;
 use std::path::Path;
 
 /// One measured configuration.
@@ -54,16 +53,9 @@ pub struct PipelineMeasurement {
     /// Portion of `work_seconds` spent building per-worker overlay views
     /// — the former snapshot-clone tax the frozen arena eliminates.
     pub setup_seconds: f64,
-    /// Slowest single function — the parallel lower bound.
+    /// Slowest single function — the parallel lower bound (0 where not
+    /// measured).
     pub critical_path_seconds: f64,
-    /// How `critical_path_seconds` was computed: `"live"` (slowest
-    /// measured function in this run), `"packing"` (deterministic
-    /// makespan of the schedule over manifest costs — see
-    /// [`packing_makespan`]) or `"untracked"` (not measured; the value
-    /// is 0). Trajectory tooling must only compare rows whose methods
-    /// match — a live timing and a packing makespan are different
-    /// quantities that happen to share a unit.
-    pub critical_path_method: &'static str,
     /// Functions replayed from the tier-1 cache. Note an unchanged warm
     /// run short-circuits at the report tier *before* tier 1 is
     /// consulted, so this is nonzero only for partially-invalidated runs.
@@ -130,7 +122,6 @@ fn measure_with_report(
         work_seconds: report.stats.infer_work_seconds,
         setup_seconds: report.stats.infer_setup_seconds,
         critical_path_seconds: report.stats.infer_critical_path_seconds,
-        critical_path_method: "live",
         cache_fn_hits: report.stats.cache_fn_hits,
         report_hit: report.stats.cache_report_hit,
         diagnostics: report.error_count() + report.warning_count() + report.imprecision_count(),
@@ -197,7 +188,6 @@ fn measure_sweep_once(
         work_seconds: s.work_seconds,
         setup_seconds: 0.0,
         critical_path_seconds: 0.0,
-        critical_path_method: "untracked",
         cache_fn_hits: s.cache_fn_hits,
         report_hit: s.report_hits == output.library_count,
         diagnostics: total.errors + total.warnings + total.imprecision,
@@ -235,103 +225,6 @@ fn measure_sweep(rows: &mut Vec<PipelineMeasurement>) {
     }
     rows.push(cold);
     rows.push(warm);
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-/// The longest per-shard chain of historical costs under `schedule` at
-/// `--shards 8` — the packing's makespan, i.e. the map-phase wall clock
-/// an 8-core host converges to without work stealing.
-fn packing_makespan(root: &Path, schedule: Schedule, costs: &HashMap<String, LibraryCost>) -> f64 {
-    let plan = planner::plan_with(root, 8, schedule, costs)
-        .expect("bench skew tree was just written and must plan");
-    plan.shards
-        .iter()
-        .map(|shard| {
-            shard
-                .members
-                .iter()
-                .map(|&m| plan.libraries[m].cost.map(|c| c.cost_seconds).unwrap_or(0.0))
-                .sum::<f64>()
-        })
-        .fold(0.0, f64::max)
-}
-
-/// The skewed-corpus scheduling benchmark: 24 cheap libraries plus one
-/// heavy one named `zz-heavy` so name order sorts it *last* — static
-/// contiguous chunking queues the long pole behind cheap neighbors in the
-/// final shard, while LPT cost packing starts it first on a shard of its
-/// own. Both sweeps run uncached at `--shards 8 --jobs 8`; the first
-/// (static) run records per-library costs into the manifest that the
-/// second (cost-scheduled) run packs from.
-///
-/// Each row's `critical_path_seconds` carries the *packing's* makespan
-/// over the measured costs (see [`packing_makespan`]) rather than a live
-/// thread measurement: it is deterministic given the costs and exposes
-/// the scheduling win even on hosts with too few cores for the two runs'
-/// wall clocks to separate.
-fn measure_skew_sweep(rows: &mut Vec<PipelineMeasurement>) {
-    let root = std::env::temp_dir().join(format!("ffisafe-bench-skew-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let write_lib = |name: String, c_loc: usize| {
-        let bench = scaling_benchmark(c_loc);
-        let dir = root.join(name);
-        std::fs::create_dir_all(&dir).expect("bench temp tree");
-        std::fs::write(dir.join("lib.ml"), &bench.ml_source).expect("bench temp tree");
-        std::fs::write(dir.join("glue.c"), &bench.c_source).expect("bench temp tree");
-    };
-    for i in 0..24 {
-        write_lib(format!("lib-a{i:02}"), 500 + i);
-    }
-    // ~1300 C LoC costs ≈ 4x a ~510 LoC library (inference is superlinear
-    // in LoC): heavy enough that LPT isolates it, light enough that the
-    // static makespan (two cheap libraries queued behind it) is not
-    // dominated by the heavy library alone.
-    write_lib("zz-heavy".to_string(), 1300);
-
-    let manifest = root.join("manifest.json");
-    let config = |schedule| SweepConfig {
-        shards: 8,
-        jobs: 8,
-        schedule,
-        manifest_path: Some(manifest.clone()),
-        options: AnalysisOptions::default().with_jobs(1),
-        ..SweepConfig::default()
-    };
-    let static_run = sweep(&root, &config(Schedule::Name)).expect("bench skew sweep (static)");
-    let costs = planner::load_manifest_costs(&manifest);
-    assert_eq!(costs.len(), 25, "static run must record every library's cost");
-    let cost_run = sweep(&root, &config(Schedule::Cost)).expect("bench skew sweep (cost)");
-    assert_eq!(
-        static_run.report.to_json(),
-        cost_run.report.to_json(),
-        "schedule changed sweep results"
-    );
-
-    let skew_row = |name: &str, out: &SweepOutput, schedule: Schedule| {
-        let total = out.report.summary();
-        let s = &out.stats;
-        PipelineMeasurement {
-            name: name.to_string(),
-            c_loc: s.c_loc,
-            functions: s.functions,
-            passes: s.passes,
-            jobs: 8,
-            cache: "off",
-            seconds: s.wall_seconds,
-            p50_seconds: 0.0,
-            p95_seconds: 0.0,
-            infer_seconds: s.work_seconds,
-            work_seconds: s.work_seconds,
-            setup_seconds: 0.0,
-            critical_path_seconds: packing_makespan(&root, schedule, &costs),
-            critical_path_method: "packing",
-            cache_fn_hits: s.cache_fn_hits,
-            report_hit: false,
-            diagnostics: total.errors + total.warnings + total.imprecision,
-        }
-    };
-    rows.push(skew_row("sweep-skew-static", &static_run, Schedule::Name));
-    rows.push(skew_row("sweep-skew-cost", &cost_run, Schedule::Cost));
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -490,7 +383,6 @@ fn measure_serve_load(rows: &mut Vec<PipelineMeasurement>) {
             work_seconds: 0.0,
             setup_seconds: 0.0,
             critical_path_seconds: 0.0,
-            critical_path_method: "untracked",
             cache_fn_hits: 0,
             report_hit,
             diagnostics,
@@ -512,7 +404,6 @@ pub fn run(jobs_list: &[usize]) -> PipelineBench {
     let scale = scaling_benchmark(12_000);
     measure_workload(&mut rows, "scale-12k", &scale.ml_source, &scale.c_source, jobs_list);
     measure_sweep(&mut rows);
-    measure_skew_sweep(&mut rows);
     measure_telemetry_overhead(&mut rows);
     measure_serve_load(&mut rows);
     PipelineBench { rows }
@@ -591,7 +482,7 @@ impl PipelineBench {
         ));
         for (i, r) in self.rows.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"c_loc\": {}, \"functions\": {}, \"passes\": {}, \"jobs\": {}, \"cache\": \"{}\", \"seconds\": {:.4}, \"p50_seconds\": {:.4}, \"p95_seconds\": {:.4}, \"infer_seconds\": {:.4}, \"work_seconds\": {:.4}, \"setup_seconds\": {:.4}, \"critical_path_seconds\": {:.4}, \"critical_path_method\": \"{}\", \"cache_fn_hits\": {}, \"report_hit\": {}, \"diagnostics\": {}}}{}\n",
+                "    {{\"name\": \"{}\", \"c_loc\": {}, \"functions\": {}, \"passes\": {}, \"jobs\": {}, \"cache\": \"{}\", \"seconds\": {:.4}, \"p50_seconds\": {:.4}, \"p95_seconds\": {:.4}, \"infer_seconds\": {:.4}, \"work_seconds\": {:.4}, \"setup_seconds\": {:.4}, \"critical_path_seconds\": {:.4}, \"cache_fn_hits\": {}, \"report_hit\": {}, \"diagnostics\": {}}}{}\n",
                 json_escape(&r.name),
                 r.c_loc,
                 r.functions,
@@ -605,7 +496,6 @@ impl PipelineBench {
                 r.work_seconds,
                 r.setup_seconds,
                 r.critical_path_seconds,
-                r.critical_path_method,
                 r.cache_fn_hits,
                 r.report_hit,
                 r.diagnostics,

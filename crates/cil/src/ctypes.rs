@@ -30,11 +30,6 @@ impl CTypeExpr {
         CTypeExpr::Ptr(Box::new(self))
     }
 
-    /// Whether the type is exactly `value`.
-    pub fn is_value(&self) -> bool {
-        matches!(self, CTypeExpr::Value)
-    }
-
     /// Whether a `value` occurs anywhere inside (for the address-of and
     /// global-variable heuristics of §5.1).
     pub fn contains_value(&self) -> bool {

@@ -302,11 +302,6 @@ impl IrFunction {
             _ => vec![i + 1],
         }
     }
-
-    /// The variable ids of the parameters.
-    pub fn param_vars(&self) -> impl Iterator<Item = VarId> + '_ {
-        (0..self.n_params as u32).map(VarId)
-    }
 }
 
 /// A function prototype (declaration without body).

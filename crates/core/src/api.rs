@@ -404,11 +404,6 @@ impl AnalysisRequest {
     pub fn analysis_options(&self) -> &AnalysisOptions {
         &self.options
     }
-
-    /// The configured cache policy.
-    pub fn cache_policy(&self) -> CacheMode {
-        self.cache_mode
-    }
 }
 
 // ---- service ------------------------------------------------------------
@@ -509,12 +504,6 @@ impl AnalysisService {
             cache_dir: Some(dir.into()),
             ..Default::default()
         })
-    }
-
-    /// Number of entries currently in the shared store (`None` without a
-    /// cache) — observability for tests and operators.
-    pub fn cache_entry_count(&self) -> Option<usize> {
-        self.cache.as_ref().map(|store| store.stats().entries)
     }
 
     /// Hit/miss counters and current occupancy (entry count, live bytes,

@@ -1,12 +1,15 @@
 //! End-to-end: a daemon serving concurrent clients must be
-//! indistinguishable from local analysis, and a warm resubmission must
-//! execute zero inference workers.
+//! indistinguishable from local analysis, a warm resubmission must
+//! execute zero inference workers, and a watching daemon must stream an
+//! edit and its revert to subscribers.
 
 use ffisafe_core::{
     AnalysisOptions, AnalysisRequest, AnalysisService, CacheMode, Corpus, ServiceConfig,
 };
-use ffisafe_serve::{AnalysisServer, Reply, ServeClient, ServeConfig};
+use ffisafe_serve::{AnalysisServer, Reply, ServeClient, ServeConfig, WatchEvent};
 use std::net::SocketAddr;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("ffisafe-serve-e2e-{tag}-{}", std::process::id()));
@@ -129,4 +132,98 @@ fn metrics_op_reports_request_counters() {
     assert!(text.contains("ffisafe_server_sessions_opened_total 1"), "metrics:\n{text}");
     assert!(text.contains("ffisafe_server_request_seconds_count 1"), "metrics:\n{text}");
     let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// How long a watch test waits for the daemon before it fails.
+const WATCH_DEADLINE: Duration = Duration::from_secs(30);
+
+/// The value of an unlabeled metric in a Prometheus scrape.
+fn metric(text: &str, name: &str) -> f64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} in the scrape:\n{text}"))
+}
+
+/// Receives events until one satisfies `want`; panics at the deadline.
+fn await_event(
+    events: &mpsc::Receiver<WatchEvent>,
+    what: &str,
+    want: impl Fn(&WatchEvent) -> bool,
+) {
+    let deadline = Instant::now() + WATCH_DEADLINE;
+    loop {
+        match events.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(event) if want(&event) => return,
+            Ok(_) => {}
+            Err(e) => panic!("no watch event with {what}: {e}"),
+        }
+    }
+}
+
+/// Replaces `path` in one rename, so the watcher never reads half a file.
+fn write_atomically(path: &std::path::Path, text: &str) {
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, text).unwrap();
+    std::fs::rename(&tmp, path).unwrap();
+}
+
+#[test]
+fn watch_mode_streams_an_edit_and_its_revert() {
+    let cache = temp_dir("watch-cache");
+    let tree = temp_dir("watch-tree");
+    let glue = tree.join("glue.c");
+    let clean = "value ml_f(value n) { return Val_int(Int_val(n) + 1); }\n";
+    std::fs::write(tree.join("lib.ml"), "external f : int -> int = \"ml_f\"\n").unwrap();
+    std::fs::write(&glue, clean).unwrap();
+    let config = ServeConfig {
+        service: ServiceConfig { cache_dir: Some(cache.clone()), ..Default::default() },
+        watch_root: Some(tree.clone()),
+        watch_interval: Duration::from_millis(20),
+        ..Default::default()
+    };
+    let url =
+        format!("tcp://{}", AnalysisServer::bind("127.0.0.1:0", config).unwrap().spawn().unwrap());
+
+    let (mut subscription, watching) = ServeClient::connect(&url).unwrap().subscribe().unwrap();
+    assert!(watching, "a daemon with a watch root must say it is watching");
+    let (sender, events) = mpsc::channel();
+    std::thread::spawn(move || {
+        while let Ok(event) = subscription.next_event() {
+            if sender.send(event).is_err() {
+                break;
+            }
+        }
+    });
+
+    // Edit only once the clean tree is analyzed (so the revert finds it
+    // cached) and the subscriber is registered (so no event is missed).
+    let mut scraper = ServeClient::connect(&url).unwrap();
+    let deadline = Instant::now() + WATCH_DEADLINE;
+    loop {
+        let text = scraper.metrics().unwrap();
+        if metric(&text, "ffisafe_server_watch_runs_total") >= 1.0
+            && metric(&text, "ffisafe_server_watch_subscribers") >= 1.0
+        {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no first watch run and subscriber:\n{text}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    write_atomically(&glue, "value ml_f(value n) { return Val_int(n); }\n");
+    await_event(&events, "errors == 1 after the edit", |e| e.errors == 1 && e.workers_executed > 0);
+    write_atomically(&glue, clean);
+    await_event(&events, "a cached clean report after the revert", |e| {
+        e.errors == 0 && e.workers_executed == 0
+    });
+
+    // Without a watch root the daemon answers, but does not watch.
+    let plain_cache = temp_dir("watch-none");
+    let plain = spawn_daemon(&plain_cache);
+    let (_, watching) =
+        ServeClient::connect(&format!("tcp://{plain}")).unwrap().subscribe().unwrap();
+    assert!(!watching, "a daemon without a watch root must say it is not watching");
+    for dir in [cache, tree, plain_cache] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

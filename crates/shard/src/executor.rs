@@ -1,9 +1,9 @@
-//! The map executor: runs a [`SweepPlan`]'s shards with bounded
-//! parallelism and work stealing, in one of two modes.
+//! The map executor: runs a [`SweepPlan`]'s libraries with bounded
+//! parallelism, in one of two modes.
 //!
 //! * **In-process** ([`MapMode::InProcess`]): one long-lived
-//!   [`AnalysisService`] owns the shared cache store; shard workers submit
-//!   each member library as an [`AnalysisRequest`] and normalize the
+//!   [`AnalysisService`] owns the shared cache store; workers submit
+//!   each library as an [`AnalysisRequest`] and normalize the
 //!   structured [`ffisafe_core::AnalysisReport`] directly — no JSON
 //!   round-trip.
 //! * **Child-process** ([`MapMode::ChildProcess`]): each library is
@@ -15,38 +15,38 @@
 //!
 //! Either way, a shard whose libraries are unchanged since a previous
 //! sweep is **warm**: every member short-circuits at the tier-2 report
-//! cache (or replays tier-1 outcomes), so no inference worker runs and no
-//! artifact is re-shipped — the shard is served straight from the shared
-//! store. [`MapStats::shards_warm`] counts those.
+//! cache (or replays tier-1 outcomes), so no inference worker runs.
+//! [`MapStats::shards_warm`] counts those.
 //!
 //! Failed attempts are retried per library ([`MapConfig::retries`] extra
 //! attempts); a library that fails every attempt becomes a
 //! [`SweepFailure`] in the reduced report rather than sinking the sweep.
 //!
-//! Scheduling is **work-stealing at library granularity**: each shard is
-//! a deque of its member libraries, each worker drains its home shard
-//! from the front, and an idle worker steals from the *back* of the
-//! longest remaining queue — so under a cost-packed plan the victim keeps
-//! its heavy head while cheap tail work migrates to the idle worker.
-//! Stragglers rebalance dynamically, and because results land in
-//! per-library slots the reduced output never depends on who ran what.
+//! Scheduling is **one queue, largest first**: the `jobs` workers claim
+//! libraries from one shared index over the libraries sorted by
+//! [`LibraryPlan::lines`](crate::LibraryPlan::lines) (descending, ties by
+//! name), so the long pole starts at once instead of queueing behind
+//! cheap libraries. Results land in per-library slots, so the reduced
+//! output never depends on who ran what.
 
 use crate::planner::SweepPlan;
 use crate::reducer::{LibraryReport, SweepFailure};
 use ffisafe_cache::{open_backend, CacheStats};
 use ffisafe_core::pipeline::cache::analyzer_cache_version;
-use ffisafe_core::{AnalysisOptions, AnalysisRequest, AnalysisService, ApiError, ServiceConfig};
+use ffisafe_core::{
+    available_cores, fair_share_jobs, AnalysisOptions, AnalysisRequest, AnalysisService, ApiError,
+    ServiceConfig,
+};
 use ffisafe_support::telemetry;
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-/// How shards are mapped onto compute.
+/// How libraries are mapped onto compute.
 #[derive(Clone, Debug)]
 pub enum MapMode {
-    /// Run every shard inside this process via one shared
+    /// Run every library inside this process via one shared
     /// [`AnalysisService`].
     InProcess,
     /// Spawn one `ffisafe --format json` child per library, all sharing
@@ -62,7 +62,8 @@ pub enum MapMode {
 pub struct MapConfig {
     /// Map mode (in-process or child processes).
     pub mode: MapMode,
-    /// Concurrent workers; `0` means the machine's available parallelism.
+    /// Libraries analyzed at once; `0` means the machine's available
+    /// parallelism.
     pub jobs: usize,
     /// The shared two-tier cache store; `None` sweeps uncached.
     pub cache_dir: Option<PathBuf>,
@@ -72,7 +73,7 @@ pub struct MapConfig {
     pub cache_url: Option<String>,
     /// Semantic analysis options applied to every library.
     /// [`AnalysisOptions::jobs`] of `0` gets a fair share of the cores
-    /// per in-flight shard.
+    /// per concurrent library.
     pub options: AnalysisOptions,
     /// Extra attempts per library after a failed one.
     pub retries: usize,
@@ -125,7 +126,7 @@ pub struct MapStats {
     pub rust_loc: usize,
     /// Summed per-function inference work in seconds (≈0 when warm).
     pub work_seconds: f64,
-    /// The schedule's critical path: the largest per-worker sum of
+    /// The map's critical path: the largest per-worker sum of
     /// library `work_seconds`. This is what the map phase's wall clock
     /// converges to on an unloaded many-core host, so it exposes
     /// scheduling quality (one straggler worker = long critical path)
@@ -147,19 +148,11 @@ pub struct MapOutput {
     pub cache_store: Option<CacheStats>,
 }
 
-/// One shard's warmth bookkeeping under work stealing: members may
-/// complete on any worker, so warmth is settled when the last one lands.
-struct ShardTrack {
-    remaining: usize,
-    warm: bool,
-}
-
-/// Runs every shard of `plan` under `config`.
+/// Runs every library of `plan` under `config`.
 ///
-/// Each shard's members form a deque; `jobs` workers drain their home
-/// shard front-first and steal from the back of the longest remaining
-/// queue once it is empty (each library's own inference-stage parallelism
-/// is governed by [`AnalysisOptions::jobs`]). Results land in per-library
+/// `jobs` workers claim libraries from one shared index over the
+/// largest-first order (each library's own inference-stage parallelism is
+/// governed by [`AnalysisOptions::jobs`]). Results land in per-library
 /// slots, so *which worker finishes first never changes the output* — the
 /// reducer sees plan order regardless of arrival order.
 pub fn execute(plan: &SweepPlan, config: &MapConfig) -> Result<MapOutput, ApiError> {
@@ -199,126 +192,52 @@ pub fn execute(plan: &SweepPlan, config: &MapConfig) -> Result<MapOutput, ApiErr
         }
     };
 
-    let n_shards = plan.shards.len();
     let n_libraries = plan.libraries.len();
-    let width = effective_jobs(config.jobs).clamp(1, n_libraries.max(1));
     let cores = available_cores();
+    let width = if config.jobs > 0 { config.jobs } else { cores }.clamp(1, n_libraries.max(1));
     let infer_jobs =
-        if config.options.jobs == 0 { (cores / width).max(1) } else { config.options.jobs };
+        if config.options.jobs == 0 { fair_share_jobs(cores, width) } else { config.options.jobs };
 
-    // Which shard owns each library — warmth accounting must survive the
-    // library completing on a thief instead of its home worker.
-    let mut lib_shard = vec![0usize; n_libraries];
-    for shard in &plan.shards {
-        for &member in &shard.members {
-            lib_shard[member] = shard.index;
-        }
-    }
-
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        plan.shards.iter().map(|s| Mutex::new(s.members.iter().copied().collect())).collect();
-    // A shard is warm when the shared store served every member without
-    // running an inference worker; uncached sweeps are never warm.
-    let cached = location.is_some();
-    let tracks: Vec<Mutex<ShardTrack>> = plan
-        .shards
-        .iter()
-        .map(|s| {
-            Mutex::new(ShardTrack {
-                remaining: s.members.len(),
-                warm: cached && !s.members.is_empty(),
-            })
-        })
-        .collect();
-
+    // Largest first, ties by name: the stable sort keeps plan (name) order.
+    let mut order: Vec<usize> = (0..n_libraries).collect();
+    order.sort_by_key(|&member| std::cmp::Reverse(plan.libraries[member].lines));
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<LibraryReport, SweepFailure>>>> =
         (0..n_libraries).map(|_| Mutex::new(None)).collect();
     let retries_used = AtomicUsize::new(0);
-    let shards_warm = AtomicUsize::new(0);
-    let worker_paths: Vec<Mutex<f64>> = (0..width).map(|_| Mutex::new(0.0)).collect();
 
-    if n_shards > 0 {
-        std::thread::scope(|scope| {
-            for worker in 0..width {
-                let queues = &queues;
-                let tracks = &tracks;
-                let lib_shard = &lib_shard;
-                let slots = &slots;
-                let retries_used = &retries_used;
-                let shards_warm = &shards_warm;
-                let worker_paths = &worker_paths;
-                let service = service.as_ref();
-                scope.spawn(move || {
-                    let home = worker % n_shards;
+    let critical_path_seconds = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..width)
+            .map(|_| {
+                scope.spawn(|| {
                     let mut path = 0.0f64;
-                    while let Some(member) = next_library(queues, home) {
-                        let library = &plan.libraries[member];
-                        let mut last_err = String::new();
-                        let mut outcome = None;
-                        let stolen = lib_shard[member] != home;
-                        for attempt in 0..=config.retries {
-                            if attempt > 0 {
-                                retries_used.fetch_add(1, Ordering::Relaxed);
-                            }
-                            // One span per library *attempt*: retries and
-                            // steals are visible in the trace.
-                            let _span = telemetry::span_with("sweep.library", || {
-                                vec![
-                                    ("library", library.name.clone()),
-                                    ("attempt", attempt.to_string()),
-                                    ("stolen", stolen.to_string()),
-                                ]
-                            });
-                            match run_library(plan, member, service, config, infer_jobs) {
-                                Ok(report) => {
-                                    outcome = Some(report);
-                                    break;
-                                }
-                                Err(e) => last_err = e,
-                            }
+                    while let Some(&member) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let result = run_with_retries(
+                            plan,
+                            member,
+                            service.as_ref(),
+                            config,
+                            infer_jobs,
+                            &retries_used,
+                        );
+                        if let Ok(report) = &result {
+                            path += report.exec.work_seconds;
                         }
-                        let (result, served_from_cache) = match outcome {
-                            Some(report) => {
-                                // Warmth means the *cache* did the serving:
-                                // a tier-2 report hit, or every function
-                                // replayed from tier 1. `workers_executed ==
-                                // 0` alone is not enough — a library with no
-                                // C functions runs zero workers even cold.
-                                let served = report.exec.report_hit
-                                    || (report.exec.workers_executed == 0
-                                        && report.exec.cache_fn_hits > 0);
-                                path += report.exec.work_seconds;
-                                (Ok(report), served)
-                            }
-                            None => (
-                                Err(SweepFailure {
-                                    library: library.name.clone(),
-                                    error: last_err,
-                                }),
-                                false,
-                            ),
-                        };
                         *slots[member].lock().unwrap_or_else(PoisonError::into_inner) =
                             Some(result);
-                        let mut track = tracks[lib_shard[member]]
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        if !served_from_cache {
-                            track.warm = false;
-                        }
-                        track.remaining -= 1;
-                        if track.remaining == 0 && track.warm {
-                            shards_warm.fetch_add(1, Ordering::Relaxed);
-                        }
                     }
-                    *worker_paths[worker].lock().unwrap_or_else(PoisonError::into_inner) = path;
                     // Scoped joins don't wait for thread-local teardown, so
                     // the spans must be handed off before the closure ends.
                     telemetry::flush_thread();
-                });
-            }
-        });
-    }
+                    path
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .fold(0.0, f64::max)
+    });
 
     let results: Vec<Result<LibraryReport, SweepFailure>> = slots
         .into_iter()
@@ -329,14 +248,25 @@ pub fn execute(plan: &SweepPlan, config: &MapConfig) -> Result<MapOutput, ApiErr
         })
         .collect();
 
+    // A shard is warm when the *cache* served every member: a tier-2
+    // report hit, or every function replayed from tier 1. `workers_executed
+    // == 0` alone is not enough — a library with no C functions runs zero
+    // workers even cold. Uncached sweeps are never warm.
+    let warm = |member: &usize| match &results[*member] {
+        Ok(r) => r.exec.report_hit || (r.exec.workers_executed == 0 && r.exec.cache_fn_hits > 0),
+        Err(_) => false,
+    };
+    let shards_warm = plan
+        .shards
+        .iter()
+        .filter(|s| location.is_some() && !s.members.is_empty() && s.members.iter().all(warm))
+        .count();
+
     let mut stats = MapStats {
-        shards_executed: n_shards,
-        shards_warm: shards_warm.into_inner(),
+        shards_executed: plan.shards.len(),
+        shards_warm,
         retries_used: retries_used.into_inner(),
-        critical_path_seconds: worker_paths
-            .into_iter()
-            .map(|cell| cell.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .fold(0.0, f64::max),
+        critical_path_seconds,
         wall_seconds: start.elapsed().as_secs_f64(),
         ..MapStats::default()
     };
@@ -378,31 +308,32 @@ pub fn execute(plan: &SweepPlan, config: &MapConfig) -> Result<MapOutput, ApiErr
     Ok(MapOutput { results, stats, cache_store })
 }
 
-/// Pops the next library for a worker homed on shard `home`: own queue
-/// front first, then steal from the back of the longest remaining queue.
-/// `None` means every queue is empty — and stays empty, since libraries
-/// are only ever removed.
-fn next_library(queues: &[Mutex<VecDeque<usize>>], home: usize) -> Option<usize> {
-    if let Some(member) = queues[home].lock().unwrap_or_else(PoisonError::into_inner).pop_front() {
-        return Some(member);
-    }
-    loop {
-        let mut victim: Option<(usize, usize)> = None; // (len, index)
-        for (index, queue) in queues.iter().enumerate() {
-            let len = queue.lock().unwrap_or_else(PoisonError::into_inner).len();
-            if len > 0 && victim.is_none_or(|(best, _)| len > best) {
-                victim = Some((len, index));
-            }
+/// Runs one library with up to [`MapConfig::retries`] extra attempts,
+/// one `sweep.library` span per attempt so retries are visible in the
+/// trace; counts the extra attempts in `retries_used`.
+fn run_with_retries(
+    plan: &SweepPlan,
+    member: usize,
+    service: Option<&AnalysisService>,
+    config: &MapConfig,
+    infer_jobs: usize,
+    retries_used: &AtomicUsize,
+) -> Result<LibraryReport, SweepFailure> {
+    let library = &plan.libraries[member];
+    let mut error = String::new();
+    for attempt in 0..=config.retries {
+        if attempt > 0 {
+            retries_used.fetch_add(1, Ordering::Relaxed);
         }
-        let (_, index) = victim?;
-        // Between the scan and this lock another thief may have drained
-        // the victim; rescan rather than give up.
-        if let Some(member) =
-            queues[index].lock().unwrap_or_else(PoisonError::into_inner).pop_back()
-        {
-            return Some(member);
+        let _span = telemetry::span_with("sweep.library", || {
+            vec![("library", library.name.clone()), ("attempt", attempt.to_string())]
+        });
+        match run_library(plan, member, service, config, infer_jobs) {
+            Ok(report) => return Ok(report),
+            Err(e) => error = e,
         }
     }
+    Err(SweepFailure { library: library.name.clone(), error })
 }
 
 fn run_library(
@@ -456,18 +387,6 @@ fn run_library(
         }
         (None, MapMode::InProcess) => unreachable!("in-process mode always has a service"),
     }
-}
-
-fn effective_jobs(jobs: usize) -> usize {
-    if jobs > 0 {
-        jobs
-    } else {
-        available_cores()
-    }
-}
-
-fn available_cores() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 #[cfg(test)]

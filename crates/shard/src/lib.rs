@@ -8,20 +8,21 @@
 //! three layers:
 //!
 //! 1. **Planner** ([`planner`]) — walks a corpus root (one subdirectory
-//!    per library), loads and content-fingerprints every library, splits
-//!    them into deterministic [`ShardPlan`]s and writes the versioned
-//!    `sweep-manifest.json`.
-//! 2. **Map executor** ([`executor`]) — runs shards with bounded
-//!    parallelism, either in-process through one shared
-//!    [`ffisafe_core::AnalysisService`] or as child `ffisafe --format
-//!    json` processes, all over one shared `--cache-dir`. Unchanged
-//!    (warm) shards are served straight from the tier-1/tier-2 cache
-//!    entries — zero inference workers run. Failed libraries are retried,
-//!    then reported as failures instead of sinking the sweep.
-//! 3. **Reducer** ([`reducer`]) — merges per-shard results into one
+//!    per library), loads, content-fingerprints and sizes every library,
+//!    groups them into contiguous name-sorted [`ShardPlan`]s and writes
+//!    the versioned `sweep-manifest.json`.
+//! 2. **Map executor** ([`executor`]) — runs libraries largest first from
+//!    one shared queue on `jobs` workers, either in-process through one
+//!    shared [`ffisafe_core::AnalysisService`] or as child `ffisafe
+//!    --format json` processes, all over one shared `--cache-dir`.
+//!    Unchanged (warm) libraries are served straight from the
+//!    tier-1/tier-2 cache entries — zero inference workers run. Failed
+//!    libraries are retried, then reported as failures instead of sinking
+//!    the sweep.
+//! 3. **Reducer** ([`reducer`]) — merges per-library results into one
 //!    [`SweepReport`] whose rendered and JSON forms are **byte-identical**
-//!    for any shard partitioning, shard arrival order, worker count or
-//!    map mode — and for a warm re-sweep of an unchanged tree.
+//!    for any shard count, arrival order, worker count or map mode — and
+//!    for a warm re-sweep of an unchanged tree.
 //!
 //! [`sweep`] composes the three; the `ffisafe sweep` CLI subcommand is a
 //! thin wrapper around it.
@@ -53,10 +54,7 @@ pub mod planner;
 pub mod reducer;
 
 pub use executor::{MapConfig, MapMode, MapOutput, MapStats};
-pub use planner::{
-    load_manifest_costs, LibraryCost, LibraryPlan, Schedule, ShardPlan, SweepPlan,
-    MANIFEST_SCHEMA_VERSION,
-};
+pub use planner::{LibraryPlan, ShardPlan, SweepPlan, MANIFEST_SCHEMA_VERSION};
 pub use reducer::{
     DiagNote, DiagRow, LibraryExec, LibraryReport, SweepFailure, SweepReport, SWEEP_SCHEMA_VERSION,
 };
@@ -68,18 +66,18 @@ use std::path::{Path, PathBuf};
 /// Configuration for one whole sweep (plan → map → reduce).
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
-    /// Shard count; `0` means one shard per library.
+    /// Shard count; `0` means one shard per library. Shards group the
+    /// manifest and the warm-shard count; they do not decide what runs
+    /// where.
     pub shards: usize,
-    /// Concurrent workers; `0` means the machine's available parallelism.
+    /// Libraries analyzed at once; `0` means the machine's available
+    /// parallelism.
     pub jobs: usize,
     /// Shared two-tier cache store; `None` sweeps uncached.
     pub cache_dir: Option<PathBuf>,
     /// A remote cache daemon (`tcp://host:port`) instead of a local
     /// directory. Mutually exclusive with `cache_dir`.
     pub cache_url: Option<String>,
-    /// How libraries pack into shards: contiguous name chunks, or LPT
-    /// packing from the previous manifest's cost rows.
-    pub schedule: Schedule,
     /// In-process or child-process mapping.
     pub mode: MapMode,
     /// Semantic analysis options applied to every library.
@@ -98,7 +96,6 @@ impl Default for SweepConfig {
             jobs: 0,
             cache_dir: None,
             cache_url: None,
-            schedule: Schedule::Name,
             mode: MapMode::InProcess,
             options: AnalysisOptions::default(),
             retries: 2,
@@ -243,35 +240,24 @@ impl SweepOutput {
 /// unloadable subtree at plan time, analysis failures after every retry —
 /// are *reported* in [`SweepReport::failures`] so one broken library
 /// cannot sink a thousand-library sweep.
-///
-/// When a previous run left a `sweep-manifest.json` at the manifest path,
-/// its per-library cost rows feed this run's [`Schedule::Cost`] packing;
-/// after the map phase the manifest is rewritten with freshly measured
-/// costs (libraries served warm keep their historical cold cost — a warm
-/// run's ~0 measurement says nothing about the next cold run).
 pub fn sweep(root: &Path, config: &SweepConfig) -> Result<SweepOutput, ApiError> {
+    let mut plan = planner::plan(root, config.shards)?;
     let manifest_path = config
         .manifest_path
         .clone()
         .or_else(|| config.cache_dir.as_ref().map(|dir| dir.join("sweep-manifest.json")));
-    let prior = match &manifest_path {
-        Some(path) => planner::load_manifest_costs(path),
-        None => std::collections::HashMap::new(),
-    };
-    let mut plan = planner::plan_with(root, config.shards, config.schedule, &prior)?;
-
-    let write_manifest = |plan: &SweepPlan| -> Result<(), ApiError> {
-        let Some(path) = &manifest_path else { return Ok(()) };
+    if let Some(path) = &manifest_path {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent).map_err(|e| ApiError::Io {
                 path: parent.display().to_string(),
                 message: e.to_string(),
             })?;
         }
-        std::fs::write(path, plan.manifest_json())
-            .map_err(|e| ApiError::Io { path: path.display().to_string(), message: e.to_string() })
-    };
-    write_manifest(&plan)?;
+        std::fs::write(path, plan.manifest_json()).map_err(|e| ApiError::Io {
+            path: path.display().to_string(),
+            message: e.to_string(),
+        })?;
+    }
 
     if matches!(config.mode, MapMode::ChildProcess { .. }) {
         // Children re-read sources from disk; keeping the whole corpus
@@ -291,40 +277,12 @@ pub fn sweep(root: &Path, config: &SweepConfig) -> Result<SweepOutput, ApiError>
 
     let mut libraries = Vec::new();
     let mut failures = plan.failures.clone();
-    let mut measured = std::collections::HashMap::new();
     for result in output.results {
         match result {
-            Ok(report) => {
-                let e = &report.exec;
-                let cost_seconds = if e.workers_executed > 0 {
-                    e.work_seconds
-                } else {
-                    // Served warm (or functionless): carry the historical
-                    // cold cost forward instead of recording ~0.
-                    prior.get(&report.library).map(|c| c.cost_seconds).unwrap_or(e.work_seconds)
-                };
-                measured.insert(
-                    report.library.clone(),
-                    LibraryCost {
-                        cost_seconds,
-                        work_seconds: e.work_seconds,
-                        seconds: e.seconds,
-                        functions: e.functions,
-                        cache_fn_hits: e.cache_fn_hits,
-                        cache_fn_misses: e.cache_fn_misses,
-                        report_hit: e.report_hit,
-                    },
-                );
-                libraries.push(report);
-            }
+            Ok(report) => libraries.push(report),
             Err(failure) => failures.push(failure),
         }
     }
-    // Rewrite the manifest with this run's cost rows so the *next* run
-    // can cost-pack. Best effort only from here: the sweep already
-    // succeeded, a read-only manifest location must not fail it.
-    plan.set_costs(&measured);
-    let _ = write_manifest(&plan);
 
     Ok(SweepOutput {
         report: SweepReport::reduce(libraries, failures, output.cache_store),
@@ -389,83 +347,8 @@ mod tests {
         let output = sweep(&root, &config).unwrap();
         assert_eq!(output.library_count, 2);
         let manifest = std::fs::read_to_string(cache.join("sweep-manifest.json")).unwrap();
-        assert!(manifest.contains("\"manifest_schema_version\": 2"));
+        assert!(manifest.contains("\"manifest_schema_version\": 3"));
         assert!(output.report.cache_store.is_some());
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn post_run_manifest_carries_cost_rows_that_feed_the_next_plan() {
-        let root = tree("costrows", 3);
-        let manifest = root.join("manifest.json");
-        let config = SweepConfig {
-            shards: 2,
-            manifest_path: Some(manifest.clone()),
-            ..SweepConfig::default()
-        };
-        let first = sweep(&root, &config).unwrap();
-        assert!(first.stats.workers_executed > 0, "uncached run executes workers");
-
-        let costs = planner::load_manifest_costs(&manifest);
-        assert_eq!(costs.len(), 3, "every analyzed library got a cost row");
-        assert!(costs.values().all(|c| c.functions == 1));
-        assert!(
-            costs.values().all(|c| c.cost_seconds > 0.0),
-            "executed libraries record positive cost: {costs:?}"
-        );
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn cost_schedule_reduces_identically_to_name_schedule() {
-        let root = tree("schedid", 5);
-        let manifest = root.join("manifest.json");
-        let by_name = sweep(
-            &root,
-            &SweepConfig {
-                shards: 2,
-                manifest_path: Some(manifest.clone()),
-                ..SweepConfig::default()
-            },
-        )
-        .unwrap();
-        // second run cost-packs from the first run's manifest
-        let by_cost = sweep(
-            &root,
-            &SweepConfig {
-                shards: 2,
-                schedule: Schedule::Cost,
-                jobs: 3,
-                manifest_path: Some(manifest.clone()),
-                ..SweepConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(by_name.report.to_json(), by_cost.report.to_json());
-        assert_eq!(by_name.report.render(), by_cost.report.render());
-        let rewritten = std::fs::read_to_string(&manifest).unwrap();
-        assert!(rewritten.contains("\"schedule\": \"cost\""), "manifest records the schedule");
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn warm_sweep_carries_cold_costs_forward() {
-        let root = tree("carry", 2);
-        let cache = root.join(".cache");
-        let config = SweepConfig { cache_dir: Some(cache.clone()), ..SweepConfig::default() };
-        sweep(&root, &config).unwrap();
-        let cold = planner::load_manifest_costs(&cache.join("sweep-manifest.json"));
-
-        let warm = sweep(&root, &config).unwrap();
-        assert_eq!(warm.stats.workers_executed, 0, "warm sweep runs zero workers");
-        let carried = planner::load_manifest_costs(&cache.join("sweep-manifest.json"));
-        for (name, row) in &carried {
-            assert_eq!(
-                row.cost_seconds, cold[name].cost_seconds,
-                "{name}: warm rewrite keeps the cold scheduling cost"
-            );
-            assert!(row.report_hit, "{name}: warm run recorded as a report hit");
-        }
         let _ = std::fs::remove_dir_all(&root);
     }
 }

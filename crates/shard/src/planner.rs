@@ -1,5 +1,5 @@
 //! The sweep planner: walks a corpus root, fingerprints every library,
-//! partitions them into shards and writes the versioned
+//! groups them into shards and writes the versioned
 //! `sweep-manifest.json`.
 //!
 //! A **corpus root** is a directory of libraries: every immediate
@@ -8,97 +8,30 @@
 //! in the root form a library named `.`. Within a library, files load in
 //! the same deterministic sorted-path order as [`Corpus::from_dir`], so a
 //! library's [`Corpus::fingerprint`] is a pure function of the tree — the
-//! key under which shards hit the shared cache store.
+//! key under which libraries hit the shared cache store.
 //!
-//! Sharding is deterministic in either schedule. [`Schedule::Name`]
-//! (the default) sorts libraries by name and splits them into contiguous,
-//! size-balanced chunks. [`Schedule::Cost`] packs shards by **historical
-//! per-library cost** — longest-processing-time-first (LPT) onto the
-//! least-loaded shard — using the cost rows a previous run persisted into
-//! `sweep-manifest.json`, so one expensive library no longer shares a
-//! chunk with (and stalls behind) a pile of cheap neighbors. The
-//! partitioning never affects the reduced [`crate::SweepReport`] (the
-//! reducer re-sorts by library name); it only decides what travels
-//! together to one worker and in which order work starts.
+//! Shards are contiguous, size-balanced chunks of the name-sorted library
+//! list. They group the manifest and the warm-shard count; they do not
+//! decide which worker runs what — the executor starts libraries largest
+//! first from one queue. Neither affects the reduced
+//! [`crate::SweepReport`], which the reducer re-sorts by library name.
 
 use ffisafe_core::{source_files_under, ApiError, Corpus};
-use ffisafe_support::json::{self, escape_into, Json};
+use ffisafe_support::json::escape_into;
 use ffisafe_support::telemetry;
-use ffisafe_support::{Fingerprint, FingerprintHasher};
-use std::collections::HashMap;
+use ffisafe_support::Fingerprint;
 use std::path::{Path, PathBuf};
 
 /// Version of `sweep-manifest.json`. Bumped whenever a field changes
 /// meaning, moves or disappears; adding fields does not bump it.
 ///
-/// v2: adds the top-level `schedule` field and a per-library `cost`
-/// object (the [`LibraryCost`] row recorded after every run). v1
-/// manifests still load — they simply carry no cost data, so a
-/// cost-scheduled sweep over them falls back to name order.
-pub const MANIFEST_SCHEMA_VERSION: u32 = 2;
-
-/// Floor cost used when packing, so zero-cost (warm or unknown) libraries
-/// still spread across shards instead of piling onto shard 0.
-const MIN_PACK_COST: f64 = 1e-6;
-
-/// How libraries are packed into shards.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Schedule {
-    /// Contiguous, size-balanced chunks of the name-sorted library list.
-    #[default]
-    Name,
-    /// LPT cost packing: libraries are placed heaviest-first onto the
-    /// least-loaded shard, using historical [`LibraryCost`] rows from a
-    /// prior manifest. Libraries without history cost the average of the
-    /// known ones; with no history at all this degrades to [`Schedule::Name`].
-    Cost,
-}
-
-impl Schedule {
-    /// Parses the CLI spelling (`name` | `cost`).
-    pub fn parse(s: &str) -> Option<Schedule> {
-        match s {
-            "name" => Some(Schedule::Name),
-            "cost" => Some(Schedule::Cost),
-            _ => None,
-        }
-    }
-
-    /// The CLI/manifest spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Schedule::Name => "name",
-            Schedule::Cost => "cost",
-        }
-    }
-}
-
-/// One library's cost row, persisted into `sweep-manifest.json` after
-/// every run (manifest v2) and read back as the cost model of the next.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct LibraryCost {
-    /// The scheduling cost: expected *cold* inference work in seconds.
-    /// Measured work when the recording run actually executed workers;
-    /// carried forward from the previous manifest when it was served warm
-    /// (a warm run's ~0 measurement says nothing about cold cost).
-    pub cost_seconds: f64,
-    /// Per-function inference work measured in the recording run.
-    pub work_seconds: f64,
-    /// Wall seconds the library took in the recording run.
-    pub seconds: f64,
-    /// C functions analyzed.
-    pub functions: usize,
-    /// Tier-1 cache hits in the recording run.
-    pub cache_fn_hits: usize,
-    /// Tier-1 cache misses in the recording run.
-    pub cache_fn_misses: usize,
-    /// Whether the whole report came from the tier-2 cache.
-    pub report_hit: bool,
-}
+/// v3: drops the top-level `schedule`, the per-shard `key` and the
+/// per-library `cost` object of v2.
+pub const MANIFEST_SCHEMA_VERSION: u32 = 3;
 
 /// One library discovered under the corpus root: its name, its source
-/// files (sorted), its content fingerprint and (optionally) its loaded
-/// corpus.
+/// files (sorted), its content fingerprint, its size and (optionally) its
+/// loaded corpus.
 #[derive(Clone, Debug)]
 pub struct LibraryPlan {
     /// Directory name relative to the root (`.` for root-level files).
@@ -111,23 +44,16 @@ pub struct LibraryPlan {
     /// child-process mapping re-reads sources from disk, so keeping a
     /// thousand libraries' text resident would be pure overhead.
     pub corpus: Option<Corpus>,
-    /// The library's cost row: the historical one at plan time, replaced
-    /// by the measured one before the post-run manifest rewrite. `None`
-    /// when no history exists and no run has completed yet.
-    pub cost: Option<LibraryCost>,
+    /// OCaml + C + Rust lines: the size the executor orders libraries by.
+    /// Kept apart from `corpus`, which child mode drops before the map.
+    pub lines: usize,
 }
 
-/// One shard: a contiguous run of libraries plus the digest that names
-/// the shard's total content.
+/// One shard: a contiguous run of the name-sorted libraries.
 #[derive(Clone, Debug)]
 pub struct ShardPlan {
     /// Position in [`SweepPlan::shards`].
     pub index: usize,
-    /// Digest of every member's name and corpus fingerprint — two plans
-    /// agree on a shard key exactly when the shard carries identical
-    /// content, which is what lets warm shards be served from a shared
-    /// cache store instead of re-shipping artifacts.
-    pub key: Fingerprint,
     /// Indices into [`SweepPlan::libraries`].
     pub members: Vec<usize>,
 }
@@ -139,10 +65,8 @@ pub struct SweepPlan {
     pub root: PathBuf,
     /// Every discovered library, sorted by name.
     pub libraries: Vec<LibraryPlan>,
-    /// The shard partitioning (contiguous name chunks, or LPT cost packs).
+    /// The shard partitioning: contiguous name chunks.
     pub shards: Vec<ShardPlan>,
-    /// The schedule the shards were packed with.
-    pub schedule: Schedule,
     /// Libraries that could not be *planned* (unreadable subtree, file
     /// deleted mid-walk, symlink loop, …). One broken library must not
     /// sink a thousand-library sweep, so these flow into
@@ -158,53 +82,34 @@ impl SweepPlan {
     }
 
     /// Frees every library's loaded source text, keeping names, file
-    /// lists and fingerprints. Called for child-process sweeps, where
-    /// the children re-read sources from disk and the resident text
+    /// lists, fingerprints and sizes. Called for child-process sweeps,
+    /// where the children re-read sources from disk and the resident text
     /// would otherwise scale with the whole corpus instead of the
-    /// in-flight shards.
+    /// in-flight libraries.
     pub fn drop_sources(&mut self) {
         for library in &mut self.libraries {
             library.corpus = None;
         }
     }
 
-    /// Replaces every library's cost row with the freshly measured one —
-    /// called by [`crate::sweep`] after the map phase so the rewritten
-    /// manifest carries this run's data for the next run's cost model.
-    pub fn set_costs(&mut self, costs: &HashMap<String, LibraryCost>) {
-        for library in &mut self.libraries {
-            if let Some(cost) = costs.get(&library.name) {
-                library.cost = Some(*cost);
-            }
-        }
-    }
-
     /// The versioned machine-readable manifest: which libraries exist,
-    /// their content fingerprints, file lists and cost rows, and how they
-    /// were partitioned into shards.
+    /// their content fingerprints and file lists, and how they were
+    /// grouped into shards.
     ///
-    /// Schema (v2, see [`MANIFEST_SCHEMA_VERSION`]):
+    /// Schema (v3, see [`MANIFEST_SCHEMA_VERSION`]):
     ///
     /// ```text
     /// {
-    ///   "manifest_schema_version": 2,
+    ///   "manifest_schema_version": 3,
     ///   "tool": "ffisafe",
     ///   "tool_version": "<crate version>",
     ///   "root": "<corpus root>",
-    ///   "schedule": "name" | "cost",
     ///   "libraries": N,
-    ///   "shards": [ { "shard": i, "key": "<hex128>",
+    ///   "shards": [ { "shard": i,
     ///                 "libraries": [ { "name", "fingerprint": "<hex128>",
-    ///                                  "files": [ "<path>", ... ],
-    ///                                  "cost": { "cost_seconds", "work_seconds",
-    ///                                            "seconds", "functions",
-    ///                                            "fn_hits", "fn_misses",
-    ///                                            "report_hit" } } ] } ]
+    ///                                  "files": [ "<path>", ... ] } ] } ]
     /// }
     /// ```
-    ///
-    /// The `cost` object is per library and optional (absent in v1
-    /// manifests and for libraries that have never completed a run).
     pub fn manifest_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
@@ -214,18 +119,13 @@ impl SweepPlan {
         out.push_str("  \"root\": \"");
         escape_into(&mut out, &self.root.display().to_string());
         out.push_str("\",\n");
-        out.push_str(&format!("  \"schedule\": \"{}\",\n", self.schedule.as_str()));
         out.push_str(&format!("  \"libraries\": {},\n", self.libraries.len()));
         out.push_str("  \"shards\": [");
         for (i, shard) in self.shards.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "\n    {{\"shard\": {}, \"key\": \"{}\", \"libraries\": [",
-                shard.index,
-                shard.key.to_hex()
-            ));
+            out.push_str(&format!("\n    {{\"shard\": {}, \"libraries\": [", shard.index));
             for (j, &member) in shard.members.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
@@ -245,20 +145,7 @@ impl SweepPlan {
                     escape_into(&mut out, &file.display().to_string());
                     out.push('"');
                 }
-                out.push(']');
-                if let Some(cost) = &lib.cost {
-                    out.push_str(&format!(
-                        ", \"cost\": {{\"cost_seconds\": {:.6}, \"work_seconds\": {:.6}, \"seconds\": {:.6}, \"functions\": {}, \"fn_hits\": {}, \"fn_misses\": {}, \"report_hit\": {}}}",
-                        cost.cost_seconds,
-                        cost.work_seconds,
-                        cost.seconds,
-                        cost.functions,
-                        cost.cache_fn_hits,
-                        cost.cache_fn_misses,
-                        cost.report_hit
-                    ));
-                }
-                out.push('}');
+                out.push_str("]}");
             }
             out.push_str(if shard.members.is_empty() { "]}" } else { "\n    ]}" });
         }
@@ -267,84 +154,22 @@ impl SweepPlan {
     }
 }
 
-/// Reads the per-library cost rows out of a previous run's manifest.
-///
-/// Both schema versions load: v1 rows carry no `cost` object and simply
-/// contribute nothing. A missing or unparseable manifest yields an empty
-/// map — historical cost is an optimization, never a requirement.
-pub fn load_manifest_costs(path: &Path) -> HashMap<String, LibraryCost> {
-    let Ok(text) = std::fs::read_to_string(path) else { return HashMap::new() };
-    let Ok(doc) = json::parse(&text) else { return HashMap::new() };
-    let mut costs = HashMap::new();
-    let Some(shards) = doc.get("shards").and_then(Json::as_array) else { return costs };
-    for shard in shards {
-        let Some(libraries) = shard.get("libraries").and_then(Json::as_array) else { continue };
-        for lib in libraries {
-            let Some(name) = lib.get("name").and_then(Json::as_str) else { continue };
-            let Some(cost) = lib.get("cost") else { continue };
-            let f = |key: &str| cost.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-            let n = |key: &str| cost.get(key).and_then(Json::as_u64).unwrap_or(0) as usize;
-            costs.insert(
-                name.to_string(),
-                LibraryCost {
-                    cost_seconds: f("cost_seconds"),
-                    work_seconds: f("work_seconds"),
-                    seconds: f("seconds"),
-                    functions: n("functions"),
-                    cache_fn_hits: n("fn_hits"),
-                    cache_fn_misses: n("fn_misses"),
-                    report_hit: cost.get("report_hit").and_then(Json::as_bool).unwrap_or(false),
-                },
-            );
-        }
-    }
-    costs
-}
-
-/// Builds the plan for `root` with the default [`Schedule::Name`] and no
-/// cost history. See [`plan_with`].
-pub fn plan(root: &Path, shard_count: usize) -> Result<SweepPlan, ApiError> {
-    plan_with(root, shard_count, Schedule::Name, &HashMap::new())
-}
-
 /// Builds the plan for `root`: discovers libraries, loads and fingerprints
-/// each, and partitions them into `shard_count` shards (`0` means one
-/// shard per library — maximal fan-out). The partitioning is clamped to
+/// each, and partitions them into `shard_count` contiguous name-sorted
+/// shards (`0` means one shard per library). The count is clamped to
 /// `[1, libraries]`, so any requested count is safe.
-///
-/// `prior` is the cost model — typically [`load_manifest_costs`] over the
-/// previous run's manifest. Under [`Schedule::Cost`] with at least one
-/// known cost the libraries are LPT-packed; otherwise (including always
-/// under [`Schedule::Name`]) they are split into contiguous name-sorted
-/// chunks. Known cost rows are attached to the plan's libraries either
-/// way, so the rewritten manifest preserves history for libraries that
-/// get served warm this time.
-pub fn plan_with(
-    root: &Path,
-    shard_count: usize,
-    schedule: Schedule,
-    prior: &HashMap<String, LibraryCost>,
-) -> Result<SweepPlan, ApiError> {
+pub fn plan(root: &Path, shard_count: usize) -> Result<SweepPlan, ApiError> {
     let mut span =
         telemetry::span_with("sweep.plan", || vec![("shards_requested", shard_count.to_string())]);
-    let (mut libraries, failures) = discover_libraries(root)?;
+    let (libraries, failures) = discover_libraries(root)?;
     span.arg("libraries", libraries.len().to_string());
-    for library in &mut libraries {
-        library.cost = prior.get(&library.name).copied();
-    }
     let n = libraries.len();
     let shards = if n == 0 {
         Vec::new()
     } else {
-        let count = if shard_count == 0 { n } else { shard_count.clamp(1, n) };
-        let any_known = libraries.iter().any(|l| l.cost.is_some());
-        if schedule == Schedule::Cost && any_known {
-            partition_lpt(&libraries, count)
-        } else {
-            partition(&libraries, count)
-        }
+        partition(n, if shard_count == 0 { n } else { shard_count.clamp(1, n) })
     };
-    Ok(SweepPlan { root: root.to_path_buf(), libraries, shards, schedule, failures })
+    Ok(SweepPlan { root: root.to_path_buf(), libraries, shards, failures })
 }
 
 /// Every immediate subdirectory of `root` with ≥ 1 FFI source (searched
@@ -414,76 +239,24 @@ fn load_library(name: String, files: Vec<PathBuf>) -> Result<LibraryPlan, ApiErr
         name,
         files,
         fingerprint: corpus.fingerprint(),
+        lines: corpus.ml_loc() + corpus.c_loc() + corpus.rust_loc(),
         corpus: Some(corpus),
-        cost: None,
     })
 }
 
-/// Splits `libraries` (already name-sorted) into `count` contiguous
-/// chunks whose sizes differ by at most one.
-fn partition(libraries: &[LibraryPlan], count: usize) -> Vec<ShardPlan> {
-    let n = libraries.len();
+/// Splits `n` name-sorted libraries into `count` contiguous chunks whose
+/// sizes differ by at most one.
+fn partition(n: usize, count: usize) -> Vec<ShardPlan> {
     let base = n / count;
     let extra = n % count;
     let mut shards = Vec::with_capacity(count);
     let mut next = 0usize;
     for index in 0..count {
         let take = base + usize::from(index < extra);
-        let members: Vec<usize> = (next..next + take).collect();
+        shards.push(ShardPlan { index, members: (next..next + take).collect() });
         next += take;
-        shards.push(ShardPlan { index, key: shard_key(libraries, &members), members });
     }
     shards
-}
-
-/// LPT packing: libraries sorted by (cost desc, name asc) are assigned
-/// one at a time to the least-loaded shard (ties broken toward the lowest
-/// shard index). Members stay in assignment order, so the heaviest
-/// library in each shard is also the first one its worker starts —
-/// long-pole work begins immediately instead of queueing behind cheap
-/// neighbors. Deterministic: same costs + names ⇒ same packing.
-fn partition_lpt(libraries: &[LibraryPlan], count: usize) -> Vec<ShardPlan> {
-    let known: Vec<f64> = libraries.iter().filter_map(|l| l.cost.map(|c| c.cost_seconds)).collect();
-    let average = known.iter().sum::<f64>() / known.len() as f64;
-    let mut order: Vec<usize> = (0..libraries.len()).collect();
-    let cost_of =
-        |i: usize| libraries[i].cost.map(|c| c.cost_seconds).unwrap_or(average).max(MIN_PACK_COST);
-    order.sort_by(|&a, &b| {
-        cost_of(b)
-            .partial_cmp(&cost_of(a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| libraries[a].name.cmp(&libraries[b].name))
-    });
-    let mut loads = vec![0.0f64; count];
-    let mut packs: Vec<Vec<usize>> = vec![Vec::new(); count];
-    for lib in order {
-        let lightest = loads
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        loads[lightest] += cost_of(lib);
-        packs[lightest].push(lib);
-    }
-    packs
-        .into_iter()
-        .enumerate()
-        .map(|(index, members)| ShardPlan { index, key: shard_key(libraries, &members), members })
-        .collect()
-}
-
-/// The digest naming a shard's total content: each member's name and
-/// corpus fingerprint, in order.
-fn shard_key(libraries: &[LibraryPlan], members: &[usize]) -> Fingerprint {
-    let mut h = FingerprintHasher::new();
-    h.write_str("ffisafe-shard-key");
-    h.write_u64(members.len() as u64);
-    for &m in members {
-        h.write_str(&libraries[m].name);
-        h.write_fingerprint(libraries[m].fingerprint);
-    }
-    h.finish()
 }
 
 #[cfg(test)]
@@ -561,8 +334,6 @@ mod tests {
         assert_eq!(flat, [0, 1, 2], "contiguous, every library exactly once");
         let p8 = plan(&root, 8).unwrap();
         assert_eq!(p8.shards.len(), 3, "clamped to the library count");
-        // shard keys depend on membership
-        assert_ne!(p2.shards[0].key, p8.shards[0].key);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -572,13 +343,15 @@ mod tests {
         let plan = plan(&root, 2).unwrap();
         let doc = ffisafe_support::json::parse(&plan.manifest_json()).expect("valid JSON");
         use ffisafe_support::json::Json;
-        assert_eq!(doc.get("manifest_schema_version").and_then(Json::as_u64), Some(2));
-        assert_eq!(doc.get("schedule").and_then(Json::as_str), Some("name"));
+        assert_eq!(doc.get("manifest_schema_version").and_then(Json::as_u64), Some(3));
+        assert!(doc.get("schedule").is_none(), "v3 has no schedule");
         assert_eq!(doc.get("libraries").and_then(Json::as_u64), Some(3));
         let shards = doc.get("shards").and_then(Json::as_array).unwrap();
         assert_eq!(shards.len(), 2);
+        assert!(shards[0].get("key").is_none(), "v3 has no shard key");
         let lib0 = shards[0].get("libraries").and_then(Json::as_array).unwrap()[0].clone();
         assert_eq!(lib0.get("name").and_then(Json::as_str), Some("liba"));
+        assert!(lib0.get("cost").is_none(), "v3 has no cost rows");
         assert_eq!(
             lib0.get("fingerprint").and_then(Json::as_str).map(str::len),
             Some(32),
@@ -619,96 +392,6 @@ mod tests {
         assert_eq!(plan.failures.len(), 1);
         assert_eq!(plan.failures[0].library, "libzz");
         assert!(plan.failures[0].error.contains("cannot read"), "{:?}", plan.failures[0]);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn cost_schedule_isolates_the_heavy_library() {
-        let root = three_lib_tree("lpt");
-        let mut prior = HashMap::new();
-        prior.insert("liba".to_string(), LibraryCost { cost_seconds: 0.1, ..Default::default() });
-        prior.insert("libb".to_string(), LibraryCost { cost_seconds: 9.0, ..Default::default() });
-        prior.insert("libc".to_string(), LibraryCost { cost_seconds: 0.2, ..Default::default() });
-
-        let plan = plan_with(&root, 2, Schedule::Cost, &prior).unwrap();
-        assert_eq!(plan.schedule, Schedule::Cost);
-        // heaviest library (libb, index 1) packs alone; the cheap pair share
-        let solo: Vec<_> = plan.shards.iter().filter(|s| s.members == [1]).collect();
-        assert_eq!(solo.len(), 1, "libb isolated: {:?}", plan.shards);
-        let pair = plan.shards.iter().find(|s| s.members.len() == 2).unwrap();
-        assert_eq!(pair.members, [2, 0], "heaviest-first within the shard");
-        // deterministic
-        let again = plan_with(&root, 2, Schedule::Cost, &prior).unwrap();
-        assert_eq!(plan.manifest_json(), again.manifest_json());
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn cost_schedule_without_history_falls_back_to_name_partition() {
-        let root = three_lib_tree("lpt-nohist");
-        let by_cost = plan_with(&root, 2, Schedule::Cost, &HashMap::new()).unwrap();
-        let by_name = plan(&root, 2).unwrap();
-        let cost_members: Vec<_> = by_cost.shards.iter().map(|s| s.members.clone()).collect();
-        let name_members: Vec<_> = by_name.shards.iter().map(|s| s.members.clone()).collect();
-        assert_eq!(cost_members, name_members);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn unknown_cost_defaults_to_the_average_of_known_costs() {
-        let root = three_lib_tree("lpt-avg");
-        // only libb has history; liba/libc get the average (9.0) and spread
-        let mut prior = HashMap::new();
-        prior.insert("libb".to_string(), LibraryCost { cost_seconds: 9.0, ..Default::default() });
-        let plan = plan_with(&root, 3, Schedule::Cost, &prior).unwrap();
-        let sizes: Vec<usize> = plan.shards.iter().map(|s| s.members.len()).collect();
-        assert_eq!(sizes, [1, 1, 1], "equal costs spread one per shard");
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn costs_round_trip_through_the_manifest() {
-        let root = three_lib_tree("cost-roundtrip");
-        let mut plan = plan(&root, 2).unwrap();
-        let mut measured = HashMap::new();
-        measured.insert(
-            "libb".to_string(),
-            LibraryCost {
-                cost_seconds: 1.25,
-                work_seconds: 1.25,
-                seconds: 1.5,
-                functions: 7,
-                cache_fn_hits: 2,
-                cache_fn_misses: 5,
-                report_hit: false,
-            },
-        );
-        plan.set_costs(&measured);
-        let path = root.join("sweep-manifest.json");
-        std::fs::write(&path, plan.manifest_json()).unwrap();
-
-        let loaded = load_manifest_costs(&path);
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded["libb"], measured["libb"]);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn v1_manifests_and_garbage_load_as_empty_cost_maps() {
-        let root = temp_tree("v1-compat", &[]);
-        std::fs::create_dir_all(&root).unwrap();
-        let v1 = root.join("v1.json");
-        std::fs::write(
-            &v1,
-            r#"{"manifest_schema_version": 1, "shards": [{"shard": 0, "key": "00",
-                "libraries": [{"name": "liba", "fingerprint": "00", "files": []}]}]}"#,
-        )
-        .unwrap();
-        assert!(load_manifest_costs(&v1).is_empty(), "v1 rows carry no cost");
-        let junk = root.join("junk.json");
-        std::fs::write(&junk, "not json at all").unwrap();
-        assert!(load_manifest_costs(&junk).is_empty());
-        assert!(load_manifest_costs(&root.join("missing.json")).is_empty());
         let _ = std::fs::remove_dir_all(&root);
     }
 

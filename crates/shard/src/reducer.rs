@@ -1,6 +1,6 @@
 //! The sweep reducer: merges per-library results — structured
-//! [`AnalysisReport`]s from in-process shards, versioned JSON documents
-//! from child-process shards — into one deterministic [`SweepReport`].
+//! [`AnalysisReport`]s from in-process runs, versioned JSON documents
+//! from child processes — into one deterministic [`SweepReport`].
 //!
 //! Determinism is the whole contract: the reduced report is **byte
 //! identical** for any shard partitioning, any shard arrival order, any

@@ -165,11 +165,6 @@ impl FingerprintHasher {
         self.write_bytes(&v.to_le_bytes());
     }
 
-    /// Feeds an `i64` (little-endian two's complement).
-    pub fn write_i64(&mut self, v: i64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
     /// Feeds a `bool` as one byte.
     pub fn write_bool(&mut self, v: bool) {
         self.write_u8(v as u8);

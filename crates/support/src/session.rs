@@ -250,12 +250,6 @@ impl Session {
         &self.options
     }
 
-    /// Mutable access to the options (CLI / test configuration only; stages
-    /// must treat options as read-only).
-    pub fn options_mut(&mut self) -> &mut AnalysisOptions {
-        &mut self.options
-    }
-
     /// Adds a finding to the session's diagnostic sink.
     pub fn emit(&mut self, d: Diagnostic) {
         self.diagnostics.push(d);

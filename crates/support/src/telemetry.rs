@@ -161,12 +161,6 @@ struct OpenSpan {
 }
 
 impl SpanGuard {
-    /// Whether this guard will record a span (i.e. tracing was enabled
-    /// when it was opened). Use to skip expensive annotation formatting.
-    pub fn is_recording(&self) -> bool {
-        self.open.is_some()
-    }
-
     /// Attach a key/value annotation. No-op on a non-recording guard, so
     /// values already computed (byte counts, hit flags) can be attached
     /// unconditionally.

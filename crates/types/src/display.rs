@@ -115,12 +115,6 @@ impl TypeTable {
         }
     }
 
-    /// Renders a `Π` row.
-    pub fn render_pi(&self, id: PiId) -> String {
-        let mut seen = HashSet::new();
-        self.render_pi_rec(id, &mut seen)
-    }
-
     fn render_pi_rec(&self, id: PiId, seen: &mut HashSet<u32>) -> String {
         let mut parts = Vec::new();
         let mut cur = self.find_pi(id);

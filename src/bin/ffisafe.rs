@@ -6,7 +6,7 @@
 //!         [--no-cache] [--cache-stats] [--format text|json] [--timings]
 //!         [--trace-out FILE] [--metrics-out FILE] <file.ml|file.rs|file.c|dir>...
 //! ffisafe sweep [--shards N] [--jobs N] [--cache-dir DIR|--cache-url URL]
-//!         [--no-cache] [--schedule name|cost] [--mode in-process|child]
+//!         [--no-cache] [--mode in-process|child]
 //!         [--manifest FILE] [--retries N] [--no-flow] [--no-gc]
 //!         [--format text|json] [--timings] [--trace-out FILE]
 //!         [--metrics-out FILE] <root>
@@ -65,7 +65,7 @@ options:
   --no-gc       disable GC effect tracking and registration checks
   --jobs N, -j N
                 inference worker threads (default: all cores); for sweep:
-                concurrent shards
+                libraries analyzed at once, largest first
   --cache-dir DIR
                 two-tier incremental-reanalysis cache: unchanged corpora
                 replay their report, unchanged functions skip inference;
@@ -92,14 +92,10 @@ options:
   --help, -h    print this help
 
 sweep options:
-  --shards N    shard count (default 0 = one shard per library)
-  --schedule name|cost
-                shard packing: contiguous name-sorted chunks (default),
-                or LPT packing from the per-library costs a previous
-                run recorded into sweep-manifest.json (falls back to
-                name order when no history exists)
+  --shards N    shard count (default 0 = one shard per library); shards
+                group sweep-manifest.json and the warm-shard count
   --mode in-process|child
-                run shards in this process (default) or as child
+                run libraries in this process (default) or as child
                 ffisafe processes over the shared --cache-dir
   --manifest FILE
                 where to write sweep-manifest.json (default:
@@ -608,13 +604,6 @@ fn sweep_main(args: &[String]) -> Exit {
         match arg {
             "--shards" => config.shards = number(args, "--shards requires an integer")?,
             "--retries" => config.retries = number(args, "--retries requires an integer")?,
-            "--schedule" => {
-                config.schedule =
-                    args.next()
-                        .as_deref()
-                        .and_then(ffisafe::shard::Schedule::parse)
-                        .ok_or_else(|| usage_error("--schedule expects `name` or `cost`"))?
-            }
             "--manifest" => {
                 config.manifest_path = Some(value(args, "--manifest requires a file path")?.into())
             }

@@ -99,7 +99,7 @@
 //! | [`ffisafe_cil`] | C frontend, Figure 5 IR, liveness |
 //! | [`ffisafe_rustffi`] | Rust `extern "C"` boundary surface + layout check |
 //! | [`ffisafe_core`] | the inference engine and [`AnalysisService`] |
-//! | [`ffisafe_shard`] | map/reduce sharded sweeps over library trees |
+//! | [`ffisafe_shard`] | map/reduce sweeps over library trees, largest library first |
 //! | [`ffisafe_semantics`] | executable semantics + soundness harness |
 //! | [`ffisafe_serve`] | resident analysis daemon + client (`ffisafe serve`) |
 //! | [`ffisafe_bench`] | Figure 9 corpus and measurement harness |
@@ -128,7 +128,6 @@ pub use ffisafe_core::{
 pub use ffisafe_serve::{AnalysisServer, ServeClient, ServeConfig, SERVE_PROTOCOL_VERSION};
 pub use ffisafe_shard as shard;
 pub use ffisafe_shard::{
-    MapMode, Schedule, SweepConfig, SweepOutput, SweepReport, MANIFEST_SCHEMA_VERSION,
-    SWEEP_SCHEMA_VERSION,
+    MapMode, SweepConfig, SweepOutput, SweepReport, MANIFEST_SCHEMA_VERSION, SWEEP_SCHEMA_VERSION,
 };
 pub use ffisafe_support::{Diagnostic, DiagnosticCode, Phase, PhaseTimings, Session, Severity};

@@ -2,9 +2,9 @@
 //!
 //! * **useful** — a traced sweep records the documented span schema
 //!   (planner, map, per-library attempts, per-function solves), the
-//!   spans nest properly per thread even with concurrent workers and
-//!   steals, the Chrome export parses, and a warm sweep records zero
-//!   `infer.solve` spans;
+//!   spans nest properly per thread even with concurrent workers, the
+//!   Chrome export parses, a warm sweep records zero `infer.solve`
+//!   spans, and the first library attempt is the largest library's;
 //! * **inert** — the reduced sweep report is byte-identical with
 //!   tracing on and off, and the metrics registry agrees with the
 //!   numbers the sweep JSON itself reports.
@@ -81,7 +81,7 @@ fn traced_sweep_records_the_span_schema_and_nests_per_thread() {
     let _guard = TRACING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let root = build_tree("schema");
     // Several shards and workers so spans interleave across threads —
-    // the nesting check must hold under concurrency and steals.
+    // the nesting check must hold under concurrency.
     let config = SweepConfig { shards: 2, jobs: 4, ..SweepConfig::default() };
     let (output, events) = traced_sweep(&root, &config);
     assert_eq!(output.stats.libraries_failed, 0);
@@ -141,6 +141,32 @@ fn warm_sweep_emits_zero_infer_solve_spans() {
     // The sweep skeleton is still visible: the cache saves the solving,
     // not the orchestration.
     assert_eq!(count(&events, "sweep.library"), 3);
+}
+
+#[test]
+fn a_one_worker_sweep_starts_the_largest_library_first() {
+    let _guard = TRACING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let root = build_tree("largest");
+    // `zulu` sorts last by name but has the most lines; the three
+    // two-line libraries tie and keep name order.
+    let dir = root.join("zulu");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (mut ml, mut c) = (String::new(), String::new());
+    for i in 0..8 {
+        ml.push_str(&format!("external z{i} : int -> int = \"ml_z{i}\"\n"));
+        c.push_str(&format!("value ml_z{i}(value n) {{ return Val_int(Int_val(n) + {i}); }}\n"));
+    }
+    std::fs::write(dir.join("lib.ml"), ml).unwrap();
+    std::fs::write(dir.join("glue.c"), c).unwrap();
+
+    let (output, mut events) =
+        traced_sweep(&root, &SweepConfig { jobs: 1, ..SweepConfig::default() });
+    assert_eq!(output.stats.libraries_failed, 0);
+    events.retain(|e| e.name == "sweep.library");
+    events.sort_by_key(|e| e.start_us);
+    let order: Vec<&str> = events.iter().filter_map(|e| e.arg("library")).collect();
+    assert_eq!(order, ["zulu", "alpha", "bravo", "charlie"], "largest first, ties by name");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
