@@ -32,7 +32,11 @@
 //!   median per-request latency (`p50_seconds`) must be strictly below
 //!   the cold round's: a resubmitted corpus must be answered from the
 //!   report cache faster than it was first analyzed, or the daemon's
-//!   reason to stay resident is gone.
+//!   reason to stay resident is gone;
+//! * **large warm hits** — on the `serve-large` rows (the same daemon,
+//!   sent the ~156 KB Figure 9 cryptokit corpus), the warm p50 must stay
+//!   below 0.1× the cold p50: a report hit must cost time in proportion
+//!   to its request bytes, not a share of an analysis.
 //!
 //! `work_seconds` is jobs-independent but still wall-clock-derived, so
 //! runs on different hardware (or a noisy shared runner) drift even with
@@ -78,6 +82,13 @@ const MAX_TELEMETRY_RATIO: f64 = 1.05;
 /// workload a single scheduler quantum can exceed 5% of the wall clock,
 /// so a real overhead regression must also cost this much extra time.
 const MIN_TELEMETRY_EXCESS: f64 = 0.020;
+
+/// The daemon's warm-vs-cold gates: per serve workload, the warm p50 must
+/// stay below this fraction of the cold p50, or the message applies.
+const SERVE_GATES: [(&str, f64, &str); 2] = [
+    ("serve-load", 1.0, "warm daemon requests are no longer faster than cold ones"),
+    ("serve-large", 0.1, "a warm hit on a large request costs over a tenth of a cold one"),
+];
 
 struct Row {
     name: String,
@@ -195,11 +206,12 @@ fn telemetry_verdict(rows: &[Row]) -> Option<(String, bool)> {
     Some((message, ratio > MAX_TELEMETRY_RATIO && excess > MIN_TELEMETRY_EXCESS))
 }
 
-/// The serve-load latency verdict over the current artifact, or `None`
-/// when it carries no serve-load rows (older artifacts) or the cold p50
-/// is zero. Returns `(message, failed)`.
-fn serve_verdict(rows: &[Row]) -> Option<(String, bool)> {
-    let find = |cache: &str| rows.iter().find(|r| r.name == "serve-load" && r.cache == cache);
+/// The warm-latency verdict on serve workload `name` over the current
+/// artifact, or `None` when it carries no such rows (older artifacts) or
+/// the cold p50 is zero. Fails when warm p50 is not below `budget` × cold
+/// p50. Returns `(message, failed)`.
+fn serve_verdict(rows: &[Row], name: &str, budget: f64) -> Option<(String, bool)> {
+    let find = |cache: &str| rows.iter().find(|r| r.name == name && r.cache == cache);
     let cold = find("cold")?;
     let warm = find("warm")?;
     if cold.p50_seconds <= 0.0 {
@@ -207,10 +219,10 @@ fn serve_verdict(rows: &[Row]) -> Option<(String, bool)> {
     }
     let ratio = warm.p50_seconds / cold.p50_seconds;
     let message = format!(
-        "serve warm latency: cold p50 {:.4}s -> warm p50 {:.4}s ({ratio:.3}x, must be < 1x)",
+        "{name} warm latency: cold p50 {:.4}s -> warm p50 {:.4}s ({ratio:.3}x, must be < {budget}x)",
         cold.p50_seconds, warm.p50_seconds
     );
-    Some((message, warm.p50_seconds >= cold.p50_seconds))
+    Some((message, warm.p50_seconds >= budget * cold.p50_seconds))
 }
 
 fn load(path: &str) -> Result<Json, String> {
@@ -281,15 +293,17 @@ fn main() -> ExitCode {
         None => println!("no telemetry-overhead rows in the current artifact; skipping that gate"),
     }
 
-    match serve_verdict(&current_rows) {
-        Some((message, serve_failed)) => {
-            println!("{message}");
-            if serve_failed {
-                failed = true;
-                println!("REGRESSION: warm daemon requests are no longer faster than cold ones");
+    for (name, budget, regression) in SERVE_GATES {
+        match serve_verdict(&current_rows, name, budget) {
+            Some((message, serve_failed)) => {
+                println!("{message}");
+                if serve_failed {
+                    failed = true;
+                    println!("REGRESSION: {regression}");
+                }
             }
+            None => println!("no {name} rows in the current artifact; skipping that gate"),
         }
-        None => println!("no serve-load rows in the current artifact; skipping that gate"),
     }
 
     let baseline_names: BTreeSet<&str> = baseline_rows.iter().map(|r| r.name.as_str()).collect();

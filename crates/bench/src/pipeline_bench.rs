@@ -263,12 +263,13 @@ fn percentile(latencies: &[f64], q: usize) -> f64 {
 }
 
 /// One round of the serve-load harness: `SERVE_CLIENTS` concurrent
-/// connections each submitting `SERVE_REQUESTS` corpora produced by
+/// connections each submitting `requests` corpora produced by
 /// `corpus_for(client, request)`, against the daemon at `url`. Returns
 /// the round's wall clock, every per-request latency, and the per-request
 /// outcomes.
 fn serve_round(
     url: &str,
+    requests: usize,
     corpus_for: impl Fn(usize, usize) -> Corpus + Send + Sync,
 ) -> (f64, Vec<f64>, Vec<ffisafe_serve::AnalyzeOutcome>) {
     let started = std::time::Instant::now();
@@ -283,7 +284,7 @@ fn serve_round(
                         .expect("bench daemon must accept clients");
                     let mut lats = Vec::new();
                     let mut outs = Vec::new();
-                    for request in 0..SERVE_REQUESTS {
+                    for request in 0..requests {
                         let corpus = corpus_for(client, request);
                         let t = std::time::Instant::now();
                         let reply = conn
@@ -312,16 +313,29 @@ fn serve_round(
 const SERVE_CLIENTS: usize = 4;
 /// Requests each serve-load connection submits per round.
 const SERVE_REQUESTS: usize = 6;
+/// Requests each connection submits per `serve-large` round.
+const SERVE_LARGE_REQUESTS: usize = 2;
 
-/// The serve-load workload (the daemon's headline numbers): an in-process
+/// Inserts `tag` before the first `close` of `src`'s first-line comment,
+/// so the corpus is new to the cache while every line number stays put.
+fn tag_first_comment(src: &str, close: &str, tag: &str) -> String {
+    let at = src.find(close).expect("generated sources open with a comment");
+    format!("{}{tag} {}", &src[..at], &src[at..])
+}
+
+/// The serve workloads (the daemon's headline numbers): an in-process
 /// `ffisafe serve` daemon over a fresh cache, hit by [`SERVE_CLIENTS`]
 /// concurrent clients.
 ///
-/// Three rounds: *cold* (every request a distinct corpus — all misses),
-/// *warm* (the same corpora resubmitted — all tier-2 report hits, zero
-/// inference workers) and *mixed* (alternating fresh and repeated
-/// corpora). Each round's p50/p95 per-request latency lands in its row;
-/// `bench_diff` gates warm p50 < cold p50.
+/// `serve-load` sends 24-line corpora in three rounds: *cold* (every
+/// request a distinct corpus — all misses), *warm* (the same corpora
+/// resubmitted — all tier-2 report hits, zero inference workers) and
+/// *mixed* (alternating fresh and repeated corpora). `serve-large` runs a
+/// cold and a warm round over the Figure 9 cryptokit library (about
+/// 156 KB on the wire), tagged per request, so the warm round prices a
+/// hit on a large request. Each round's p50/p95 per-request latency lands
+/// in its row; `bench_diff` gates warm p50 < cold p50 on `serve-load` and
+/// warm p50 < 0.1× cold p50 on `serve-large`.
 fn measure_serve_load(rows: &mut Vec<PipelineMeasurement>) {
     let cache =
         std::env::temp_dir().join(format!("ffisafe-bench-serve-load-{}", std::process::id()));
@@ -349,28 +363,52 @@ fn measure_serve_load(rows: &mut Vec<PipelineMeasurement>) {
             .build()
     };
 
-    let (cold_wall, cold_lats, cold_outs) = serve_round(&url, |c, r| corpus("cold", c, r));
+    let warm_replays = |outs: &[ffisafe_serve::AnalyzeOutcome]| {
+        assert!(
+            outs.iter().all(|o| o.report_hit && o.workers_executed == 0),
+            "warm resubmission must replay every report with zero inference workers"
+        );
+    };
+    let (cold_wall, cold_lats, cold_outs) =
+        serve_round(&url, SERVE_REQUESTS, |c, r| corpus("cold", c, r));
     assert!(cold_outs.iter().all(|o| !o.report_hit), "cold round must miss the report cache");
-    let (warm_wall, warm_lats, warm_outs) = serve_round(&url, |c, r| corpus("cold", c, r));
-    assert!(
-        warm_outs.iter().all(|o| o.report_hit && o.workers_executed == 0),
-        "warm resubmission must replay every report with zero inference workers"
-    );
-    let (mixed_wall, mixed_lats, _) = serve_round(&url, |c, r| {
+    let (warm_wall, warm_lats, warm_outs) =
+        serve_round(&url, SERVE_REQUESTS, |c, r| corpus("cold", c, r));
+    warm_replays(&warm_outs);
+    let (mixed_wall, mixed_lats, _) = serve_round(&url, SERVE_REQUESTS, |c, r| {
         if r % 2 == 0 {
             corpus("cold", c, r) // already cached: the warm half
         } else {
             corpus("mixed", c, r) // first sight: the cold half
         }
     });
+
+    let cryptokit = paper_benchmarks()
+        .into_iter()
+        .find(|spec| spec.name == "cryptokit-1.2")
+        .expect("Figure 9 lists cryptokit");
+    let bench = generate(&cryptokit);
+    let large = |client: usize, request: usize| {
+        let tag = format!(" request {client}-{request}");
+        Corpus::builder()
+            .ml_source("lib.ml", tag_first_comment(&bench.ml_source, "*)", &tag))
+            .c_source("glue.c", tag_first_comment(&bench.c_source, "*/", &tag))
+            .build()
+    };
+    let (large_cold_wall, large_cold_lats, large_outs) =
+        serve_round(&url, SERVE_LARGE_REQUESTS, large);
+    assert!(large_outs.iter().all(|o| !o.report_hit), "cold round must miss the report cache");
+    let (large_warm_wall, large_warm_lats, large_warm_outs) =
+        serve_round(&url, SERVE_LARGE_REQUESTS, large);
+    warm_replays(&large_warm_outs);
     let _ = std::fs::remove_dir_all(&cache);
 
     let diagnostics: usize =
         cold_outs.iter().map(|o| (o.errors + o.warnings) as usize).sum::<usize>();
     let c_loc = SERVE_CLIENTS * SERVE_REQUESTS; // one C line per request corpus
-    let row =
-        |cache: &'static str, wall: f64, lats: &[f64], report_hit: bool| PipelineMeasurement {
-            name: if cache == "mixed" { "serve-load-mixed" } else { "serve-load" }.to_string(),
+    let row = |name: &str, cache: &'static str, wall: f64, lats: &[f64], report_hit: bool| {
+        PipelineMeasurement {
+            name: name.to_string(),
             c_loc,
             functions: SERVE_CLIENTS * SERVE_REQUESTS,
             passes: 0,
@@ -386,10 +424,21 @@ fn measure_serve_load(rows: &mut Vec<PipelineMeasurement>) {
             cache_fn_hits: 0,
             report_hit,
             diagnostics,
-        };
-    rows.push(row("cold", cold_wall, &cold_lats, false));
-    rows.push(row("warm", warm_wall, &warm_lats, true));
-    rows.push(row("mixed", mixed_wall, &mixed_lats, false));
+        }
+    };
+    rows.push(row("serve-load", "cold", cold_wall, &cold_lats, false));
+    rows.push(row("serve-load", "warm", warm_wall, &warm_lats, true));
+    rows.push(row("serve-load-mixed", "mixed", mixed_wall, &mixed_lats, false));
+
+    let large_requests = SERVE_CLIENTS * SERVE_LARGE_REQUESTS;
+    let large_row = |cache, wall, lats: &[f64], report_hit| PipelineMeasurement {
+        c_loc: large_requests * bench.c_source.lines().count(),
+        functions: large_requests * bench.funcs.len(),
+        diagnostics: large_outs.iter().map(|o| (o.errors + o.warnings) as usize).sum(),
+        ..row("serve-large", cache, wall, lats, report_hit)
+    };
+    rows.push(large_row("cold", large_cold_wall, &large_cold_lats, false));
+    rows.push(large_row("warm", large_warm_wall, &large_warm_lats, true));
 }
 
 /// Runs every workload at each worker count in `jobs_list`, plus the
@@ -565,7 +614,13 @@ mod tests {
     fn serve_load_rounds_measure_latency_distributions() {
         let mut rows = Vec::new();
         measure_serve_load(&mut rows);
-        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.len(), 5);
+        let (large_cold, large_warm) = (&rows[3], &rows[4]);
+        assert_eq!((large_cold.name.as_str(), large_cold.cache), ("serve-large", "cold"));
+        assert_eq!((large_warm.name.as_str(), large_warm.cache), ("serve-large", "warm"));
+        assert!(large_warm.report_hit && !large_cold.report_hit);
+        assert!(large_warm.p50_seconds > 0.0 && large_warm.p50_seconds < large_cold.p50_seconds);
+        rows.truncate(3);
         let (cold, warm, mixed) = (&rows[0], &rows[1], &rows[2]);
         assert_eq!((cold.cache, warm.cache, mixed.cache), ("cold", "warm", "mixed"));
         assert_eq!(cold.name, "serve-load");

@@ -3,9 +3,9 @@
 //! [`CacheBackend`] is the narrow waist between the analysis pipeline and
 //! wherever cache entries actually live. Two implementations exist:
 //!
-//! * [`CacheStore`] — the local on-disk store (`--cache-dir`), index
-//!   sharded by fingerprint prefix so concurrent workers never serialize
-//!   on lookups;
+//! * [`CacheStore`] — the local on-disk store (`--cache-dir`), one file
+//!   per entry and no in-memory index, so concurrent workers never
+//!   serialize on lookups;
 //! * [`RemoteBackend`](crate::remote::RemoteBackend) — a client for the
 //!   `ffisafe cache-serve` daemon (`--cache-url tcp://host:port`), so N
 //!   sweep processes or machines share one logical store.
@@ -30,7 +30,7 @@ pub trait CacheBackend: Send + Sync + std::fmt::Debug {
     /// Inserts (or replaces) an entry.
     fn put(&self, tier: Tier, fp: Fingerprint, payload: &[u8]) -> io::Result<()>;
 
-    /// Enforces the size cap and persists the index.
+    /// Enforces the size cap.
     fn flush(&self) -> io::Result<()>;
 
     /// Counters for this backend's lifetime plus current occupancy. For a
@@ -38,8 +38,8 @@ pub trait CacheBackend: Send + Sync + std::fmt::Debug {
     /// entries written by every client sharing the store.
     fn stats(&self) -> CacheStats;
 
-    /// Reconciles entries written by sibling processes since open (local:
-    /// re-scan the directory; remote: ask the server to re-scan).
+    /// Re-syncs with entries written by sibling processes since open
+    /// (local: re-scan the directory; remote: ask the server to re-scan).
     fn adopt_orphans(&self);
 
     /// Human-readable location for diagnostics (`/path/to/dir` or

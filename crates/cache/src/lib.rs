@@ -21,7 +21,7 @@
 //! acyclic: `support ← cache ← core`.
 //!
 //! Where the bytes live is pluggable: the [`backend`] module defines the
-//! [`CacheBackend`] trait with two implementations — the local sharded
+//! [`CacheBackend`] trait with two implementations — the local
 //! on-disk [`CacheStore`] and the [`remote`] TCP client/daemon pair
 //! (`ffisafe cache-serve`) that lets many processes or machines share one
 //! logical store.

@@ -45,7 +45,7 @@
 //! as a miss (`get`) or surfaces an `io::Error` the pipeline ignores
 //! (`put`). Requests are sharded across [`CLIENT_CONNS`] connections by
 //! fingerprint prefix, so parallel workers do not serialize on one
-//! socket any more than they do on one index lock.
+//! socket.
 
 use crate::backend::CacheBackend;
 use crate::codec::{DecodeError, Decoder, Encoder};
@@ -118,10 +118,9 @@ fn tail_payload(d: &mut Decoder<'_>, body: &[u8]) -> io::Result<Vec<u8>> {
 /// A daemon serving one [`CacheStore`] to many TCP clients:
 /// `CacheServer::bind(addr, store)`.
 ///
-/// Each accepted connection gets its own thread; the store itself is
-/// internally sharded, so concurrent clients contend only on the index
-/// shards their keys map to, exactly as in-process workers do. Snapshots
-/// are rewritten as each session ends.
+/// Each accepted connection gets its own thread; the store takes no lock,
+/// so concurrent clients contend only in the filesystem, exactly as
+/// in-process workers do. Snapshots are rewritten as each session ends.
 pub type CacheServer = Daemon<StoreHandler>;
 
 /// The `cache-serve` protocol over one store, plus its per-op counters.

@@ -4,54 +4,49 @@
 //!
 //! ```text
 //! <cache-dir>/
-//!   index.bin        header: magic, format version, analyzer version,
-//!                    LRU clock; then one row per entry
-//!                    (tier, fingerprint, size, last-used)
+//!   index.bin        header only: magic, format version, analyzer version
 //!   fn-<hex32>.bin   tier-1: one memoized per-function outcome
 //!   rp-<hex32>.bin   tier-2: one rendered whole-corpus report
 //! ```
 //!
-//! Every entry file carries its own magic, format version, payload length
-//! and a trailing content checksum; a truncated, bit-flipped or
-//! wrong-version entry fails validation and is **treated as a miss** (and
-//! deleted), never an error. The index header pins the analyzer version —
-//! opening the store with a different version wipes it wholesale, which is
-//! how analyzer upgrades invalidate stale results. Entries whose options
-//! differ never collide because the options digest is folded into every
-//! fingerprint by the caller.
+//! The directory is the index: an entry exists exactly when its file
+//! does, and the file's mtime is its last use. Every entry file carries
+//! its own magic, format version, payload length and a trailing content
+//! checksum; a truncated, bit-flipped or wrong-version entry fails
+//! validation and is **treated as a miss** (and deleted), never an error.
+//! `index.bin` pins the analyzer version — opening the store with a
+//! different version wipes it wholesale, which is how analyzer upgrades
+//! invalidate stale results. Entries whose options differ never collide
+//! because the options digest is folded into every fingerprint by the
+//! caller.
 //!
-//! Eviction is LRU by a monotonic clock persisted in the index: whenever
-//! [`CacheStore::flush`] finds the store over its size cap, least-recently
-//! used entries are deleted until it fits.
+//! Eviction is LRU by mtime: a hit stamps the entry's file with the
+//! current time, and whenever [`CacheStore::flush`] finds the store over
+//! its size cap, the oldest entries are deleted until it fits.
 //!
 //! One directory may be shared by several processes (sharded sweeps run
 //! many `ffisafe` children over one `--cache-dir`). Entry writes are
-//! atomic and content-addressed, so concurrency can only race on
-//! `index.bin` — and a lost index row merely turns the entry into a valid
-//! *orphan*, which the next [`CacheStore::open`] validates and adopts back
-//! into the index (invalid orphans are deleted). No entry a process wrote
-//! is ever silently lost to an index race.
+//! atomic (a uniquely named temp file renamed into place) and
+//! content-addressed, and there is no index to race: an entry a sibling
+//! process wrote is visible to every other process as soon as its rename
+//! lands.
 
 use crate::codec::{Decoder, Encoder};
 use ffisafe_support::{Fingerprint, FingerprintHasher, MetricsRegistry};
-use std::collections::HashMap;
-use std::io;
+use std::fs::File;
+use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::time::SystemTime;
 
 /// Magic prefix of entry files.
 const ENTRY_MAGIC: [u8; 4] = *b"FFSE";
 /// Magic prefix of the index file.
 const INDEX_MAGIC: [u8; 4] = *b"FFSX";
 /// Bump when the entry/index binary layout changes.
-const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 2;
 /// Default size cap: plenty for per-function outcomes of large corpora.
 const DEFAULT_CAP_BYTES: u64 = 256 * 1024 * 1024;
-/// Number of independent index shards. Must be a power of two. Lookups
-/// lock only the shard addressed by the fingerprint's top bits, so
-/// parallel workers hitting different keys never serialize.
-const INDEX_SHARDS: usize = 16;
 
 /// Which cache tier an entry belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -76,14 +71,6 @@ impl Tier {
             Tier::Report => 1,
         }
     }
-
-    fn from_u8(v: u8) -> Option<Tier> {
-        match v {
-            0 => Some(Tier::Function),
-            1 => Some(Tier::Report),
-            _ => None,
-        }
-    }
 }
 
 /// Hit/miss/eviction counters for one store lifetime, plus the store's
@@ -103,9 +90,9 @@ pub struct CacheStats {
     pub evictions: usize,
     /// Entries dropped because validation failed (corrupt/truncated).
     pub corrupt: usize,
-    /// Entries currently indexed (occupancy, not a counter).
+    /// Entry files in the store (occupancy, not a counter).
     pub entries: usize,
-    /// Total indexed payload-file bytes (occupancy, not a counter).
+    /// Total entry-file bytes (occupancy, not a counter).
     pub live_bytes: u64,
 }
 
@@ -164,14 +151,7 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct EntryMeta {
-    size: u64,
-    last_used: u64,
-}
-
-/// Run-lifetime hit/miss counters, updated lock-free so concurrent
-/// lookups on different index shards never contend on accounting.
+/// Run-lifetime hit/miss counters, updated lock-free.
 #[derive(Debug, Default)]
 struct Counters {
     fn_hits: AtomicUsize,
@@ -184,34 +164,36 @@ struct Counters {
 
 /// A two-tier content-addressed cache rooted at one directory.
 ///
-/// The in-memory index is sharded by fingerprint prefix: every lookup or
-/// insert locks exactly one of [`INDEX_SHARDS`] independent maps, so a
-/// single `CacheStore` can be shared (`Arc<CacheStore>`) across many
-/// worker threads without funneling tier-1 traffic through one mutex.
-/// Only [`CacheStore::flush`] and [`CacheStore::wipe`] take all shard
-/// locks at once (in index order, so they cannot deadlock against the
-/// single-shard operations).
+/// The store keeps no per-entry state in memory: every operation goes to
+/// the directory, so a single `CacheStore` can be shared
+/// (`Arc<CacheStore>`) across many worker threads without a lock, and
+/// several processes can share one directory.
 #[derive(Debug)]
 pub struct CacheStore {
     dir: PathBuf,
     analyzer_version: String,
     cap_bytes: AtomicU64,
-    clock: AtomicU64,
-    shards: Vec<Mutex<HashMap<(u8, Fingerprint), EntryMeta>>>,
+    /// Entry bytes on disk as of the last directory scan, plus every byte
+    /// put since. [`CacheStore::flush`] scans only once this exceeds the
+    /// cap.
+    estimated_bytes: AtomicU64,
     counters: Counters,
 }
 
-/// Index shard addressed by a fingerprint's top bits (its key prefix).
-fn shard_of(fp: Fingerprint) -> usize {
-    (fp.0 >> 60) as usize & (INDEX_SHARDS - 1)
+/// One entry file seen by a directory scan.
+struct ScannedEntry {
+    name: String,
+    size: u64,
+    last_used: SystemTime,
 }
 
-/// Locks a shard, recovering from poison: the maps hold only metadata
-/// whose loss degrades to a cache miss, never to wrong results.
-fn lock_shard(
-    shard: &Mutex<HashMap<(u8, Fingerprint), EntryMeta>>,
-) -> MutexGuard<'_, HashMap<(u8, Fingerprint), EntryMeta>> {
-    shard.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+/// How a directory entry name reads: `None` when it is not entry-shaped
+/// (the index, temp files, foreign files), `Some(false)` for an
+/// entry-shaped name that addresses nothing, `Some(true)` for an entry.
+fn classify(name: &str) -> Option<bool> {
+    let rest = name.strip_prefix("fn-").or_else(|| name.strip_prefix("rp-"))?;
+    let hex = rest.strip_suffix(".bin")?;
+    Some(hex.len() == 32 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
 }
 
 impl CacheStore {
@@ -226,22 +208,31 @@ impl CacheStore {
             dir: dir.to_path_buf(),
             analyzer_version: analyzer_version.to_string(),
             cap_bytes: AtomicU64::new(DEFAULT_CAP_BYTES),
-            clock: AtomicU64::new(0),
-            shards: (0..INDEX_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            estimated_bytes: AtomicU64::new(0),
             counters: Counters::default(),
         };
-        if !store.load_index() {
-            store.wipe();
-        } else {
+        let index = dir.join("index.bin");
+        let pinned = match std::fs::read(&index) {
+            Ok(bytes) => index_version(&bytes).as_deref() == Some(analyzer_version),
+            // No index at all: fresh only if there are no entry files.
+            Err(_) => !store.has_entry_files(),
+        };
+        if pinned {
             store.adopt_orphans();
+        } else {
+            store.wipe();
         }
         // Persist the index right away if it is not on disk. Entry files
         // next to a *missing* index read as an interrupted unversioned
         // store and trigger a wipe, so without this a second process
         // opening a fresh directory could destroy entries the first
-        // process had already written but not yet flushed.
-        if !dir.join("index.bin").exists() {
-            store.write_index()?;
+        // process had already written.
+        if !index.exists() {
+            let mut e = Encoder::new();
+            e.put_u32(u32::from_le_bytes(INDEX_MAGIC));
+            e.put_u32(FORMAT_VERSION);
+            e.put_str(analyzer_version);
+            write_atomic(&index, &e.into_bytes())?;
         }
         Ok(store)
     }
@@ -262,14 +253,9 @@ impl CacheStore {
     }
 
     /// Counters accumulated since the store was opened, with the current
-    /// occupancy (entry count, live bytes) filled in at call time.
+    /// occupancy (entry count, live bytes) read from the directory.
     pub fn stats(&self) -> CacheStats {
-        let (mut entries, mut live_bytes) = (0usize, 0u64);
-        for shard in &self.shards {
-            let map = lock_shard(shard);
-            entries += map.len();
-            live_bytes += map.values().map(|m| m.size).sum::<u64>();
-        }
+        let entries = self.scan(false);
         CacheStats {
             fn_hits: self.counters.fn_hits.load(Ordering::Relaxed),
             fn_misses: self.counters.fn_misses.load(Ordering::Relaxed),
@@ -277,24 +263,24 @@ impl CacheStore {
             report_misses: self.counters.report_misses.load(Ordering::Relaxed),
             evictions: self.counters.evictions.load(Ordering::Relaxed),
             corrupt: self.counters.corrupt.load(Ordering::Relaxed),
-            entries,
-            live_bytes,
+            entries: entries.len(),
+            live_bytes: entries.iter().map(|e| e.size).sum(),
         }
     }
 
-    /// Number of entries currently indexed.
+    /// Number of entry files in the store.
     pub fn entry_count(&self) -> usize {
-        self.shards.iter().map(|s| lock_shard(s).len()).sum()
+        self.scan(false).len()
     }
 
-    /// Total indexed payload-file bytes.
+    /// Total entry-file bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| lock_shard(s).values().map(|m| m.size).sum::<u64>()).sum()
+        self.scan(false).iter().map(|e| e.size).sum()
     }
 
-    /// Whether an entry is indexed (no validation, no LRU touch).
+    /// Whether an entry's file exists (no validation, no LRU touch).
     pub fn contains(&self, tier: Tier, fp: Fingerprint) -> bool {
-        lock_shard(&self.shards[shard_of(fp)]).contains_key(&(tier.as_u8(), fp))
+        self.entry_path(tier, fp).is_file()
     }
 
     fn entry_path(&self, tier: Tier, fp: Fingerprint) -> PathBuf {
@@ -311,31 +297,24 @@ impl CacheStore {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Looks up an entry. A hit returns the validated payload and touches
-    /// the LRU clock; any validation failure deletes the entry and reports
-    /// a miss. Locks only the entry's own index shard.
+    /// Looks up an entry. A hit returns the validated payload and stamps
+    /// the file's mtime as its last use; any validation failure deletes
+    /// the entry and reports a miss.
     pub fn get(&self, tier: Tier, fp: Fingerprint) -> Option<Vec<u8>> {
-        let key = (tier.as_u8(), fp);
-        let shard = &self.shards[shard_of(fp)];
-        if !lock_shard(shard).contains_key(&key) {
+        let path = self.entry_path(tier, fp);
+        let Ok(mut file) = File::open(&path) else {
             self.count_get(tier, false);
             return None;
-        }
-        // The file read happens outside the shard lock: entries are
-        // content-addressed, so the worst a concurrent remove can do is
-        // turn this into a miss.
-        let path = self.entry_path(tier, fp);
-        match std::fs::read(&path).ok().and_then(|bytes| validate_entry(&bytes)) {
+        };
+        let mut bytes = Vec::new();
+        match file.read_to_end(&mut bytes).ok().and_then(|_| validate_entry(&bytes)) {
             Some(payload) => {
-                let clock = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(meta) = lock_shard(shard).get_mut(&key) {
-                    meta.last_used = clock;
-                }
+                // A failed touch only makes the entry look older.
+                let _ = file.set_modified(SystemTime::now());
                 self.count_get(tier, true);
                 Some(payload)
             }
             None => {
-                lock_shard(shard).remove(&key);
                 let _ = std::fs::remove_file(&path);
                 self.counters.corrupt.fetch_add(1, Ordering::Relaxed);
                 self.count_get(tier, false);
@@ -356,183 +335,93 @@ impl CacheStore {
         bytes.extend_from_slice(&sum.0.to_le_bytes());
         bytes.extend_from_slice(&sum.1.to_le_bytes());
 
-        let path = self.entry_path(tier, fp);
-        write_atomic(&path, &bytes)?;
-        let clock = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        lock_shard(&self.shards[shard_of(fp)])
-            .insert((tier.as_u8(), fp), EntryMeta { size: bytes.len() as u64, last_used: clock });
+        write_atomic(&self.entry_path(tier, fp), &bytes)?;
+        self.estimated_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Enforces the size cap (evicting LRU entries) and persists the index.
-    ///
-    /// Takes every shard lock (in order) for the duration, so the evicted
-    /// set and the persisted index are a consistent snapshot.
+    /// Enforces the size cap. Does no I/O while the byte estimate is
+    /// within the cap; above it, scans the directory once and deletes the
+    /// least recently used entries (oldest mtime first, ties by name)
+    /// until the store fits.
     pub fn flush(&self) -> io::Result<()> {
-        let mut maps: Vec<_> = self.shards.iter().map(lock_shard).collect();
         let cap = self.cap_bytes.load(Ordering::Relaxed);
-        loop {
-            let total: u64 = maps.iter().flat_map(|m| m.values()).map(|m| m.size).sum();
+        if self.estimated_bytes.load(Ordering::Relaxed) <= cap {
+            return Ok(());
+        }
+        let mut entries = self.scan(false);
+        entries.sort_by(|a, b| a.last_used.cmp(&b.last_used).then_with(|| a.name.cmp(&b.name)));
+        let mut total: u64 = entries.iter().map(|e| e.size).sum();
+        for victim in &entries {
             if total <= cap {
                 break;
             }
-            let Some((shard_idx, &key)) = maps
-                .iter()
-                .enumerate()
-                .flat_map(|(i, m)| m.iter().map(move |(k, meta)| (i, k, meta.last_used)))
-                .min_by_key(|&(_, _, last_used)| last_used)
-                .map(|(i, k, _)| (i, k))
-            else {
-                break;
-            };
-            let (tier_u8, fp) = key;
-            let tier = Tier::from_u8(tier_u8).expect("only valid tiers are inserted");
-            let _ = std::fs::remove_file(self.entry_path(tier, fp));
-            maps[shard_idx].remove(&key);
-            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+            if std::fs::remove_file(self.dir.join(&victim.name)).is_ok() {
+                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+            total -= victim.size;
         }
-        self.write_index_locked(&maps)
+        self.estimated_bytes.store(total, Ordering::Relaxed);
+        Ok(())
     }
 
-    /// Deletes every entry file and resets the index.
+    /// Deletes the index and every entry file.
     pub fn wipe(&self) {
-        let mut maps: Vec<_> = self.shards.iter().map(lock_shard).collect();
         if let Ok(read) = std::fs::read_dir(&self.dir) {
             for dirent in read.flatten() {
                 let name = dirent.file_name();
                 let name = name.to_string_lossy();
-                let is_cache_file = name == "index.bin"
-                    || ((name.starts_with("fn-") || name.starts_with("rp-"))
-                        && name.ends_with(".bin"));
-                if is_cache_file {
+                if name == "index.bin" || classify(&name).is_some() {
                     let _ = std::fs::remove_file(dirent.path());
                 }
             }
         }
-        for map in &mut maps {
-            map.clear();
-        }
-        self.clock.store(0, Ordering::Relaxed);
+        self.estimated_bytes.store(0, Ordering::Relaxed);
     }
 
-    /// Loads `index.bin`. Returns `false` when the store must be wiped
-    /// (missing/corrupt index, format or analyzer-version mismatch). An
-    /// empty directory with no index loads as an empty store.
-    fn load_index(&self) -> bool {
-        let path = self.dir.join("index.bin");
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            // No index at all: fresh only if there are no orphaned entries.
-            Err(_) => return !self.has_entry_files(),
-        };
-        let Some((version, clock, entries)) = decode_index(&bytes) else {
-            return false;
-        };
-        if version != self.analyzer_version {
-            return false;
-        }
-        self.clock.store(clock, Ordering::Relaxed);
-        for (key, meta) in entries {
-            lock_shard(&self.shards[shard_of(key.1)]).insert(key, meta);
-        }
-        true
-    }
-
-    /// Reconciles entry files present on disk but absent from the index.
+    /// Rescans the directory: deletes entry-shaped files whose names
+    /// address nothing (they could never be read, and would count against
+    /// the cap forever) and resets the byte estimate to the exact total.
     ///
-    /// Such orphans arise two ways: a run died between `put` and `flush`,
-    /// or — since sweeps shard one `--cache-dir` across concurrent
-    /// `ffisafe` processes — a sibling process's index flush raced ours
-    /// and dropped rows for entries that are perfectly valid on disk. The
-    /// entry files are self-validating (magic, version, length, checksum)
-    /// and content-addressed, and only same-version producers ever write
-    /// next to a matching index (a version mismatch wipes wholesale), so a
-    /// *valid* orphan is always safe to **adopt** back into the index;
-    /// only files failing validation are deleted. Adoption is what keeps
-    /// shared-store occupancy deterministic and warm sweeps complete no
-    /// matter how concurrent index writes interleaved. Adopted entries
-    /// join at the cold end of the LRU (`last_used = 0`), so under cap
-    /// pressure they are the first to go.
-    ///
-    /// Runs automatically at [`CacheStore::open`]; long-lived stores (a
-    /// sweep parent, a `cache-serve` daemon) may call it again to pick up
-    /// entries written by sibling processes since.
+    /// Entries written by sibling processes need no adoption — the
+    /// directory is the index, so they are served as soon as they land.
+    /// Runs at [`CacheStore::open`]; long-lived stores (a sweep parent, a
+    /// `cache-serve` daemon) may call it again to re-sync the estimate.
     pub fn adopt_orphans(&self) {
-        let Ok(read) = std::fs::read_dir(&self.dir) else { return };
+        let total = self.scan(true).iter().map(|e| e.size).sum();
+        self.estimated_bytes.store(total, Ordering::Relaxed);
+    }
+
+    /// Every entry file in the directory, with its size and last use.
+    /// Temp and foreign files are skipped; with `delete_unaddressable`,
+    /// entry-shaped names that address nothing are deleted.
+    fn scan(&self, delete_unaddressable: bool) -> Vec<ScannedEntry> {
+        let Ok(read) = std::fs::read_dir(&self.dir) else { return Vec::new() };
+        let mut entries = Vec::new();
         for dirent in read.flatten() {
-            let name = dirent.file_name();
-            let name = name.to_string_lossy();
-            let Some((prefix, rest)) = name.split_once('-') else { continue };
-            let tier = match prefix {
-                "fn" => Tier::Function,
-                "rp" => Tier::Report,
-                _ => continue,
-            };
-            let Some(hex) = rest.strip_suffix(".bin") else { continue };
-            let Some(fp) = Fingerprint::parse_hex(hex) else {
-                // An entry-shaped name that does not address anything can
-                // never be indexed or evicted — delete it so it cannot
-                // leak disk past the size cap.
-                let _ = std::fs::remove_file(dirent.path());
-                continue;
-            };
-            if self.contains(tier, fp) {
-                continue;
-            }
-            let bytes = std::fs::read(dirent.path()).unwrap_or_default();
-            match validate_entry(&bytes) {
-                Some(_) => {
-                    let size = bytes.len() as u64;
-                    lock_shard(&self.shards[shard_of(fp)])
-                        .insert((tier.as_u8(), fp), EntryMeta { size, last_used: 0 });
+            let name = dirent.file_name().to_string_lossy().into_owned();
+            match classify(&name) {
+                Some(true) => {
+                    // Skip a file evicted since the listing.
+                    let Ok(meta) = dirent.metadata() else { continue };
+                    let last_used = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+                    entries.push(ScannedEntry { name, size: meta.len(), last_used });
                 }
-                None => {
+                Some(false) if delete_unaddressable => {
                     let _ = std::fs::remove_file(dirent.path());
-                    self.counters.corrupt.fetch_add(1, Ordering::Relaxed);
                 }
+                _ => {}
             }
         }
+        entries
     }
 
     fn has_entry_files(&self) -> bool {
         std::fs::read_dir(&self.dir)
             .map(|read| {
-                read.flatten().any(|dirent| {
-                    let name = dirent.file_name();
-                    let name = name.to_string_lossy();
-                    (name.starts_with("fn-") || name.starts_with("rp-")) && name.ends_with(".bin")
-                })
+                read.flatten().any(|d| classify(&d.file_name().to_string_lossy()).is_some())
             })
             .unwrap_or(false)
-    }
-
-    fn write_index(&self) -> io::Result<()> {
-        let maps: Vec<_> = self.shards.iter().map(lock_shard).collect();
-        self.write_index_locked(&maps)
-    }
-
-    fn write_index_locked(
-        &self,
-        maps: &[MutexGuard<'_, HashMap<(u8, Fingerprint), EntryMeta>>],
-    ) -> io::Result<()> {
-        let mut e = Encoder::new();
-        e.put_u32(u32::from_le_bytes(INDEX_MAGIC));
-        e.put_u32(FORMAT_VERSION);
-        e.put_str(&self.analyzer_version);
-        e.put_u64(self.clock.load(Ordering::Relaxed));
-        // Stable order keeps repeated flushes byte-identical.
-        let mut rows: Vec<((u8, Fingerprint), EntryMeta)> =
-            maps.iter().flat_map(|m| m.iter().map(|(k, v)| (*k, *v))).collect();
-        rows.sort_by_key(|(k, _)| *k);
-        e.put_len(rows.len());
-        for ((tier, fp), meta) in rows {
-            e.put_u8(tier);
-            e.put_u64(fp.0);
-            e.put_u64(fp.1);
-            e.put_u64(meta.size);
-            e.put_u64(meta.last_used);
-        }
-        write_atomic(&self.dir.join("index.bin"), &e.into_bytes())
     }
 }
 
@@ -558,8 +447,9 @@ fn validate_entry(bytes: &[u8]) -> Option<Vec<u8>> {
     Some(payload)
 }
 
-#[allow(clippy::type_complexity)]
-fn decode_index(bytes: &[u8]) -> Option<(String, u64, HashMap<(u8, Fingerprint), EntryMeta>)> {
+/// The analyzer version an index header pins, or `None` when the header
+/// is malformed or from another format version.
+fn index_version(bytes: &[u8]) -> Option<String> {
     let mut d = Decoder::new(bytes);
     if d.get_u32().ok()? != u32::from_le_bytes(INDEX_MAGIC) {
         return None;
@@ -568,28 +458,29 @@ fn decode_index(bytes: &[u8]) -> Option<(String, u64, HashMap<(u8, Fingerprint),
         return None;
     }
     let version = d.get_str().ok()?;
-    let clock = d.get_u64().ok()?;
-    let n = d.get_len().ok()?;
-    let mut entries = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let tier = d.get_u8().ok()?;
-        Tier::from_u8(tier)?;
-        let fp = Fingerprint(d.get_u64().ok()?, d.get_u64().ok()?);
-        let size = d.get_u64().ok()?;
-        let last_used = d.get_u64().ok()?;
-        entries.insert((tier, fp), EntryMeta { size, last_used });
-    }
     d.finish().ok()?;
-    Some((version, clock, entries))
+    Some(version)
 }
 
-/// Writes `bytes` to `path` via a same-directory temp file + rename.
+/// Sequence number that makes every temp file this process writes unique.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Writes `bytes` to `path` through a uniquely named temp file in the same
+/// directory and a rename, so concurrent writers of one path never share
+/// a temp file. The mtime is stamped explicitly: the kernel's own write
+/// timestamps are coarse, and entries written within one tick would tie
+/// in LRU order.
 fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let parent = path.parent().unwrap_or_else(|| Path::new("."));
     let stem = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-    let tmp = parent.join(format!(".{}.tmp-{}", stem, std::process::id()));
-    std::fs::write(&tmp, bytes)?;
-    match std::fs::rename(&tmp, path) {
+    let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = parent.join(format!(".{stem}.tmp-{}-{seq}", std::process::id()));
+    let written = File::create(&tmp).and_then(|mut file| {
+        file.write_all(bytes)?;
+        let _ = file.set_modified(SystemTime::now());
+        Ok(())
+    });
+    match written.and_then(|()| std::fs::rename(&tmp, path)) {
         Ok(()) => Ok(()),
         Err(e) => {
             let _ = std::fs::remove_file(&tmp);
@@ -664,6 +555,32 @@ mod tests {
     }
 
     #[test]
+    fn a_format_1_store_is_wiped_once_at_open() {
+        let dir = temp_store_dir("format-1");
+        let store = CacheStore::open(&dir, "v1").unwrap();
+        store.put(Tier::Function, fp(1), b"old").unwrap();
+        drop(store);
+        // A format-1 index: header, LRU clock and an empty entry table.
+        let mut e = Encoder::new();
+        e.put_u32(u32::from_le_bytes(INDEX_MAGIC));
+        e.put_u32(1);
+        e.put_str("v1");
+        e.put_u64(0);
+        e.put_len(0);
+        std::fs::write(dir.join("index.bin"), e.into_bytes()).unwrap();
+
+        let store = CacheStore::open(&dir, "v1").unwrap();
+        assert_eq!(store.entry_count(), 0);
+        assert!(!dir.join(format!("fn-{}.bin", fp(1).to_hex())).exists());
+        store.put(Tier::Function, fp(2), b"new").unwrap();
+        drop(store);
+        // The rewritten header pins the current format: no second wipe.
+        let store = CacheStore::open(&dir, "v1").unwrap();
+        assert_eq!(store.get(Tier::Function, fp(2)).unwrap(), b"new");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_and_truncated_entries_are_misses() {
         let dir = temp_store_dir("corrupt");
         let store = CacheStore::open(&dir, "v1").unwrap();
@@ -698,8 +615,8 @@ mod tests {
         let store = CacheStore::open(&dir, "v1").unwrap();
         store.put(Tier::Function, fp(1), b"indexed").unwrap();
         store.flush().unwrap();
-        // A sibling process's index flush raced ours (or a run died between
-        // put and flush): the entry is on disk and valid, just unindexed.
+        // A run that dies between put and flush leaves a valid entry that
+        // no flush ever saw.
         store.put(Tier::Function, fp(2), b"orphan").unwrap();
         drop(store);
 
@@ -707,34 +624,8 @@ mod tests {
         assert_eq!(store.entry_count(), 2, "valid orphans are adopted, not lost");
         assert_eq!(store.get(Tier::Function, fp(1)).unwrap(), b"indexed");
         assert_eq!(store.get(Tier::Function, fp(2)).unwrap(), b"orphan");
-        // Adopted entries are indexed, so they are visible to the size cap…
+        // …and they count against the size cap.
         assert!(store.total_bytes() > 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn invalid_orphans_are_deleted_at_open_and_adoptees_are_coldest() {
-        let dir = temp_store_dir("orphan-invalid");
-        let store = CacheStore::open(&dir, "v1").unwrap();
-        store.put(Tier::Function, fp(1), b"indexed").unwrap();
-        store.flush().unwrap();
-        store.put(Tier::Function, fp(2), b"orphan-valid").unwrap();
-        drop(store);
-        // a truncated orphan must not be adopted
-        let bad = dir.join(format!("fn-{}.bin", fp(3).to_hex()));
-        std::fs::write(&bad, b"FFSE-too-short").unwrap();
-
-        let store = CacheStore::open(&dir, "v1").unwrap();
-        assert_eq!(store.entry_count(), 2);
-        assert!(!bad.exists(), "invalid orphan deleted");
-        assert_eq!(store.stats().corrupt, 1);
-        assert_eq!(store.stats().entries, 2, "stats() reports occupancy");
-        assert_eq!(store.stats().live_bytes, store.total_bytes());
-        // under cap pressure the adopted (last_used = 0) entry goes first
-        store.set_cap_bytes(50);
-        store.flush().unwrap();
-        assert!(store.contains(Tier::Function, fp(1)), "indexed entry survives");
-        assert!(!store.contains(Tier::Function, fp(2)), "adoptee evicted first");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -808,6 +699,61 @@ mod tests {
         assert!(store.stats().evictions >= 6);
         // evicted files are really gone
         assert!(!dir.join(format!("fn-{}.bin", fp(2).to_hex())).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_hit_counts_as_use_without_a_flush() {
+        let dir = temp_store_dir("touch");
+        let store = CacheStore::open(&dir, "v1").unwrap();
+        for i in 0..3u64 {
+            store.put(Tier::Function, fp(i), &[0u8; 100]).unwrap();
+        }
+        store.flush().unwrap();
+        drop(store);
+
+        // Read the oldest entry, then drop the store without a flush.
+        let store = CacheStore::open(&dir, "v1").unwrap();
+        assert!(store.get(Tier::Function, fp(0)).is_some());
+        drop(store);
+
+        // Room for two entries (payload + 32 B each): the least recently
+        // used entry is now the second-oldest one.
+        let store = CacheStore::open(&dir, "v1").unwrap();
+        store.set_cap_bytes(2 * 132);
+        store.flush().unwrap();
+        assert!(store.contains(Tier::Function, fp(0)), "the entry read last survives");
+        assert!(!store.contains(Tier::Function, fp(1)), "the second-oldest entry is evicted");
+        assert!(store.contains(Tier::Function, fp(2)));
+        assert_eq!(store.stats().evictions, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn flush_below_the_cap_leaves_the_directory_untouched() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = temp_store_dir("quiet-flush");
+        let store = CacheStore::open(&dir, "v1").unwrap();
+        store.put(Tier::Function, fp(1), b"one").unwrap();
+        store.put(Tier::Report, fp(2), b"two").unwrap();
+        let snapshot = || {
+            let mut files: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .flatten()
+                .map(|d| {
+                    let meta = d.metadata().unwrap();
+                    let bytes = std::fs::read(d.path()).unwrap();
+                    (d.file_name(), meta.ino(), meta.modified().unwrap(), bytes)
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = snapshot();
+        assert_eq!(before.len(), 3, "index.bin and two entries");
+        store.flush().unwrap();
+        assert_eq!(snapshot(), before, "same files, inodes, mtimes and bytes");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -71,8 +71,8 @@ fn both_backends_observe_identical_results_for_the_same_ops() {
     let _ = std::fs::remove_dir_all(&remote_dir);
 }
 
-/// Craft an orphan: a valid entry file present on disk but absent from
-/// the live index. `adopt_orphans` through either backend must index it.
+/// Craft an orphan: a valid entry file copied in behind the backend's
+/// back. Either backend serves it, and counts it after `adopt_orphans`.
 fn orphan_is_adopted(backend: &dyn CacheBackend, dir: &std::path::Path) {
     let donor_dir = temp_dir("orphan-donor");
     let donor = CacheStore::open(&donor_dir, VERSION).unwrap();
@@ -82,8 +82,8 @@ fn orphan_is_adopted(backend: &dyn CacheBackend, dir: &std::path::Path) {
     std::fs::copy(donor_dir.join(&name), dir.join(&name)).unwrap();
     let _ = std::fs::remove_dir_all(&donor_dir);
 
-    assert_eq!(backend.get(Tier::Function, fp), None, "unindexed file is a miss");
     backend.adopt_orphans();
+    assert_eq!(backend.stats().entries, 1, "the adopted entry is counted");
     assert_eq!(
         backend.get(Tier::Function, fp).as_deref(),
         Some(b"orphaned payload" as &[u8]),
@@ -196,6 +196,35 @@ fn sharded_index_survives_concurrent_get_put_hammering() {
                 Some(format!("value {t} {i}").as_bytes())
             );
         }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_puts_of_one_key_all_succeed() {
+    // Two clients solving the same function at once put the same entry;
+    // neither write may fail because the other renamed its file away.
+    let dir = temp_dir("same-key");
+    let store = CacheStore::open(&dir, VERSION).unwrap();
+    let payload = vec![0x5a_u8; 64 * 1024];
+    for round in 0..100 {
+        let fp = key(round);
+        let barrier = std::sync::Barrier::new(2);
+        let results: Vec<std::io::Result<()>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        store.put(Tier::Function, fp, &payload)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for result in results {
+            assert!(result.is_ok(), "round {round}: {result:?}");
+        }
+        assert_eq!(store.get(Tier::Function, fp).as_deref(), Some(&payload[..]), "round {round}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -44,7 +44,7 @@ use ffisafe_cache::{open_backend, CacheBackend, CacheLocation, Tier};
 use ffisafe_cil as cil;
 use ffisafe_ocaml as ocaml;
 use ffisafe_support::telemetry;
-use ffisafe_support::{Fingerprint, Interner, Phase, Session};
+use ffisafe_support::{Fingerprint, Interner, Phase, PhaseTimings, Session, SourceMap};
 use ffisafe_types::TypeTable;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -534,17 +534,38 @@ impl AnalysisService {
         request: &AnalysisRequest,
         options: AnalysisOptions,
     ) -> Result<AnalysisReport, ApiError> {
-        let parsed = parse_sources(
-            options,
-            Some(&self.interner_seed),
-            request.corpus.files().map(|f| (f.kind(), f.name(), f.src())),
-        );
+        let corpus = &request.corpus;
+        let mut span = telemetry::span_with("service.analyze", || {
+            let count = |kind| corpus.files().filter(|f| f.kind() == kind).count().to_string();
+            vec![
+                ("ml_files", count(SourceKind::Ml)),
+                ("c_units", count(SourceKind::C)),
+                ("rust_files", count(SourceKind::Rust)),
+            ]
+        });
         let cache = match (request.cache_mode, &self.cache) {
             (CacheMode::Shared, Some(store)) => Some(PipelineCache::from_shared(store.clone())),
             _ => None,
         };
-        let content_fp = cache.is_some().then(|| request.corpus.fingerprint());
-        Ok(execute(parsed, content_fp, cache))
+        let report_fp = cache.as_ref().map(|_| cache::report_key(corpus.fingerprint(), &options));
+
+        // Tier-2 probe before any parsing: the corpus is content-addressed,
+        // so an already-analyzed (corpus, options) pair needs no frontend.
+        if let (Some(pc), Some(fp)) = (cache.as_ref(), report_fp) {
+            let start = Instant::now();
+            if let Some(cached) = pc.get(Tier::Report, fp).and_then(|b| cache::decode_report(&b)) {
+                pc.flush();
+                span.arg("report_hit", "true");
+                return Ok(cached_report(corpus, cached, start));
+            }
+        }
+
+        let parsed = parse_sources(
+            options,
+            Some(&self.interner_seed),
+            corpus.files().map(|f| (f.kind(), f.name(), f.src())),
+        );
+        Ok(execute(parsed, corpus, report_fp, cache))
     }
 
     /// Analyzes every request, fanning out over the service's batch pool.
@@ -648,9 +669,6 @@ pub(crate) struct ParsedSources {
     pub(crate) ml_files: Vec<ocaml::ParsedFile>,
     pub(crate) c_units: Vec<cil::CUnit>,
     pub(crate) rust_files: Vec<ffisafe_rustffi::ParsedRustFile>,
-    pub(crate) ml_loc: usize,
-    pub(crate) c_loc: usize,
-    pub(crate) rust_loc: usize,
 }
 
 /// Parses every source into a fresh session (optionally warm-started from
@@ -668,76 +686,56 @@ pub(crate) fn parse_sources<'a>(
     let mut ml_files = Vec::new();
     let mut c_units = Vec::new();
     let mut rust_files = Vec::new();
-    let mut ml_loc = 0;
-    let mut c_loc = 0;
-    let mut rust_loc = 0;
     for (kind, name, src) in files {
-        let loc = src.lines().count();
         match frontend::frontend_for(kind).parse(&mut session, name, src) {
-            frontend::ParsedUnit::Ml(file) => {
-                ml_loc += loc;
-                ml_files.push(file);
-            }
-            frontend::ParsedUnit::C(unit) => {
-                c_loc += loc;
-                c_units.push(unit);
-            }
-            frontend::ParsedUnit::Rust(file) => {
-                rust_loc += loc;
-                rust_files.push(file);
-            }
+            frontend::ParsedUnit::Ml(file) => ml_files.push(file),
+            frontend::ParsedUnit::C(unit) => c_units.push(unit),
+            frontend::ParsedUnit::Rust(file) => rust_files.push(file),
         }
     }
-    ParsedSources { session, ml_files, c_units, rust_files, ml_loc, c_loc, rust_loc }
+    ParsedSources { session, ml_files, c_units, rust_files }
 }
 
-/// Runs the staged pipeline over parsed sources and assembles the report.
+/// A tier-2 hit as a report, built without parsing. The frontends
+/// register each file in corpus order before parsing it, so registering
+/// them the same way here yields the file ids the cached spans name.
+fn cached_report(corpus: &Corpus, cached: CachedReport, start: Instant) -> AnalysisReport {
+    let mut source_map = SourceMap::new();
+    for f in corpus.files() {
+        source_map.add_file(f.name(), f.src());
+    }
+    let stats = AnalysisStats {
+        ml_loc: corpus.ml_loc(),
+        c_loc: corpus.c_loc(),
+        rust_loc: corpus.rust_loc(),
+        seconds: start.elapsed().as_secs_f64(),
+        cache_report_hit: true,
+        ..AnalysisStats::default()
+    };
+    AnalysisReport {
+        diagnostics: cached.diagnostics.clone(),
+        stats,
+        timings: PhaseTimings::default(),
+        source_map,
+        cached: Some(cached),
+    }
+}
+
+/// Runs the staged pipeline over `corpus`, parsed, and assembles the
+/// report.
 ///
-/// `content_fp` is the corpus content digest, present exactly when `cache`
-/// is; the tier-2 report key combines it with the session's semantic
-/// options. This is the single engine entry every [`AnalysisService`]
-/// call goes through.
+/// `report_fp` is the tier-2 key the caller already probed, present
+/// exactly when `cache` is; the finished report is stored under it. This
+/// is the single engine entry every report-tier miss goes through.
 pub(crate) fn execute(
     parsed: ParsedSources,
-    content_fp: Option<Fingerprint>,
+    corpus: &Corpus,
+    report_fp: Option<Fingerprint>,
     cache: Option<PipelineCache>,
 ) -> AnalysisReport {
     let start = Instant::now();
-    let ParsedSources { mut session, ml_files, c_units, rust_files, ml_loc, c_loc, rust_loc } =
-        parsed;
-    let mut span = telemetry::span_with("service.analyze", || {
-        vec![
-            ("ml_files", ml_files.len().to_string()),
-            ("c_units", c_units.len().to_string()),
-            ("rust_files", rust_files.len().to_string()),
-        ]
-    });
+    let ParsedSources { mut session, ml_files, c_units, rust_files } = parsed;
     let mut pcache = cache;
-
-    // Tier-2 probe: an already-analyzed (corpus, options) pair skips the
-    // pipeline entirely.
-    let report_fp = content_fp.map(|fp| cache::report_key(fp, session.options()));
-    if let (Some(pc), Some(fp)) = (pcache.as_ref(), report_fp) {
-        if let Some(cached) = pc.get(Tier::Report, fp).and_then(|b| cache::decode_report(&b)) {
-            pc.flush();
-            span.arg("report_hit", "true");
-            let stats = AnalysisStats {
-                ml_loc,
-                c_loc,
-                rust_loc,
-                seconds: start.elapsed().as_secs_f64(),
-                cache_report_hit: true,
-                ..AnalysisStats::default()
-            };
-            return AnalysisReport {
-                diagnostics: cached.diagnostics.clone(),
-                stats,
-                timings: *session.timings(),
-                source_map: session.source_map().clone(),
-                cached: Some(cached),
-            };
-        }
-    }
 
     let mut table = TypeTable::new();
     let ml = session.time(Phase::FrontendMl, |s| frontend_ml::run(s, &ml_files, &mut table));
@@ -757,9 +755,9 @@ pub(crate) fn execute(
     let mut diags = session.take_diagnostics();
     diags.dedup();
     let stats = AnalysisStats {
-        ml_loc,
-        c_loc,
-        rust_loc,
+        ml_loc: corpus.ml_loc(),
+        c_loc: corpus.c_loc(),
+        rust_loc: corpus.rust_loc(),
         externals: ml.phase1.signatures.len(),
         c_functions: c.program.functions.len(),
         rust_externs: rust.program.imports.len() + rust.program.statics.len(),

@@ -116,14 +116,16 @@ impl ServeHandler {
 
     /// Runs one admitted analysis and folds the outcome into counters,
     /// latency, and spans. Shared by the wire path and the watcher.
+    /// `started` is when the request arrived, before decoding and
+    /// admission, so the latency histogram covers the wait for a slot.
     pub(crate) fn run_analysis(
         &self,
+        started: Instant,
         span_name: &'static str,
         corpus: Corpus,
         mut options: ffisafe_core::AnalysisOptions,
         mode: CacheMode,
     ) -> Result<AnalyzeOutcome, String> {
-        let started = Instant::now();
         let mut span = telemetry::span_with(span_name, || {
             vec![
                 ("files", corpus.files().count().to_string()),
@@ -179,6 +181,7 @@ impl ServeHandler {
     /// One ANALYZE request: admission, corpus, analysis.
     fn analyze(
         &self,
+        started: Instant,
         bypass: bool,
         options: ffisafe_core::AnalysisOptions,
         files: Vec<(String, String)>,
@@ -201,7 +204,7 @@ impl ServeHandler {
             };
         }
         let mode = if bypass { CacheMode::Bypass } else { CacheMode::Shared };
-        let result = self.run_analysis("server.request", builder.build(), options, mode);
+        let result = self.run_analysis(started, "server.request", builder.build(), options, mode);
         drop(permit);
         match result {
             Ok(outcome) => reply(Reply::Analyze(Box::new(outcome))),
@@ -247,9 +250,10 @@ impl Handler for ServeHandler {
     }
 
     fn handle(shared: &Shared<Self>, body: &[u8]) -> Handled {
+        let started = Instant::now();
         match Request::parse(body) {
             Ok(Request::Analyze { bypass, options, files }) => {
-                shared.analyze(bypass, options, files)
+                shared.analyze(started, bypass, options, files)
             }
             Ok(Request::Metrics) => {
                 shared.counters.metrics_requests.fetch_add(1, Ordering::Relaxed);

@@ -20,7 +20,7 @@ use ffisafe_support::Fingerprint;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Starts the watch loop on a background thread. The thread runs for the
 /// rest of the process, like the session threads it feeds.
@@ -61,9 +61,10 @@ pub(crate) fn spawn_watcher(shared: Arc<Shared<ServeHandler>>, root: PathBuf, in
 
 /// One watch re-analysis: admit (blocking), analyze, count, broadcast.
 fn run_once(shared: &Shared<ServeHandler>, root: &Path, corpus: Corpus, generation: u64) {
+    let started = Instant::now();
     let permit = shared.admission.admit();
-    let result =
-        shared.run_analysis("server.watch", corpus, AnalysisOptions::default(), CacheMode::Shared);
+    let options = AnalysisOptions::default();
+    let result = shared.run_analysis(started, "server.watch", corpus, options, CacheMode::Shared);
     drop(permit);
     let outcome = match result {
         Ok(outcome) => outcome,

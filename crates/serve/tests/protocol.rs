@@ -8,6 +8,7 @@
 //! - A HELLO version mismatch refuses the session without tearing down
 //!   the listener.
 //! - A saturated admission queue answers BUSY with a load snapshot.
+//! - The request-latency histogram counts the wait for an admission slot.
 
 use ffisafe_core::{AnalysisOptions, CacheMode, Corpus};
 use ffisafe_serve::protocol::{read_frame, write_frame, Reply, Request};
@@ -16,6 +17,7 @@ use ffisafe_serve::{
 };
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 fn corpus(tag: &str) -> Corpus {
     Corpus::builder()
@@ -146,4 +148,49 @@ fn saturated_admission_queue_answers_busy() {
         Reply::Analyze(outcome) => assert_eq!(outcome.errors, 0, "{}", outcome.rendered),
         other => panic!("expected analyze reply after the slot freed, got {other:?}"),
     }
+}
+
+#[test]
+fn request_latency_histogram_includes_the_admission_wait() {
+    let server = AnalysisServer::bind(
+        "127.0.0.1:0",
+        ServeConfig { max_inflight: 1, queue_depth: 1, ..Default::default() },
+    )
+    .unwrap();
+    let server: &'static AnalysisServer = Box::leak(Box::new(server));
+    let url = format!("tcp://{}", server.local_addr().unwrap());
+    std::thread::spawn(move || {
+        let _ = server.serve();
+    });
+    let permit = server.admission().try_admit().unwrap();
+
+    let queued = {
+        let url = url.clone();
+        std::thread::spawn(move || {
+            let mut client = ServeClient::connect(&url).unwrap();
+            client.analyze(&corpus("queued"), AnalysisOptions::default(), CacheMode::Shared)
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.admission().queued() != 1 {
+        assert!(Instant::now() < deadline, "the request never queued");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let held = Instant::now();
+    std::thread::sleep(Duration::from_millis(300));
+    let waited = held.elapsed().as_secs_f64();
+    drop(permit);
+    match queued.join().unwrap().unwrap() {
+        Reply::Analyze(outcome) => assert_eq!(outcome.errors, 0, "{}", outcome.rendered),
+        other => panic!("expected an analyze reply, got {other:?}"),
+    }
+
+    let metrics = ServeClient::connect(&url).unwrap().metrics().unwrap();
+    let sum: f64 = metrics
+        .lines()
+        .find_map(|line| line.strip_prefix("ffisafe_server_request_seconds_sum "))
+        .unwrap_or_else(|| panic!("no request latency sum in:\n{metrics}"))
+        .parse()
+        .unwrap();
+    assert!(sum >= waited, "latency sum {sum}s misses the {waited}s admission wait");
 }

@@ -290,9 +290,9 @@ pub fn execute(plan: &SweepPlan, config: &MapConfig) -> Result<MapOutput, ApiErr
     }
 
     // Occupancy after the map phase. In-process the live backend is
-    // authoritative; in child mode a fresh open reconciles whatever index
-    // interleaving the children left behind (valid orphans are adopted),
-    // so the numbers are content-determined, not schedule-determined.
+    // authoritative; in child mode a fresh open scans what the children
+    // wrote. Either way it is a directory scan, so the numbers are
+    // content-determined, not schedule-determined.
     let cache_store = match (&service, &location) {
         (Some(service), _) => service.cache_stats(),
         (None, Some(location)) => {

@@ -155,7 +155,7 @@ pub fn escape_into(out: &mut String, s: &str) {
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
@@ -166,6 +166,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -335,16 +336,18 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => return Err(self.err("unescaped control character")),
                 Some(_) => {
-                    // copy one UTF-8 scalar (the input is a valid &str)
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte at once. The stop bytes are ASCII, so the
+                    // run ends on a character boundary of the input.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -488,6 +491,30 @@ mod tests {
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("1.0").unwrap().as_u64(), Some(1));
+    }
+
+    #[test]
+    fn long_strings_decode_in_one_pass() {
+        // ASCII runs, two- and three-byte scalars and escapes, ~200 KB.
+        let unit = "plain ascii run é ☃ \\n";
+        let n = 200_000 / unit.len();
+        let doc = format!("\"{}\"", unit.repeat(n));
+        let started = std::time::Instant::now();
+        let decoded = parse(&doc).unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "{} bytes took {elapsed:?}",
+            doc.len()
+        );
+        assert_eq!(decoded, Json::Str("plain ascii run é ☃ \n".repeat(n)));
+
+        // A control byte deep inside a long run errors at its own offset.
+        let run = "é".repeat(75_000);
+        let doc = format!("\"{run}\u{1}{}\"", "b".repeat(1_000));
+        let err = parse(&doc).unwrap_err();
+        let expected = (1 + run.len(), "unescaped control character");
+        assert_eq!((err.offset, err.message.as_str()), expected);
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //!   `--jobs`, and `render()` is the stable render plus only the
 //!   wall-clock suffix;
 //! * the versioned JSON schema round-trips: serialize → parse →
-//!   counts/diagnostics match the in-memory report.
+//!   counts/diagnostics match the in-memory report;
+//! * a report-tier hit, answered without parsing, matches the cold run
+//!   on every example library, resolved locations included.
 
 use ffisafe::support::json::{self, Json};
 use ffisafe::{
-    AnalysisOptions, AnalysisRequest, AnalysisService, Corpus, ServiceConfig, REPORT_SCHEMA_VERSION,
+    AnalysisOptions, AnalysisReport, AnalysisRequest, AnalysisService, Corpus, ServiceConfig,
+    REPORT_SCHEMA_VERSION,
 };
 use ffisafe_bench::corpus::generate;
 use ffisafe_bench::figure9::benchmark_corpus;
@@ -187,4 +190,43 @@ fn json_report_is_stable_and_escapes_messages() {
     for (entry, diag) in diags.iter().zip(a.diagnostics.iter()) {
         assert_eq!(entry.get("message").and_then(Json::as_str), Some(diag.message()));
     }
+}
+
+#[test]
+fn report_hits_match_cold_runs_on_every_example_library() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/corpora");
+    let mut libraries: Vec<_> =
+        std::fs::read_dir(&root).unwrap().flatten().map(|d| d.path()).collect();
+    libraries.sort();
+    assert_eq!(libraries.len(), 6, "{libraries:?}");
+    let dir = std::env::temp_dir().join(format!("ffisafe-service-hits-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let service = AnalysisService::with_cache_dir(&dir).unwrap();
+
+    // Everything a caller reads off a report except timings and the
+    // work counters a hit does not have.
+    let before_stats = |r: &AnalysisReport| {
+        let json = r.to_json();
+        json[..json.find("\"stats\"").expect("to_json has stats")].to_string()
+    };
+    let file_names = |r: &AnalysisReport| -> Vec<String> {
+        r.source_map().files().map(|(_, f)| f.name().to_string()).collect()
+    };
+    let mut rust_libraries = 0;
+    for library in &libraries {
+        let request = AnalysisRequest::new(Corpus::from_dir(library).unwrap());
+        let cold = service.analyze(&request).unwrap();
+        let hit = service.analyze(&request).unwrap();
+        let name = library.display();
+        assert!(!cold.stats.cache_report_hit && hit.stats.cache_report_hit, "{name}");
+        assert_eq!(hit.render_stable(), cold.render_stable(), "{name}");
+        assert_eq!(hit.summary(), cold.summary(), "{name}");
+        assert_eq!(before_stats(&hit), before_stats(&cold), "{name}");
+        let loc = |r: &AnalysisReport| (r.stats.ml_loc, r.stats.c_loc, r.stats.rust_loc);
+        assert_eq!(loc(&hit), loc(&cold), "{name}");
+        assert_eq!(file_names(&hit), file_names(&cold), "{name}");
+        rust_libraries += usize::from(cold.stats.rust_loc > 0);
+    }
+    assert_eq!(rust_libraries, 3, "three of the six libraries are Rust+C");
+    let _ = std::fs::remove_dir_all(&dir);
 }
