@@ -99,11 +99,6 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes an `f64` as its IEEE-754 bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
     /// Writes a `bool` as one byte (0/1).
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(v as u8);
@@ -171,11 +166,6 @@ impl<'a> Decoder<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Reads an `f64` from its bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
     /// Reads a `bool`; any byte other than 0/1 is [`DecodeError::Invalid`].
     pub fn get_bool(&mut self) -> Result<bool, DecodeError> {
         match self.get_u8()? {
@@ -240,7 +230,6 @@ mod tests {
         e.put_u32(0xdead_beef);
         e.put_u64(u64::MAX);
         e.put_i64(-42);
-        e.put_f64(1.5);
         e.put_bool(false);
         e.put_str("héllo");
         e.put_span(Span::new(FileId::from_raw(3), 10, 20));
@@ -250,7 +239,6 @@ mod tests {
         assert_eq!(d.get_u32().unwrap(), 0xdead_beef);
         assert_eq!(d.get_u64().unwrap(), u64::MAX);
         assert_eq!(d.get_i64().unwrap(), -42);
-        assert_eq!(d.get_f64().unwrap(), 1.5);
         assert!(!d.get_bool().unwrap());
         assert_eq!(d.get_str().unwrap(), "héllo");
         assert_eq!(d.get_span().unwrap(), Span::new(FileId::from_raw(3), 10, 20));

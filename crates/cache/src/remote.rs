@@ -371,15 +371,6 @@ impl RemoteBackend {
     fn expect_ok(&self, fp: Fingerprint, request: &[u8]) -> io::Result<Vec<u8>> {
         self.status_ok(self.round_trip(fp, request)?, "request failed")
     }
-
-    /// Scrapes the daemon's metrics (the `METRICS` wire op): the same
-    /// Prometheus text the daemon writes to its `--metrics-out` file.
-    pub fn fetch_metrics(&self) -> io::Result<String> {
-        let reply = self.expect_ok(Fingerprint(0, 0), &[OP_METRICS])?;
-        let mut d = Decoder::new(&reply);
-        let _ = d.get_u8();
-        d.get_str().map_err(decode_error)
-    }
 }
 
 impl CacheBackend for RemoteBackend {

@@ -32,7 +32,7 @@
 //! lands.
 
 use crate::codec::{Decoder, Encoder};
-use ffisafe_support::{Fingerprint, FingerprintHasher, MetricsRegistry};
+use ffisafe_support::{Fingerprint, MetricsRegistry};
 use std::fs::File;
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -489,16 +489,6 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     }
 }
 
-/// A convenience fingerprint over several labelled parts (used by tests).
-pub fn fingerprint_parts(parts: &[&[u8]]) -> Fingerprint {
-    let mut h = FingerprintHasher::new();
-    for p in parts {
-        h.write_u64(p.len() as u64);
-        h.write_bytes(p);
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -755,11 +745,5 @@ mod tests {
         store.flush().unwrap();
         assert_eq!(snapshot(), before, "same files, inodes, mtimes and bytes");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fingerprint_parts_separates_fields() {
-        assert_ne!(fingerprint_parts(&[b"ab", b"c"]), fingerprint_parts(&[b"a", b"bc"]));
-        assert_eq!(fingerprint_parts(&[b"ab", b"c"]), fingerprint_parts(&[b"ab", b"c"]));
     }
 }

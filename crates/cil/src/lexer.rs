@@ -6,7 +6,8 @@
 //! code *uses* them rather than defining them.
 
 use crate::token::{CToken, CTokenKind};
-use ffisafe_support::{FileId, Span};
+use ffisafe_support::scan::Scanner;
+use ffisafe_support::FileId;
 
 /// Multi-character punctuation, longest first.
 const PUNCTS: &[&str] = &[
@@ -17,248 +18,163 @@ const PUNCTS: &[&str] = &[
 
 /// Lexes C source text into tokens (ending with `Eof`).
 pub fn lex(file: FileId, src: &str) -> Vec<CToken> {
-    CLexer { file, src: src.as_bytes(), pos: 0 }.run()
+    let mut s = Scanner::new(file, src);
+    let mut out = Vec::new();
+    loop {
+        skip_trivia(&mut s);
+        let lo = s.pos();
+        let Some(c) = s.peek() else {
+            out.push(s.token(CTokenKind::Eof, lo));
+            return out;
+        };
+        let kind = match c {
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                CTokenKind::Ident(s.take_while(|c| c.is_ascii_alphanumeric() || c == b'_'))
+            }
+            b'0'..=b'9' => take_number(&mut s),
+            b'"' => CTokenKind::Str(take_string(&mut s)),
+            b'\'' => CTokenKind::Char(take_char(&mut s)),
+            _ => match s.punct(PUNCTS) {
+                Some(p) => CTokenKind::Punct(p),
+                None => {
+                    s.bump();
+                    continue; // unknown byte: drop it
+                }
+            },
+        };
+        out.push(s.token(kind, lo));
+    }
 }
 
-struct CLexer<'a> {
-    file: FileId,
-    src: &'a [u8],
-    pos: usize,
+fn skip_trivia(s: &mut Scanner) {
+    loop {
+        match (s.peek(), s.peek_at(1)) {
+            (Some(b' ' | b'\t' | b'\r' | b'\n'), _) => s.bump(),
+            (Some(b'/'), Some(b'/')) => s.line_comment(),
+            (Some(b'/'), Some(b'*')) => s.block_comment(false),
+            // preprocessor line, honoring backslash continuations
+            (Some(b'#'), _) => loop {
+                match s.peek() {
+                    None => return,
+                    Some(b'\\') => {
+                        s.bump();
+                        if s.peek() == Some(b'\r') {
+                            s.bump();
+                        }
+                        if s.peek() == Some(b'\n') {
+                            s.bump();
+                        }
+                    }
+                    Some(b'\n') => {
+                        s.bump();
+                        break;
+                    }
+                    _ => s.bump(),
+                }
+            },
+            _ => return,
+        }
+    }
 }
 
-impl<'a> CLexer<'a> {
-    fn run(mut self) -> Vec<CToken> {
-        let mut out = Vec::new();
-        loop {
-            self.skip_trivia();
-            let lo = self.pos as u32;
-            let Some(c) = self.peek() else {
-                out.push(self.tok(CTokenKind::Eof, lo));
+fn take_number(s: &mut Scanner) -> CTokenKind {
+    let start = s.pos();
+    let mut is_float = false;
+    if s.peek() == Some(b'0') && matches!(s.peek_at(1), Some(b'x') | Some(b'X')) {
+        s.bump_n(2);
+        s.eat_while(|c| c.is_ascii_hexdigit());
+    } else {
+        s.eat_while(|c| c.is_ascii_digit());
+        if s.peek() == Some(b'.') && matches!(s.peek_at(1), Some(b'0'..=b'9')) {
+            is_float = true;
+            s.bump();
+            s.eat_while(|c| c.is_ascii_digit());
+        }
+        // 1e9 style
+        if matches!(s.peek(), Some(b'e' | b'E'))
+            && !is_float
+            && matches!(s.peek_at(1), Some(b'0'..=b'9' | b'+' | b'-'))
+        {
+            is_float = true;
+            s.bump();
+            if matches!(s.peek(), Some(b'+' | b'-')) {
+                s.bump();
+            }
+            s.eat_while(|c| c.is_ascii_digit());
+        }
+    }
+    // suffixes
+    while let Some(c @ (b'u' | b'U' | b'l' | b'L' | b'f' | b'F')) = s.peek() {
+        is_float |= matches!(c, b'f' | b'F');
+        s.bump();
+    }
+    let text = s.text(start);
+    let text = text.trim_end_matches(['u', 'U', 'l', 'L', 'f', 'F']);
+    if is_float {
+        CTokenKind::Float(text.parse().unwrap_or(0.0))
+    } else if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        CTokenKind::Int(i64::from_str_radix(hex, 16).unwrap_or(0))
+    } else if text.len() > 1 && text.starts_with('0') {
+        CTokenKind::Int(i64::from_str_radix(&text[1..], 8).unwrap_or(0))
+    } else {
+        CTokenKind::Int(text.parse().unwrap_or(0))
+    }
+}
+
+fn take_string(s: &mut Scanner) -> String {
+    s.bump(); // "
+    let mut out = String::new();
+    loop {
+        match s.peek() {
+            None => return out,
+            Some(b'"') => {
+                s.bump();
                 return out;
-            };
-            let kind = match c {
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
-                    let s = self.take_ident();
-                    CTokenKind::Ident(s)
-                }
-                b'0'..=b'9' => self.take_number(),
-                b'"' => {
-                    let s = self.take_string();
-                    CTokenKind::Str(s)
-                }
-                b'\'' => {
-                    let v = self.take_char();
-                    CTokenKind::Char(v)
-                }
-                _ => {
-                    let mut matched = None;
-                    for p in PUNCTS {
-                        if self.src[self.pos..].starts_with(p.as_bytes()) {
-                            matched = Some(*p);
-                            break;
-                        }
-                    }
-                    match matched {
-                        Some(p) => {
-                            self.pos += p.len();
-                            CTokenKind::Punct(p)
-                        }
-                        None => {
-                            self.bump();
-                            continue; // unknown byte: drop it
-                        }
-                    }
-                }
-            };
-            out.push(self.tok(kind, lo));
-        }
-    }
-
-    fn tok(&self, kind: CTokenKind, lo: u32) -> CToken {
-        CToken { kind, span: Span::new(self.file, lo, self.pos as u32) }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
-    }
-
-    fn bump(&mut self) {
-        self.pos += 1;
-    }
-
-    fn skip_trivia(&mut self) {
-        loop {
-            match self.peek() {
-                Some(b' ' | b'\t' | b'\r' | b'\n') => self.bump(),
-                Some(b'/') if self.peek2() == Some(b'/') => {
-                    while !matches!(self.peek(), None | Some(b'\n')) {
-                        self.bump();
-                    }
-                }
-                Some(b'/') if self.peek2() == Some(b'*') => {
-                    self.bump();
-                    self.bump();
-                    loop {
-                        match self.peek() {
-                            None => return,
-                            Some(b'*') if self.peek2() == Some(b'/') => {
-                                self.bump();
-                                self.bump();
-                                break;
-                            }
-                            _ => self.bump(),
-                        }
-                    }
-                }
-                Some(b'#') => {
-                    // preprocessor line, honoring backslash continuations
-                    loop {
-                        match self.peek() {
-                            None => return,
-                            Some(b'\\') => {
-                                self.bump();
-                                if self.peek() == Some(b'\r') {
-                                    self.bump();
-                                }
-                                if self.peek() == Some(b'\n') {
-                                    self.bump();
-                                }
-                            }
-                            Some(b'\n') => {
-                                self.bump();
-                                break;
-                            }
-                            _ => self.bump(),
-                        }
-                    }
-                }
-                _ => return,
             }
-        }
-    }
-
-    fn take_ident(&mut self) -> String {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_')) {
-            self.bump();
-        }
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
-    }
-
-    fn take_number(&mut self) -> CTokenKind {
-        let start = self.pos;
-        let mut is_float = false;
-        if self.peek() == Some(b'0') && matches!(self.peek2(), Some(b'x') | Some(b'X')) {
-            self.bump();
-            self.bump();
-            while matches!(self.peek(), Some(b'0'..=b'9' | b'a'..=b'f' | b'A'..=b'F')) {
-                self.bump();
-            }
-        } else {
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.bump();
-            }
-            if self.peek() == Some(b'.') && matches!(self.peek2(), Some(b'0'..=b'9')) {
-                is_float = true;
-                self.bump();
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.bump();
-                }
-            }
-            if matches!(self.peek(), Some(b'e' | b'E')) && !is_float {
-                // 1e9 style
-                if matches!(self.peek2(), Some(b'0'..=b'9' | b'+' | b'-')) {
-                    is_float = true;
-                    self.bump();
-                    if matches!(self.peek(), Some(b'+' | b'-')) {
-                        self.bump();
-                    }
-                    while matches!(self.peek(), Some(b'0'..=b'9')) {
-                        self.bump();
-                    }
-                }
-            }
-        }
-        // suffixes
-        while matches!(self.peek(), Some(b'u' | b'U' | b'l' | b'L' | b'f' | b'F')) {
-            if matches!(self.peek(), Some(b'f' | b'F')) {
-                is_float = true;
-            }
-            self.bump();
-        }
-        let text: String = String::from_utf8_lossy(&self.src[start..self.pos])
-            .trim_end_matches(['u', 'U', 'l', 'L', 'f', 'F'])
-            .to_string();
-        if is_float {
-            CTokenKind::Float(text.parse().unwrap_or(0.0))
-        } else if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-            CTokenKind::Int(i64::from_str_radix(hex, 16).unwrap_or(0))
-        } else if text.len() > 1 && text.starts_with('0') {
-            CTokenKind::Int(i64::from_str_radix(&text[1..], 8).unwrap_or(0))
-        } else {
-            CTokenKind::Int(text.parse().unwrap_or(0))
-        }
-    }
-
-    fn take_string(&mut self) -> String {
-        self.bump(); // "
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return out,
-                Some(b'"') => {
-                    self.bump();
-                    return out;
-                }
-                Some(b'\\') => {
-                    self.bump();
-                    match self.peek() {
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'0') => out.push('\0'),
-                        Some(c) => out.push(c as char),
-                        None => {}
-                    }
-                    self.bump();
-                }
-                Some(c) => {
-                    out.push(c as char);
-                    self.bump();
-                }
-            }
-        }
-    }
-
-    fn take_char(&mut self) -> i64 {
-        self.bump(); // '
-        let v = match self.peek() {
             Some(b'\\') => {
-                self.bump();
-                let v = match self.peek() {
-                    Some(b'n') => b'\n' as i64,
-                    Some(b't') => b'\t' as i64,
-                    Some(b'0') => 0,
-                    Some(c) => c as i64,
-                    None => 0,
-                };
-                self.bump();
-                v
+                s.bump();
+                match s.peek() {
+                    Some(b'n') => out.push('\n'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'0') => out.push('\0'),
+                    Some(c) => out.push(c as char),
+                    None => {}
+                }
+                s.bump();
             }
             Some(c) => {
-                self.bump();
-                c as i64
+                out.push(c as char);
+                s.bump();
             }
-            None => 0,
-        };
-        if self.peek() == Some(b'\'') {
-            self.bump();
         }
-        v
     }
+}
+
+fn take_char(s: &mut Scanner) -> i64 {
+    s.bump(); // '
+    let v = match s.peek() {
+        Some(b'\\') => {
+            s.bump();
+            let v = match s.peek() {
+                Some(b'n') => b'\n' as i64,
+                Some(b't') => b'\t' as i64,
+                Some(b'0') => 0,
+                Some(c) => c as i64,
+                None => 0,
+            };
+            s.bump();
+            v
+        }
+        Some(c) => {
+            s.bump();
+            c as i64
+        }
+        None => 0,
+    };
+    if s.peek() == Some(b'\'') {
+        s.bump();
+    }
+    v
 }
 
 #[cfg(test)]

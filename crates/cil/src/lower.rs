@@ -510,7 +510,7 @@ impl<'a> FnLowerer<'a> {
     /// function call (Figure 5's `lval := f(e…)`).
     fn lower_assign_to(&mut self, lval: IrLval, rhs: &CExpr, span: Span) {
         if let CExprKind::Call(..) = rhs.kind {
-            if let (Some((callee, args)), _) = self.lower_call_parts_pair(rhs) {
+            if let Some((callee, args)) = self.lower_call_parts(rhs).0 {
                 self.emit(IrStmtKind::Call { dst: Some(lval), callee, args }, span);
                 return;
             }
@@ -607,12 +607,6 @@ impl<'a> FnLowerer<'a> {
                 IrLval::Var(tmp)
             }
         }
-    }
-
-    /// Splits a call expression into (callee, lowered args) unless it is an
-    /// FFI macro that lowers to a pure expression (then `None`).
-    fn lower_call_parts_pair(&mut self, e: &CExpr) -> (Option<(Callee, Vec<IrExpr>)>, ()) {
-        (self.lower_call_parts(e).0, ())
     }
 
     #[allow(clippy::type_complexity)]

@@ -10,7 +10,8 @@
 use crate::ast::*;
 use crate::ctypes::CTypeExpr;
 use crate::lexer::lex;
-use crate::token::{CToken, CTokenKind};
+use crate::token::CTokenKind;
+use ffisafe_support::scan::{Cursor, Kind};
 use ffisafe_support::{FileId, Span};
 use std::collections::HashMap;
 
@@ -26,7 +27,7 @@ pub fn parse(file: FileId, src: &str) -> CUnit {
             if t == "FILE" { CTypeExpr::Named("FILE".into()) } else { CTypeExpr::Int },
         );
     }
-    Parser { tokens, pos: 0, unit: CUnit::default(), typedefs }.run()
+    Parser { cur: Cursor::new(tokens), unit: CUnit::default(), typedefs }.run()
 }
 
 const TYPE_WORDS: &[&str] = &[
@@ -38,8 +39,7 @@ const QUALIFIERS: &[&str] =
     &["static", "extern", "inline", "register", "CAMLprim", "CAMLexport", "CAMLextern"];
 
 struct Parser {
-    tokens: Vec<CToken>,
-    pos: usize,
+    cur: Cursor<CTokenKind>,
     unit: CUnit,
     typedefs: HashMap<String, CTypeExpr>,
 }
@@ -47,10 +47,13 @@ struct Parser {
 impl Parser {
     fn run(mut self) -> CUnit {
         loop {
-            match self.peek_kind().clone() {
-                CTokenKind::Eof => return self.unit,
+            match self.cur.peek().clone() {
+                CTokenKind::Eof => {
+                    self.unit.errors = self.cur.take_errors();
+                    return self.unit;
+                }
                 CTokenKind::Punct(";") => {
-                    self.bump();
+                    self.cur.bump();
                 }
                 CTokenKind::Ident(s) if s == "typedef" => self.parse_typedef(),
                 _ => self.parse_top_decl(),
@@ -58,110 +61,22 @@ impl Parser {
         }
     }
 
-    // ---- token plumbing ---------------------------------------------------
-
-    fn peek(&self) -> &CToken {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
-    }
-
-    fn peek_kind(&self) -> &CTokenKind {
-        &self.peek().kind
-    }
-
-    fn peek_kind_at(&self, n: usize) -> &CTokenKind {
-        &self.tokens[(self.pos + n).min(self.tokens.len() - 1)].kind
-    }
-
-    fn span(&self) -> Span {
-        self.peek().span
-    }
-
-    fn bump(&mut self) -> CToken {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat_punct(&mut self, p: &str) -> bool {
-        if self.peek_kind().is_punct(p) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
     fn expect_punct(&mut self, p: &str) {
-        if !self.eat_punct(p) {
-            let span = self.span();
-            self.unit.errors.push((span, format!("expected `{p}`")));
-        }
-    }
-
-    fn error(&mut self, msg: impl Into<String>) {
-        let span = self.span();
-        self.unit.errors.push((span, msg.into()));
-    }
-
-    fn at_eof(&self) -> bool {
-        matches!(self.peek_kind(), CTokenKind::Eof)
-    }
-
-    /// Skips a balanced `{ … }` region (assumes positioned at `{`).
-    fn skip_braces(&mut self) {
-        let mut depth = 0i32;
-        loop {
-            match self.peek_kind() {
-                CTokenKind::Punct("{") => {
-                    depth += 1;
-                    self.bump();
-                }
-                CTokenKind::Punct("}") => {
-                    depth -= 1;
-                    self.bump();
-                    if depth <= 0 {
-                        return;
-                    }
-                }
-                CTokenKind::Eof => return,
-                _ => {
-                    self.bump();
-                }
-            }
+        if !self.cur.eat_punct(p) {
+            self.cur.error(format!("expected `{p}`"));
         }
     }
 
     /// Skips to just past the next `;` at depth 0.
     fn skip_to_semi(&mut self) {
-        let mut depth = 0i32;
-        loop {
-            match self.peek_kind() {
-                CTokenKind::Eof => return,
-                CTokenKind::Punct("(") | CTokenKind::Punct("[") | CTokenKind::Punct("{") => {
-                    depth += 1;
-                    self.bump();
-                }
-                CTokenKind::Punct(")") | CTokenKind::Punct("]") | CTokenKind::Punct("}") => {
-                    depth -= 1;
-                    self.bump();
-                }
-                CTokenKind::Punct(";") if depth <= 0 => {
-                    self.bump();
-                    return;
-                }
-                _ => {
-                    self.bump();
-                }
-            }
-        }
+        self.cur.skip_until(|k| k.is_punct(";"));
+        self.cur.bump();
     }
 
     // ---- types -------------------------------------------------------------
 
     fn is_type_start(&self) -> bool {
-        match self.peek_kind() {
+        match self.cur.peek() {
             CTokenKind::Ident(s) => {
                 TYPE_WORDS.contains(&s.as_str()) || self.typedefs.contains_key(s)
             }
@@ -172,21 +87,15 @@ impl Parser {
     /// Parses a base type (without pointer declarators).
     fn parse_base_type(&mut self) -> CTypeExpr {
         // skip qualifiers
-        while matches!(self.peek_kind(), CTokenKind::Ident(s) if s == "const" || s == "volatile") {
-            self.bump();
+        while matches!(self.cur.peek(), CTokenKind::Ident(s) if s == "const" || s == "volatile") {
+            self.cur.bump();
         }
-        match self.peek_kind().clone() {
+        match self.cur.peek().clone() {
             CTokenKind::Ident(s) if s == "struct" || s == "union" || s == "enum" => {
-                self.bump();
-                let name = match self.peek_kind().clone() {
-                    CTokenKind::Ident(n) => {
-                        self.bump();
-                        n
-                    }
-                    _ => "<anon>".to_string(),
-                };
-                if self.peek_kind().is_punct("{") {
-                    self.skip_braces();
+                self.cur.bump();
+                let name = self.cur.take_ident().unwrap_or_else(|| "<anon>".to_string());
+                if self.cur.peek().is_punct("{") {
+                    self.cur.skip_group(&CTokenKind::Punct("{"), &CTokenKind::Punct("}"));
                 }
                 if s == "enum" {
                     CTypeExpr::Int
@@ -195,15 +104,15 @@ impl Parser {
                 }
             }
             CTokenKind::Ident(s) if s == "value" => {
-                self.bump();
+                self.cur.bump();
                 CTypeExpr::Value
             }
             CTokenKind::Ident(s) if s == "void" => {
-                self.bump();
+                self.cur.bump();
                 CTypeExpr::Void
             }
             CTokenKind::Ident(s) if s == "float" || s == "double" => {
-                self.bump();
+                self.cur.bump();
                 CTypeExpr::Float
             }
             CTokenKind::Ident(s)
@@ -213,27 +122,27 @@ impl Parser {
                 ) =>
             {
                 while matches!(
-                    self.peek_kind(),
+                    self.cur.peek(),
                     CTokenKind::Ident(w)
                         if matches!(w.as_str(), "int" | "long" | "short" | "char" | "unsigned" | "signed")
                 ) {
-                    self.bump();
+                    self.cur.bump();
                 }
                 CTypeExpr::Int
             }
             CTokenKind::Ident(s) => {
                 if let Some(ty) = self.typedefs.get(&s).cloned() {
-                    self.bump();
+                    self.cur.bump();
                     ty
                 } else {
                     // unknown library type used as `Foo x` / `Foo *x`
-                    self.bump();
+                    self.cur.bump();
                     CTypeExpr::Named(s)
                 }
             }
             _ => {
-                self.error("expected a type");
-                self.bump();
+                self.cur.error("expected a type");
+                self.cur.bump();
                 CTypeExpr::Int
             }
         }
@@ -244,92 +153,44 @@ impl Parser {
     /// declarator. Returns `(name, type)`.
     fn parse_declarator(&mut self, base: CTypeExpr) -> (String, CTypeExpr) {
         let mut ty = base;
-        while self.eat_punct("*") {
+        while self.cur.eat_punct("*") {
             // skip qualifiers between stars
-            while matches!(self.peek_kind(), CTokenKind::Ident(s) if s == "const" || s == "volatile")
+            while matches!(self.cur.peek(), CTokenKind::Ident(s) if s == "const" || s == "volatile")
             {
-                self.bump();
+                self.cur.bump();
             }
             ty = ty.ptr();
         }
-        if self.peek_kind().is_punct("(") && self.peek_kind_at(1).is_punct("*") {
+        if self.cur.peek().is_punct("(") && self.cur.peek_at(1).is_punct("*") {
             // function pointer: (*name)(params)
-            self.bump(); // (
-            self.bump(); // *
-            let name = match self.peek_kind().clone() {
-                CTokenKind::Ident(n) => {
-                    self.bump();
-                    n
-                }
-                _ => String::new(),
-            };
+            self.cur.bump(); // (
+            self.cur.bump(); // *
+            let name = self.cur.take_ident().unwrap_or_default();
             self.expect_punct(")");
-            if self.peek_kind().is_punct("(") {
-                self.skip_parens();
+            if self.cur.peek().is_punct("(") {
+                self.cur.skip_group(&CTokenKind::Punct("("), &CTokenKind::Punct(")"));
             }
             return (name, CTypeExpr::FuncPtr);
         }
-        let name = match self.peek_kind().clone() {
+        let name = match self.cur.peek().clone() {
             CTokenKind::Ident(n) if !TYPE_WORDS.contains(&n.as_str()) => {
-                self.bump();
+                self.cur.bump();
                 n
             }
             _ => String::new(),
         };
         // array suffixes become pointers
-        while self.peek_kind().is_punct("[") {
-            let mut depth = 0i32;
-            loop {
-                match self.peek_kind() {
-                    CTokenKind::Punct("[") => {
-                        depth += 1;
-                        self.bump();
-                    }
-                    CTokenKind::Punct("]") => {
-                        depth -= 1;
-                        self.bump();
-                        if depth <= 0 {
-                            break;
-                        }
-                    }
-                    CTokenKind::Eof => break,
-                    _ => {
-                        self.bump();
-                    }
-                }
-            }
+        while self.cur.peek().is_punct("[") {
+            self.cur.skip_group(&CTokenKind::Punct("["), &CTokenKind::Punct("]"));
             ty = ty.ptr();
         }
         (name, ty)
     }
 
-    fn skip_parens(&mut self) {
-        let mut depth = 0i32;
-        loop {
-            match self.peek_kind() {
-                CTokenKind::Punct("(") => {
-                    depth += 1;
-                    self.bump();
-                }
-                CTokenKind::Punct(")") => {
-                    depth -= 1;
-                    self.bump();
-                    if depth <= 0 {
-                        return;
-                    }
-                }
-                CTokenKind::Eof => return,
-                _ => {
-                    self.bump();
-                }
-            }
-        }
-    }
-
     // ---- top level ------------------------------------------------------------
 
     fn parse_typedef(&mut self) {
-        self.bump(); // typedef
+        self.cur.bump(); // typedef
         let base = self.parse_base_type();
         let (name, ty) = self.parse_declarator(base);
         if !name.is_empty() {
@@ -339,36 +200,36 @@ impl Parser {
     }
 
     fn parse_top_decl(&mut self) {
-        let start = self.span();
+        let start = self.cur.span();
         let mut is_static = false;
-        while matches!(self.peek_kind(), CTokenKind::Ident(s) if QUALIFIERS.contains(&s.as_str())) {
-            if self.peek_kind().is_ident("static") {
+        while matches!(self.cur.peek(), CTokenKind::Ident(s) if QUALIFIERS.contains(&s.as_str())) {
+            if self.cur.peek().is_ident("static") {
                 is_static = true;
             }
-            self.bump();
+            self.cur.bump();
         }
-        if self.at_eof() {
+        if self.cur.at_eof() {
             return;
         }
         // bare struct definition at top level
-        if matches!(self.peek_kind(), CTokenKind::Ident(s) if s == "struct" || s == "union" || s == "enum")
+        if matches!(self.cur.peek(), CTokenKind::Ident(s) if s == "struct" || s == "union" || s == "enum")
         {
-            let save = self.pos;
+            let save = self.cur.mark();
             let _ = self.parse_base_type();
-            if self.peek_kind().is_punct(";") {
-                self.bump();
+            if self.cur.peek().is_punct(";") {
+                self.cur.bump();
                 return;
             }
-            self.pos = save;
+            self.cur.reset(save);
         }
         if !self.is_type_start()
             && !matches!(
-                (self.peek_kind(), self.peek_kind_at(1)),
+                (self.cur.peek(), self.cur.peek_at(1)),
                 (CTokenKind::Ident(_), CTokenKind::Ident(_))
                     | (CTokenKind::Ident(_), CTokenKind::Punct("*"))
             )
         {
-            self.error("unrecognized top-level construct");
+            self.cur.error("unrecognized top-level construct");
             self.skip_to_semi();
             return;
         }
@@ -376,14 +237,14 @@ impl Parser {
         loop {
             let (name, ty) = self.parse_declarator(base.clone());
             if name.is_empty() {
-                self.error("expected declarator name");
+                self.cur.error("expected declarator name");
                 self.skip_to_semi();
                 return;
             }
-            if self.peek_kind().is_punct("(") {
+            if self.cur.peek().is_punct("(") {
                 // function
                 let params = self.parse_params();
-                if self.peek_kind().is_punct("{") {
+                if self.cur.peek().is_punct("{") {
                     let body = self.parse_block();
                     self.unit.functions.push(CFunction {
                         name,
@@ -409,32 +270,11 @@ impl Parser {
             // global variable (initializer skipped — globals are opaque to
             // the analysis, which only warns about `value` globals)
             self.unit.globals.push(CGlobal { name, ty, span: start });
-            if self.eat_punct("=") {
+            if self.cur.eat_punct("=") {
                 // skip initializer expression/braces
-                let mut depth = 0i32;
-                loop {
-                    match self.peek_kind() {
-                        CTokenKind::Eof => break,
-                        CTokenKind::Punct("{")
-                        | CTokenKind::Punct("(")
-                        | CTokenKind::Punct("[") => {
-                            depth += 1;
-                            self.bump();
-                        }
-                        CTokenKind::Punct("}")
-                        | CTokenKind::Punct(")")
-                        | CTokenKind::Punct("]") => {
-                            depth -= 1;
-                            self.bump();
-                        }
-                        CTokenKind::Punct(",") | CTokenKind::Punct(";") if depth <= 0 => break,
-                        _ => {
-                            self.bump();
-                        }
-                    }
-                }
+                self.cur.skip_until(|k| k.is_punct(",") || k.is_punct(";"));
             }
-            if self.eat_punct(",") {
+            if self.cur.eat_punct(",") {
                 continue;
             }
             self.expect_punct(";");
@@ -445,24 +285,24 @@ impl Parser {
     fn parse_params(&mut self) -> Vec<CParam> {
         self.expect_punct("(");
         let mut params = Vec::new();
-        if self.eat_punct(")") {
+        if self.cur.eat_punct(")") {
             return params;
         }
         loop {
-            if self.peek_kind().is_ident("void") && self.peek_kind_at(1).is_punct(")") {
-                self.bump();
-                self.bump();
+            if self.cur.peek().is_ident("void") && self.cur.peek_at(1).is_punct(")") {
+                self.cur.bump();
+                self.cur.bump();
                 return params;
             }
-            if self.peek_kind().is_punct("...") {
-                self.bump();
-                self.eat_punct(")");
+            if self.cur.peek().is_punct("...") {
+                self.cur.bump();
+                self.cur.eat_punct(")");
                 return params;
             }
             let base = self.parse_base_type();
             let (name, ty) = self.parse_declarator(base);
             params.push(CParam { name, ty });
-            if self.eat_punct(",") {
+            if self.cur.eat_punct(",") {
                 continue;
             }
             self.expect_punct(")");
@@ -475,22 +315,22 @@ impl Parser {
     fn parse_block(&mut self) -> Vec<CStmt> {
         self.expect_punct("{");
         let mut out = Vec::new();
-        while !self.peek_kind().is_punct("}") && !self.at_eof() {
+        while !self.cur.peek().is_punct("}") && !self.cur.at_eof() {
             out.push(self.parse_stmt());
         }
-        self.eat_punct("}");
+        self.cur.eat_punct("}");
         out
     }
 
     fn parse_stmt(&mut self) -> CStmt {
-        let start = self.span();
-        match self.peek_kind().clone() {
+        let start = self.cur.span();
+        match self.cur.peek().clone() {
             CTokenKind::Punct("{") => {
                 let body = self.parse_block();
                 CStmt::new(CStmtKind::Block(body), start)
             }
             CTokenKind::Punct(";") => {
-                self.bump();
+                self.cur.bump();
                 CStmt::new(CStmtKind::Empty, start)
             }
             CTokenKind::Ident(s) => match s.as_str() {
@@ -500,64 +340,58 @@ impl Parser {
                 "for" => self.parse_for(start),
                 "switch" => self.parse_switch(start),
                 "return" => {
-                    self.bump();
+                    self.cur.bump();
                     let e =
-                        if self.peek_kind().is_punct(";") { None } else { Some(self.parse_expr()) };
+                        if self.cur.peek().is_punct(";") { None } else { Some(self.parse_expr()) };
                     self.expect_punct(";");
                     CStmt::new(CStmtKind::Return(e), start)
                 }
                 "break" => {
-                    self.bump();
+                    self.cur.bump();
                     self.expect_punct(";");
                     CStmt::new(CStmtKind::Break, start)
                 }
                 "continue" => {
-                    self.bump();
+                    self.cur.bump();
                     self.expect_punct(";");
                     CStmt::new(CStmtKind::Continue, start)
                 }
                 "goto" => {
-                    self.bump();
-                    let label = match self.peek_kind().clone() {
-                        CTokenKind::Ident(l) => {
-                            self.bump();
-                            l
-                        }
-                        _ => {
-                            self.error("expected label after goto");
-                            String::new()
-                        }
-                    };
+                    self.cur.bump();
+                    let label = self.cur.take_ident().unwrap_or_else(|| {
+                        self.cur.error("expected label after goto");
+                        String::new()
+                    });
                     self.expect_punct(";");
                     CStmt::new(CStmtKind::Goto(label), start)
                 }
                 _ if is_caml_param_macro(&s) => self.parse_caml_protect(start, &s, false),
                 _ if is_caml_local_macro(&s) => self.parse_caml_protect(start, &s, true),
                 "CAMLreturn" => {
-                    self.bump();
+                    self.cur.bump();
                     self.expect_punct("(");
                     let e =
-                        if self.peek_kind().is_punct(")") { None } else { Some(self.parse_expr()) };
+                        if self.cur.peek().is_punct(")") { None } else { Some(self.parse_expr()) };
                     self.expect_punct(")");
-                    self.eat_punct(";");
+                    self.cur.eat_punct(";");
                     CStmt::new(CStmtKind::CamlReturn(e), start)
                 }
                 "CAMLreturn0" => {
-                    self.bump();
+                    self.cur.bump();
                     // may be used as `CAMLreturn0;` or `CAMLreturn0()`
-                    if self.peek_kind().is_punct("(") {
-                        self.skip_parens();
+                    if self.cur.peek().is_punct("(") {
+                        self.cur.skip_group(&CTokenKind::Punct("("), &CTokenKind::Punct(")"));
                     }
-                    self.eat_punct(";");
+                    self.cur.eat_punct(";");
                     CStmt::new(CStmtKind::CamlReturn(None), start)
                 }
                 _ if self.is_type_start() => self.parse_decl_stmt(start),
                 _ if self.looks_like_named_decl() => self.parse_decl_stmt(start),
-                _ if matches!(self.peek_kind_at(1), CTokenKind::Punct(":"))
-                    && !matches!(self.peek_kind_at(2), CTokenKind::Punct(":")) =>
+                _ if matches!(self.cur.peek_at(1), CTokenKind::Punct(":"))
+                    && !matches!(self.cur.peek_at(2), CTokenKind::Punct(":")) =>
                 {
-                    self.bump();
-                    self.bump();
+                    self.cur.bump();
+                    self.cur.bump();
                     CStmt::new(CStmtKind::Label(s), start)
                 }
                 _ => self.parse_expr_stmt(start),
@@ -568,14 +402,14 @@ impl Parser {
 
     /// `Foo x;` / `Foo *x = …;` where `Foo` is an unknown library type.
     fn looks_like_named_decl(&self) -> bool {
-        let CTokenKind::Ident(_) = self.peek_kind() else { return false };
-        match (self.peek_kind_at(1), self.peek_kind_at(2)) {
+        let CTokenKind::Ident(_) = self.cur.peek() else { return false };
+        match (self.cur.peek_at(1), self.cur.peek_at(2)) {
             (CTokenKind::Ident(_), CTokenKind::Punct(";"))
             | (CTokenKind::Ident(_), CTokenKind::Punct("="))
             | (CTokenKind::Ident(_), CTokenKind::Punct(","))
             | (CTokenKind::Ident(_), CTokenKind::Punct("[")) => true,
             (CTokenKind::Punct("*"), CTokenKind::Ident(_)) => matches!(
-                self.peek_kind_at(3),
+                self.cur.peek_at(3),
                 CTokenKind::Punct(";") | CTokenKind::Punct("=") | CTokenKind::Punct(",")
             ),
             _ => false,
@@ -587,9 +421,9 @@ impl Parser {
         let mut decls = Vec::new();
         loop {
             let (name, ty) = self.parse_declarator(base.clone());
-            let init = if self.eat_punct("=") { Some(self.parse_assign_expr()) } else { None };
+            let init = if self.cur.eat_punct("=") { Some(self.parse_assign_expr()) } else { None };
             decls.push(CStmt::new(CStmtKind::Decl { ty, name, init }, start));
-            if self.eat_punct(",") {
+            if self.cur.eat_punct(",") {
                 continue;
             }
             self.expect_punct(";");
@@ -609,30 +443,30 @@ impl Parser {
     }
 
     fn parse_caml_protect(&mut self, start: Span, _macro_name: &str, declares: bool) -> CStmt {
-        self.bump(); // macro name
+        self.cur.bump(); // macro name
         let mut names = Vec::new();
-        if self.eat_punct("(") {
-            while !self.peek_kind().is_punct(")") && !self.at_eof() {
-                if let CTokenKind::Ident(n) = self.peek_kind().clone() {
+        if self.cur.eat_punct("(") {
+            while !self.cur.peek().is_punct(")") && !self.cur.at_eof() {
+                if let CTokenKind::Ident(n) = self.cur.peek().clone() {
                     names.push(n);
                 }
-                self.bump();
-                self.eat_punct(",");
+                self.cur.bump();
+                self.cur.eat_punct(",");
             }
-            self.eat_punct(")");
+            self.cur.eat_punct(")");
         }
-        self.eat_punct(";");
+        self.cur.eat_punct(";");
         CStmt::new(CStmtKind::CamlProtect { names, declares }, start)
     }
 
     fn parse_if(&mut self, start: Span) -> CStmt {
-        self.bump(); // if
+        self.cur.bump(); // if
         self.expect_punct("(");
         let cond = self.parse_expr();
         self.expect_punct(")");
         let then_branch = self.parse_stmt_as_block();
-        let else_branch = if self.peek_kind().is_ident("else") {
-            self.bump();
+        let else_branch = if self.cur.peek().is_ident("else") {
+            self.cur.bump();
             self.parse_stmt_as_block()
         } else {
             Vec::new()
@@ -641,7 +475,7 @@ impl Parser {
     }
 
     fn parse_stmt_as_block(&mut self) -> Vec<CStmt> {
-        if self.peek_kind().is_punct("{") {
+        if self.cur.peek().is_punct("{") {
             self.parse_block()
         } else {
             vec![self.parse_stmt()]
@@ -649,7 +483,7 @@ impl Parser {
     }
 
     fn parse_while(&mut self, start: Span) -> CStmt {
-        self.bump();
+        self.cur.bump();
         self.expect_punct("(");
         let cond = self.parse_expr();
         self.expect_punct(")");
@@ -658,23 +492,23 @@ impl Parser {
     }
 
     fn parse_do_while(&mut self, start: Span) -> CStmt {
-        self.bump();
+        self.cur.bump();
         let body = self.parse_stmt_as_block();
-        if self.peek_kind().is_ident("while") {
-            self.bump();
+        if self.cur.peek().is_ident("while") {
+            self.cur.bump();
         }
         self.expect_punct("(");
         let cond = self.parse_expr();
         self.expect_punct(")");
-        self.eat_punct(";");
+        self.cur.eat_punct(";");
         CStmt::new(CStmtKind::DoWhile { body, cond }, start)
     }
 
     fn parse_for(&mut self, start: Span) -> CStmt {
-        self.bump();
+        self.cur.bump();
         self.expect_punct("(");
-        let init = if self.peek_kind().is_punct(";") {
-            self.bump();
+        let init = if self.cur.peek().is_punct(";") {
+            self.cur.bump();
             None
         } else if self.is_type_start() {
             Some(Box::new(self.parse_decl_stmt(start)))
@@ -683,24 +517,24 @@ impl Parser {
             self.expect_punct(";");
             Some(Box::new(CStmt::new(CStmtKind::Expr(e), start)))
         };
-        let cond = if self.peek_kind().is_punct(";") { None } else { Some(self.parse_expr()) };
+        let cond = if self.cur.peek().is_punct(";") { None } else { Some(self.parse_expr()) };
         self.expect_punct(";");
-        let step = if self.peek_kind().is_punct(")") { None } else { Some(self.parse_expr()) };
+        let step = if self.cur.peek().is_punct(")") { None } else { Some(self.parse_expr()) };
         self.expect_punct(")");
         let body = self.parse_stmt_as_block();
         CStmt::new(CStmtKind::For { init, cond, step, body }, start)
     }
 
     fn parse_switch(&mut self, start: Span) -> CStmt {
-        self.bump();
+        self.cur.bump();
         self.expect_punct("(");
         let scrutinee = self.parse_expr();
         self.expect_punct(")");
         self.expect_punct("{");
         let mut cases: Vec<SwitchCase> = Vec::new();
-        while !self.peek_kind().is_punct("}") && !self.at_eof() {
-            if self.peek_kind().is_ident("case") {
-                self.bump();
+        while !self.cur.peek().is_punct("}") && !self.cur.at_eof() {
+            if self.cur.peek().is_ident("case") {
+                self.cur.bump();
                 let value = self.parse_case_const();
                 self.expect_punct(":");
                 cases.push(SwitchCase {
@@ -708,8 +542,8 @@ impl Parser {
                     body: Vec::new(),
                     falls_through: true,
                 });
-            } else if self.peek_kind().is_ident("default") {
-                self.bump();
+            } else if self.cur.peek().is_ident("default") {
+                self.cur.bump();
                 self.expect_punct(":");
                 cases.push(SwitchCase { value: None, body: Vec::new(), falls_through: true });
             } else {
@@ -729,19 +563,19 @@ impl Parser {
                             case.falls_through = false;
                         }
                     }
-                    None => self.error("statement before first case label"),
+                    None => self.cur.error("statement before first case label"),
                 }
             }
         }
-        self.eat_punct("}");
+        self.cur.eat_punct("}");
         CStmt::new(CStmtKind::Switch { scrutinee, cases }, start)
     }
 
     fn parse_case_const(&mut self) -> i64 {
-        let neg = self.eat_punct("-");
-        match self.peek_kind().clone() {
+        let neg = self.cur.eat_punct("-");
+        match self.cur.peek().clone() {
             CTokenKind::Int(n) => {
-                self.bump();
+                self.cur.bump();
                 if neg {
                     -n
                 } else {
@@ -749,12 +583,12 @@ impl Parser {
                 }
             }
             CTokenKind::Char(c) => {
-                self.bump();
+                self.cur.bump();
                 c
             }
             _ => {
-                self.error("unsupported case constant");
-                self.bump();
+                self.cur.error("unsupported case constant");
+                self.cur.bump();
                 i64::MIN / 2
             }
         }
@@ -764,10 +598,10 @@ impl Parser {
 
     fn parse_expr(&mut self) -> CExpr {
         let first = self.parse_assign_expr();
-        if self.peek_kind().is_punct(",") {
+        if self.cur.peek().is_punct(",") {
             let span = first.span;
             let mut acc = first;
-            while self.eat_punct(",") {
+            while self.cur.eat_punct(",") {
                 let rhs = self.parse_assign_expr();
                 acc = CExpr::new(CExprKind::Comma(Box::new(acc), Box::new(rhs)), span);
             }
@@ -779,13 +613,13 @@ impl Parser {
 
     fn parse_assign_expr(&mut self) -> CExpr {
         let lhs = self.parse_ternary();
-        let op = match self.peek_kind() {
+        let op = match self.cur.peek() {
             CTokenKind::Punct(
                 p @ ("=" | "+=" | "-=" | "*=" | "/=" | "%=" | "&=" | "|=" | "^=" | "<<=" | ">>="),
             ) => *p,
             _ => return lhs,
         };
-        self.bump();
+        self.cur.bump();
         let rhs = self.parse_assign_expr();
         let span = lhs.span;
         CExpr::new(CExprKind::Assign(op, Box::new(lhs), Box::new(rhs)), span)
@@ -793,7 +627,7 @@ impl Parser {
 
     fn parse_ternary(&mut self) -> CExpr {
         let cond = self.parse_binary(0);
-        if self.eat_punct("?") {
+        if self.cur.eat_punct("?") {
             let a = self.parse_assign_expr();
             self.expect_punct(":");
             let b = self.parse_assign_expr();
@@ -823,14 +657,14 @@ impl Parser {
     fn parse_binary(&mut self, min_level: u8) -> CExpr {
         let mut lhs = self.parse_unary();
         loop {
-            let (op, level) = match self.peek_kind() {
+            let (op, level) = match self.cur.peek() {
                 CTokenKind::Punct(p) => match Self::binop_level(p) {
                     Some(l) if l >= min_level => (*p, l),
                     _ => return lhs,
                 },
                 _ => return lhs,
             };
-            self.bump();
+            self.cur.bump();
             let rhs = self.parse_binary(level + 1);
             let span = lhs.span;
             lhs = CExpr::new(CExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
@@ -838,10 +672,10 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> CExpr {
-        let span = self.span();
-        match self.peek_kind().clone() {
+        let span = self.cur.span();
+        match self.cur.peek().clone() {
             CTokenKind::Punct(p @ ("*" | "&" | "-" | "!" | "~" | "+")) => {
-                self.bump();
+                self.cur.bump();
                 let inner = self.parse_unary();
                 if p == "+" {
                     inner
@@ -850,24 +684,24 @@ impl Parser {
                 }
             }
             CTokenKind::Punct(p @ ("++" | "--")) => {
-                self.bump();
+                self.cur.bump();
                 let inner = self.parse_unary();
                 CExpr::new(CExprKind::Unary(p, Box::new(inner)), span)
             }
             CTokenKind::Ident(s) if s == "sizeof" => {
-                self.bump();
-                if self.peek_kind().is_punct("(") {
-                    self.skip_parens();
+                self.cur.bump();
+                if self.cur.peek().is_punct("(") {
+                    self.cur.skip_group(&CTokenKind::Punct("("), &CTokenKind::Punct(")"));
                 } else {
                     let _ = self.parse_unary();
                 }
                 CExpr::new(CExprKind::Sizeof, span)
             }
             CTokenKind::Punct("(") if self.cast_ahead() => {
-                self.bump(); // (
+                self.cur.bump(); // (
                 let base = self.parse_base_type();
                 let mut ty = base;
-                while self.eat_punct("*") {
+                while self.cur.eat_punct("*") {
                     ty = ty.ptr();
                 }
                 self.expect_punct(")");
@@ -880,30 +714,30 @@ impl Parser {
 
     /// Whether `( … )` starting here is a cast.
     fn cast_ahead(&self) -> bool {
-        let CTokenKind::Ident(s) = self.peek_kind_at(1) else { return false };
+        let CTokenKind::Ident(s) = self.cur.peek_at(1) else { return false };
         if TYPE_WORDS.contains(&s.as_str()) || self.typedefs.contains_key(s) {
             return true;
         }
         // unknown ident: treat `(Foo *) e` / `(Foo) e` as cast when followed
         // by stars then `)`, and the `)` is followed by something castable
         let mut n = 2usize;
-        while self.peek_kind_at(n).is_punct("*") {
+        while self.cur.peek_at(n).is_punct("*") {
             n += 1;
         }
-        if !self.peek_kind_at(n).is_punct(")") {
+        if !self.cur.peek_at(n).is_punct(")") {
             return false;
         }
         if n > 2 {
             // `(Foo *)` — always a cast
             matches!(
-                self.peek_kind_at(n + 1),
+                self.cur.peek_at(n + 1),
                 CTokenKind::Ident(_) | CTokenKind::Int(_) | CTokenKind::Punct("(")
             )
         } else {
             // `(Foo) x` — juxtaposition is not valid C expression syntax,
             // so this must be a cast; `(f)(x)` stays a call
             matches!(
-                self.peek_kind_at(n + 1),
+                self.cur.peek_at(n + 1),
                 CTokenKind::Ident(_) | CTokenKind::Int(_) | CTokenKind::Str(_)
             )
         }
@@ -912,15 +746,15 @@ impl Parser {
     fn parse_postfix(&mut self) -> CExpr {
         let mut e = self.parse_primary();
         loop {
-            let span = self.span();
-            match self.peek_kind().clone() {
+            let span = self.cur.span();
+            match self.cur.peek().clone() {
                 CTokenKind::Punct("(") => {
-                    self.bump();
+                    self.cur.bump();
                     let mut args = Vec::new();
-                    if !self.peek_kind().is_punct(")") {
+                    if !self.cur.peek().is_punct(")") {
                         loop {
                             args.push(self.parse_assign_expr());
-                            if !self.eat_punct(",") {
+                            if !self.cur.eat_punct(",") {
                                 break;
                             }
                         }
@@ -930,26 +764,26 @@ impl Parser {
                     e = CExpr::new(CExprKind::Call(Box::new(e), args), espan);
                 }
                 CTokenKind::Punct("[") => {
-                    self.bump();
+                    self.cur.bump();
                     let idx = self.parse_expr();
                     self.expect_punct("]");
                     let espan = e.span;
                     e = CExpr::new(CExprKind::Index(Box::new(e), Box::new(idx)), espan);
                 }
                 CTokenKind::Punct(".") => {
-                    self.bump();
+                    self.cur.bump();
                     let field = self.take_ident_or("field");
                     let espan = e.span;
                     e = CExpr::new(CExprKind::Member(Box::new(e), field, false), espan);
                 }
                 CTokenKind::Punct("->") => {
-                    self.bump();
+                    self.cur.bump();
                     let field = self.take_ident_or("field");
                     let espan = e.span;
                     e = CExpr::new(CExprKind::Member(Box::new(e), field, true), espan);
                 }
                 CTokenKind::Punct(p @ ("++" | "--")) => {
-                    self.bump();
+                    self.cur.bump();
                     e = CExpr::new(CExprKind::Postfix(Box::new(e), p), span);
                 }
                 _ => return e,
@@ -958,50 +792,44 @@ impl Parser {
     }
 
     fn take_ident_or(&mut self, what: &str) -> String {
-        match self.peek_kind().clone() {
-            CTokenKind::Ident(s) => {
-                self.bump();
-                s
-            }
-            _ => {
-                self.error(format!("expected {what} name"));
-                String::new()
-            }
-        }
+        self.cur.take_ident().unwrap_or_else(|| {
+            self.cur.error(format!("expected {what} name"));
+            String::new()
+        })
     }
 
     fn parse_primary(&mut self) -> CExpr {
-        let span = self.span();
-        match self.peek_kind().clone() {
+        let span = self.cur.span();
+        match self.cur.peek().clone() {
             CTokenKind::Int(n) => {
-                self.bump();
+                self.cur.bump();
                 CExpr::new(CExprKind::Int(n), span)
             }
             CTokenKind::Char(c) => {
-                self.bump();
+                self.cur.bump();
                 CExpr::new(CExprKind::Int(c), span)
             }
             CTokenKind::Float(f) => {
-                self.bump();
+                self.cur.bump();
                 CExpr::new(CExprKind::Float(f), span)
             }
             CTokenKind::Str(s) => {
-                self.bump();
+                self.cur.bump();
                 CExpr::new(CExprKind::Str(s), span)
             }
             CTokenKind::Ident(s) => {
-                self.bump();
+                self.cur.bump();
                 CExpr::new(CExprKind::Ident(s), span)
             }
             CTokenKind::Punct("(") => {
-                self.bump();
+                self.cur.bump();
                 let e = self.parse_expr();
                 self.expect_punct(")");
                 e
             }
             _ => {
-                self.error("expected expression");
-                self.bump();
+                self.cur.error("expected expression");
+                self.cur.bump();
                 CExpr::new(CExprKind::Int(0), span)
             }
         }

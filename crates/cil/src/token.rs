@@ -1,6 +1,6 @@
 //! Tokens of the C glue-code sublanguage.
 
-use ffisafe_support::Span;
+use ffisafe_support::scan::{Kind, Token};
 
 /// A lexed C token.
 #[derive(Clone, Debug, PartialEq)]
@@ -21,34 +21,28 @@ pub enum CTokenKind {
     Eof,
 }
 
-impl CTokenKind {
-    /// Whether this token is the identifier `kw`.
-    pub fn is_ident(&self, kw: &str) -> bool {
-        matches!(self, CTokenKind::Ident(s) if s == kw)
+impl Kind for CTokenKind {
+    fn is_eof(&self) -> bool {
+        matches!(self, CTokenKind::Eof)
     }
 
-    /// Whether this token is the punctuation `p`.
-    pub fn is_punct(&self, p: &str) -> bool {
-        matches!(self, CTokenKind::Punct(s) if *s == p)
-    }
-
-    /// Identifier text, if any.
-    pub fn ident(&self) -> Option<&str> {
+    fn ident(&self) -> Option<&str> {
         match self {
             CTokenKind::Ident(s) => Some(s),
             _ => None,
         }
     }
+
+    fn punct(&self) -> Option<&str> {
+        match self {
+            CTokenKind::Punct(p) => Some(p),
+            _ => None,
+        }
+    }
 }
 
-/// A token with its source span.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CToken {
-    /// Kind and payload.
-    pub kind: CTokenKind,
-    /// Source span.
-    pub span: Span,
-}
+/// A C token with its source span.
+pub type CToken = Token<CTokenKind>;
 
 #[cfg(test)]
 mod tests {
@@ -61,5 +55,7 @@ mod tests {
         assert!(CTokenKind::Punct("->").is_punct("->"));
         assert_eq!(CTokenKind::Ident("x".into()).ident(), Some("x"));
         assert_eq!(CTokenKind::Int(3).ident(), None);
+        assert_eq!(CTokenKind::Punct("{").nesting(), 1);
+        assert!(CTokenKind::Eof.is_eof());
     }
 }

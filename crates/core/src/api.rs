@@ -774,6 +774,7 @@ pub(crate) fn execute(
         infer_critical_path_seconds: inferred.critical_path_seconds,
         cache_fn_hits: inferred.cache_hits,
         cache_fn_misses: inferred.cache_misses,
+        cache_fn_rejected: inferred.cache_rejected + usize::from(rust.check_rejected),
         workers_executed: inferred.workers_executed,
         cache_report_hit: false,
     };

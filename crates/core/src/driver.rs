@@ -70,6 +70,10 @@ pub struct AnalysisStats {
     pub cache_fn_hits: usize,
     /// Functions that missed the tier-1 cache (0 with caching disabled).
     pub cache_fn_misses: usize,
+    /// Tier-1 store hits whose payload failed to decode — a function
+    /// outcome or the Rust boundary check that was recomputed although
+    /// the store held its entry.
+    pub cache_fn_rejected: usize,
     /// Functions analyzed by a live inference worker this run.
     pub workers_executed: usize,
     /// Whether the whole report was served from the tier-2 (report) cache.
@@ -273,6 +277,12 @@ impl AnalysisReport {
             "Functions that missed the tier-1 cache",
             &[],
             s.cache_fn_misses as u64,
+        );
+        reg.inc_counter(
+            "ffisafe_cache_fn_rejected_total",
+            "Tier-1 store hits whose payload failed to decode and were recomputed",
+            &[],
+            s.cache_fn_rejected as u64,
         );
         reg.inc_counter(
             "ffisafe_cache_report_hits_total",

@@ -78,11 +78,11 @@ pub fn analyzer_cache_version() -> String {
 ///
 /// The store sits behind `Arc<dyn CacheBackend>` because an
 /// [`AnalysisService`] opens it once and lends it to every request in a
-/// batch. Backends are internally synchronized (the local store shards
-/// its index by fingerprint prefix), so concurrent pipelines hit the
-/// store directly instead of funneling through one mutex. Each
-/// `PipelineCache` additionally carries the run's base-surface digest,
-/// which is per-request state.
+/// batch. Backends are internally synchronized (the local store keeps
+/// one file per entry, so its directory is its own index), so concurrent
+/// pipelines hit the store directly instead of funneling through one
+/// mutex. Each `PipelineCache` additionally carries the run's
+/// base-surface digest, which is per-request state.
 ///
 /// [`AnalysisService`]: crate::api::AnalysisService
 #[derive(Debug)]
@@ -478,10 +478,11 @@ fn get_flat_int(d: &mut Decoder) -> Option<FlatInt> {
 /// the producing run, used only to strip the redundant index from local
 /// effect keys.
 ///
-/// Scalar counters (`passes`, `new_nodes`, …) use `put_u64`, not
-/// `put_len`: `Decoder::get_len`'s corruption guard caps values at the
-/// payload byte length, which collection lengths always satisfy but a
-/// large clean function's node counter need not.
+/// Scalar counters (`passes`, `new_nodes`, …) use `put_u64` and indices
+/// use `put_index`, not `put_len`: `Decoder::get_len`'s corruption guard
+/// caps values at the payload byte length, which collection lengths always
+/// satisfy but a large clean function's node counter, or a small
+/// function's index into a large program's signatures, need not.
 pub fn encode_outcome(o: &FunctionOutcome, own_idx: u32) -> Option<Vec<u8>> {
     if o.psi_pins.iter().any(|(_, n)| matches!(n, PsiNode::Var | PsiNode::Link(_))) {
         return None;
@@ -516,7 +517,7 @@ pub fn encode_outcome(o: &FunctionOutcome, own_idx: u32) -> Option<Vec<u8>> {
             e.put_len(keys.len());
             for (func, slot) in keys {
                 e.put_str(func);
-                e.put_len(*slot);
+                put_index(&mut e, *slot);
             }
         }
         e.put_span(ob.span);
@@ -551,14 +552,14 @@ pub fn encode_outcome(o: &FunctionOutcome, own_idx: u32) -> Option<Vec<u8>> {
     }
     e.put_len(o.pinned_polys.len());
     for (sig, param, rendered) in &o.pinned_polys {
-        e.put_len(*sig);
-        e.put_len(*param);
+        put_index(&mut e, *sig);
+        put_index(&mut e, *param);
         e.put_str(rendered);
     }
     e.put_len(o.interface_pins.len());
     for pin in &o.interface_pins {
-        e.put_len(pin.sig_idx);
-        e.put_len(pin.slot);
+        put_index(&mut e, pin.sig_idx);
+        put_index(&mut e, pin.slot);
         e.put_u32(pin.mt_key);
         e.put_str(&pin.rendered);
         e.put_span(pin.func_span);
@@ -567,9 +568,20 @@ pub fn encode_outcome(o: &FunctionOutcome, own_idx: u32) -> Option<Vec<u8>> {
     e.put_len(o.heap_slots.len());
     for (func, slot) in &o.heap_slots {
         e.put_str(func);
-        e.put_len(*slot);
+        put_index(&mut e, *slot);
     }
     Some(e.into_bytes())
+}
+
+/// Writes a signature index or slot; the same bytes as `put_len`.
+fn put_index(e: &mut Encoder, v: usize) {
+    e.put_u64(v as u64);
+}
+
+/// Reads what [`put_index`] wrote. Unlike a length, an index is not
+/// bounded by the payload size; range checks are the caller's.
+fn get_index(d: &mut Decoder) -> Option<usize> {
+    usize::try_from(d.get_u64().ok()?).ok()
 }
 
 /// Decodes a tier-1 payload, re-binding local effect keys to `func_idx`.
@@ -623,7 +635,7 @@ pub fn decode_outcome(
             let mut keys = Vec::with_capacity(k);
             for _ in 0..k {
                 let func = d.get_str().ok()?;
-                let slot = d.get_len().ok()?;
+                let slot = get_index(&mut d)?;
                 keys.push((func, slot));
             }
             deferred_ptrs.push((name, keys));
@@ -671,8 +683,8 @@ pub fn decode_outcome(
     let n = d.get_len().ok()?;
     let mut pinned_polys = Vec::with_capacity(n);
     for _ in 0..n {
-        let sig = d.get_len().ok()?;
-        let param = d.get_len().ok()?;
+        let sig = get_index(&mut d)?;
+        let param = get_index(&mut d)?;
         let rendered = d.get_str().ok()?;
         if sig >= n_sigs {
             return None;
@@ -682,8 +694,8 @@ pub fn decode_outcome(
     let n = d.get_len().ok()?;
     let mut interface_pins = Vec::with_capacity(n);
     for _ in 0..n {
-        let sig_idx = d.get_len().ok()?;
-        let slot = d.get_len().ok()?;
+        let sig_idx = get_index(&mut d)?;
+        let slot = get_index(&mut d)?;
         let mt_key = d.get_u32().ok()?;
         let rendered = d.get_str().ok()?;
         let func_span = d.get_span().ok()?;
@@ -697,7 +709,7 @@ pub fn decode_outcome(
     let mut heap_slots = Vec::with_capacity(n);
     for _ in 0..n {
         let func = d.get_str().ok()?;
-        let slot = d.get_len().ok()?;
+        let slot = get_index(&mut d)?;
         heap_slots.push((func, slot));
     }
     d.finish().ok()?;
@@ -974,6 +986,54 @@ mod tests {
         let back = decode_outcome(&bytes, 0, "ml_big", 0).expect("large counters decode");
         assert_eq!(back.passes, 5_000);
         assert_eq!(back.new_nodes, 250_000);
+    }
+
+    #[test]
+    fn indices_larger_than_payload_still_decode() {
+        // Regression: signature indices and slots were read through
+        // `get_len`, so a small function of a large program whose index
+        // exceeded its payload size missed the store on every run.
+        let outcome = FunctionOutcome {
+            name: "ml_late".into(),
+            diagnostics: DiagnosticBag::new(),
+            passes: 1,
+            new_nodes: 0,
+            gc_edges: vec![],
+            recorded_gc_edges: 0,
+            gc_roots: vec![],
+            obligations: vec![ResolvedObligation {
+                callee: "caml_alloc".into(),
+                effect: EffectKey::Base(4),
+                effect_is_gc: true,
+                unprotected_heap_ptrs: vec![],
+                deferred_ptrs: vec![("x".into(), vec![("helper".into(), 6_000)])],
+                span: Span::dummy(),
+            }],
+            psi_violations: vec![],
+            psi_pins: vec![],
+            deferred_psi_bounds: vec![],
+            pinned_polys: vec![(9_000, 7_000, "int".into())],
+            interface_pins: vec![InterfacePin {
+                sig_idx: 9_001,
+                slot: 7_001,
+                mt_key: 44,
+                rendered: "int".into(),
+                func_span: Span::dummy(),
+                func_name: "ml_late".into(),
+            }],
+            heap_slots: vec![("ml_late".into(), 8_000)],
+            seconds: 0.0,
+            setup_seconds: 0.0,
+        };
+        let bytes = encode_outcome(&outcome, 0).expect("encodes");
+        assert!(bytes.len() < 6_000, "test premise: every index exceeds the payload");
+        let back = decode_outcome(&bytes, 0, "ml_late", 9_002).expect("large indices decode");
+        assert_eq!(back.pinned_polys, outcome.pinned_polys);
+        assert_eq!((back.interface_pins[0].sig_idx, back.interface_pins[0].slot), (9_001, 7_001));
+        assert_eq!(back.heap_slots, outcome.heap_slots);
+        assert_eq!(back.obligations[0].deferred_ptrs, outcome.obligations[0].deferred_ptrs);
+        // the signature range checks still hold
+        assert!(decode_outcome(&bytes, 0, "ml_late", 9_001).is_none());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::api::SourceKind;
 use ffisafe_cil as cil;
 use ffisafe_ocaml as ocaml;
 use ffisafe_rustffi as rustffi;
-use ffisafe_support::{Phase, Session};
+use ffisafe_support::{Diagnostic, DiagnosticCode, Phase, Session, Severity, Span};
 
 /// One corpus file parsed by some frontend, still carrying its
 /// language-typed payload.
@@ -120,6 +120,17 @@ impl Frontend for RustFrontend {
 
     fn parse(&self, session: &mut Session, name: &str, src: &str) -> ParsedUnit {
         ParsedUnit::Rust(frontend_rust::parse(session, name, src))
+    }
+}
+
+/// Reports a frontend's recoverable parse errors to the session's
+/// diagnostic sink as `N001` notes, in the order the parser recorded them.
+pub(super) fn emit_parse_errors(session: &mut Session, errors: &[(Span, String)]) {
+    for (span, msg) in errors {
+        session.emit(
+            Diagnostic::new(DiagnosticCode::Context, *span, msg.clone())
+                .with_severity(Severity::Note),
+        );
     }
 }
 

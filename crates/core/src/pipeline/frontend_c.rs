@@ -4,8 +4,9 @@
 //! flat, labeled IR of Figure 5, merging them into one [`CArtifact`]
 //! program for the inference stage.
 
+use super::frontend::emit_parse_errors;
 use ffisafe_cil as cil;
-use ffisafe_support::{Diagnostic, DiagnosticCode, Session, Severity};
+use ffisafe_support::Session;
 
 /// Output of the C frontend stage: the whole-program Figure 5 IR.
 #[derive(Debug, Default)]
@@ -20,12 +21,7 @@ pub struct CArtifact {
 pub fn parse(session: &mut Session, name: &str, src: &str) -> cil::CUnit {
     let file = session.add_file(name, src);
     let unit = cil::parser::parse(file, src);
-    for (span, msg) in &unit.errors {
-        session.emit(
-            Diagnostic::new(DiagnosticCode::Context, *span, msg.clone())
-                .with_severity(Severity::Note),
-        );
-    }
+    emit_parse_errors(session, &unit.errors);
     unit
 }
 

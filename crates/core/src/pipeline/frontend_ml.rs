@@ -5,6 +5,7 @@
 //! Φ/ρ mapping of Figure 4, producing the [`MlArtifact`] that seeds the
 //! initial environment `Γ_I` of the C phase.
 
+use super::frontend::emit_parse_errors;
 use ffisafe_ocaml as ocaml;
 use ffisafe_support::{Diagnostic, DiagnosticCode, Session, Severity};
 use ffisafe_types::TypeTable;
@@ -24,12 +25,7 @@ pub struct MlArtifact {
 pub fn parse(session: &mut Session, name: &str, src: &str) -> ocaml::ParsedFile {
     let file = session.add_file(name, src);
     let parsed = ocaml::parser::parse(file, src);
-    for e in &parsed.errors {
-        session.emit(
-            Diagnostic::new(DiagnosticCode::Context, e.span, e.message.clone())
-                .with_severity(Severity::Note),
-        );
-    }
+    emit_parse_errors(session, &parsed.errors);
     for item in &parsed.items {
         match item {
             ocaml::Item::Type(d) => {

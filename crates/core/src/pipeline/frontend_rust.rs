@@ -17,10 +17,11 @@
 //! reaches [`super::cache::base_state_digest`]).
 
 use super::cache::{self, PipelineCache};
+use super::frontend::emit_parse_errors;
 use ffisafe_cache::Tier;
 use ffisafe_cil as cil;
 use ffisafe_rustffi as rustffi;
-use ffisafe_support::{Diagnostic, DiagnosticCode, Session, Severity};
+use ffisafe_support::Session;
 
 /// Output of the Rust frontend stage: the merged corpus boundary surface.
 #[derive(Debug, Default)]
@@ -31,6 +32,9 @@ pub struct RustArtifact {
     /// Whether the boundary check was replayed from the cache instead of
     /// recomputed.
     pub check_cached: bool,
+    /// Whether the store held the check's entry but its payload failed to
+    /// decode, so the check was recomputed.
+    pub check_rejected: bool,
 }
 
 /// Parses one Rust source into the session: registers the file in the
@@ -39,12 +43,7 @@ pub struct RustArtifact {
 pub fn parse(session: &mut Session, name: &str, src: &str) -> rustffi::ParsedRustFile {
     let file = session.add_file(name, src);
     let parsed = rustffi::parser::parse(file, name, src);
-    for (span, msg) in &parsed.errors {
-        session.emit(
-            Diagnostic::new(DiagnosticCode::Context, *span, msg.clone())
-                .with_severity(Severity::Note),
-        );
-    }
+    emit_parse_errors(session, &parsed.errors);
     parsed
 }
 
@@ -68,16 +67,22 @@ pub fn run(
         session.intern(&f.link_name);
     }
     if files.is_empty() {
-        return RustArtifact { program, check_cached: false };
+        return RustArtifact { program, check_cached: false, check_rejected: false };
     }
 
     let fp = pcache.map(|_| cache::rust_check_fingerprint(session.options(), &program, c));
+    let mut check_rejected = false;
     if let (Some(pc), Some(fp)) = (pcache, fp) {
-        if let Some(bag) = pc.get(Tier::Function, fp).and_then(|b| cache::decode_diagnostics(&b)) {
-            for d in bag.iter() {
-                session.emit(d.clone());
+        if let Some(bytes) = pc.get(Tier::Function, fp) {
+            match cache::decode_diagnostics(&bytes) {
+                Some(bag) => {
+                    for d in bag.iter() {
+                        session.emit(d.clone());
+                    }
+                    return RustArtifact { program, check_cached: true, check_rejected: false };
+                }
+                None => check_rejected = true,
             }
-            return RustArtifact { program, check_cached: true };
         }
     }
 
@@ -88,12 +93,13 @@ pub fn run(
     for d in bag.iter() {
         session.emit(d.clone());
     }
-    RustArtifact { program, check_cached: false }
+    RustArtifact { program, check_cached: false, check_rejected }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ffisafe_support::DiagnosticCode;
 
     fn c_program(session: &mut Session, src: &str) -> cil::IrProgram {
         let unit = super::super::frontend_c::parse(session, "glue.c", src);

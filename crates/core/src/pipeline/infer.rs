@@ -271,6 +271,9 @@ pub struct InferArtifact {
     /// Functions whose fingerprint missed the tier-1 cache (0 when the
     /// cache is disabled).
     pub cache_misses: usize,
+    /// Of [`InferArtifact::cache_misses`], the store hits whose payload
+    /// failed to decode, so the function was analyzed anyway.
+    pub cache_rejected: usize,
     /// Functions actually analyzed by a live worker this run.
     pub workers_executed: usize,
 }
@@ -520,6 +523,7 @@ pub fn run(
     // the store lookups (small file reads) stay serial.
     let mut slots: Vec<Option<FunctionOutcome>> = (0..n).map(|_| None).collect();
     let mut fingerprints: Vec<Option<Fingerprint>> = vec![None; n];
+    let mut cache_rejected = 0;
     if let Some(pc) = cache {
         let base_digest = pc.base_digest;
         let fp_jobs = options.effective_jobs().clamp(1, n);
@@ -558,6 +562,7 @@ pub fn run(
                     &func.name,
                     phase1.signatures.len(),
                 );
+                cache_rejected += usize::from(slots[idx].is_none());
             }
         }
     }
@@ -645,6 +650,7 @@ pub fn run(
         critical_path_seconds: outcomes.iter().map(|o| o.seconds).fold(0.0, f64::max),
         cache_hits,
         cache_misses,
+        cache_rejected,
         workers_executed,
         outcomes,
     }

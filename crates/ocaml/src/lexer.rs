@@ -6,293 +6,174 @@
 //! into [`TokenKind::Other`] so the parser can skip non-declaration items.
 
 use crate::token::{Token, TokenKind};
-use ffisafe_support::{FileId, Span};
+use ffisafe_support::scan::Scanner;
+use ffisafe_support::FileId;
+
+/// Punctuation, longest first; [`punct_kind`] names each entry's kind.
+const PUNCTS: &[&str] = &[
+    "||", ";;", "->", "=", "|", "*", "(", ")", "[", "]", "{", "}", ";", ":", ",", "-", ".", "?",
+    "~", "<", ">", "#", "`",
+];
 
 /// Lexes an entire OCaml source file into tokens (ending with `Eof`).
 pub fn lex(file: FileId, src: &str) -> Vec<Token> {
-    Lexer { file, src: src.as_bytes(), pos: 0 }.run()
-}
-
-struct Lexer<'a> {
-    file: FileId,
-    src: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Lexer<'a> {
-    fn run(mut self) -> Vec<Token> {
-        let mut out = Vec::new();
-        loop {
-            self.skip_trivia();
-            let lo = self.pos as u32;
-            let Some(c) = self.peek() else {
-                out.push(self.tok(TokenKind::Eof, lo));
-                return out;
-            };
-            let kind = match c {
-                b'a'..=b'z' | b'_' => {
-                    let s = self.take_ident();
-                    TokenKind::LIdent(s)
-                }
-                b'A'..=b'Z' => {
-                    let s = self.take_ident();
-                    TokenKind::UIdent(s)
-                }
-                b'\'' => {
-                    // type variable 'a or char literal; we only need tyvars
-                    self.bump();
-                    if matches!(self.peek(), Some(b'a'..=b'z' | b'_')) {
-                        let s = self.take_plain_ident();
-                        // char literal like 'a' has a closing quote
-                        if self.peek() == Some(b'\'') && s.len() == 1 {
-                            self.bump();
-                            TokenKind::Other('\'')
-                        } else {
-                            TokenKind::TyVar(s)
-                        }
-                    } else {
-                        // char literal such as '\n' or '0'; consume loosely
-                        if self.peek() == Some(b'\\') {
-                            self.bump();
-                            self.bump();
-                        } else {
-                            self.bump();
-                        }
-                        if self.peek() == Some(b'\'') {
-                            self.bump();
-                        }
+    let mut s = Scanner::new(file, src);
+    let mut out = Vec::new();
+    loop {
+        skip_trivia(&mut s);
+        let lo = s.pos();
+        let Some(c) = s.peek() else {
+            out.push(s.token(TokenKind::Eof, lo));
+            return out;
+        };
+        let kind = match c {
+            b'a'..=b'z' | b'_' => TokenKind::LIdent(take_ident(&mut s)),
+            b'A'..=b'Z' => TokenKind::UIdent(take_ident(&mut s)),
+            b'\'' => {
+                // type variable 'a or char literal; we only need tyvars
+                s.bump();
+                if matches!(s.peek(), Some(b'a'..=b'z' | b'_')) {
+                    // excludes primes: `'x'` is a char literal, not tyvar `x'`
+                    let v = s.take_while(|c| c.is_ascii_alphanumeric() || c == b'_');
+                    // char literal like 'a' has a closing quote
+                    if s.peek() == Some(b'\'') && v.len() == 1 {
+                        s.bump();
                         TokenKind::Other('\'')
-                    }
-                }
-                b'"' => {
-                    let s = self.take_string();
-                    TokenKind::Str(s)
-                }
-                b'0'..=b'9' => {
-                    let n = self.take_int();
-                    TokenKind::Int(n)
-                }
-                b'=' => {
-                    self.bump();
-                    TokenKind::Eq
-                }
-                b'|' => {
-                    self.bump();
-                    // tolerate || in skipped expressions
-                    if self.peek() == Some(b'|') {
-                        self.bump();
-                        TokenKind::Other('|')
                     } else {
-                        TokenKind::Bar
+                        TokenKind::TyVar(v)
                     }
-                }
-                b'*' => {
-                    self.bump();
-                    TokenKind::Star
-                }
-                b'(' => {
-                    self.bump();
-                    TokenKind::LParen
-                }
-                b')' => {
-                    self.bump();
-                    TokenKind::RParen
-                }
-                b'[' => {
-                    self.bump();
-                    TokenKind::LBracket
-                }
-                b']' => {
-                    self.bump();
-                    TokenKind::RBracket
-                }
-                b'{' => {
-                    self.bump();
-                    TokenKind::LBrace
-                }
-                b'}' => {
-                    self.bump();
-                    TokenKind::RBrace
-                }
-                b';' => {
-                    self.bump();
-                    if self.peek() == Some(b';') {
-                        self.bump();
-                        TokenKind::SemiSemi
-                    } else {
-                        TokenKind::Semi
+                } else {
+                    // char literal such as '\n' or '0'; consume loosely
+                    if s.peek() == Some(b'\\') {
+                        s.bump();
                     }
-                }
-                b':' => {
-                    self.bump();
-                    TokenKind::Colon
-                }
-                b',' => {
-                    self.bump();
-                    TokenKind::Comma
-                }
-                b'-' => {
-                    self.bump();
-                    if self.peek() == Some(b'>') {
-                        self.bump();
-                        TokenKind::Arrow
-                    } else {
-                        TokenKind::Other('-')
+                    s.bump();
+                    if s.peek() == Some(b'\'') {
+                        s.bump();
                     }
+                    TokenKind::Other('\'')
                 }
-                b'.' => {
-                    self.bump();
-                    TokenKind::Dot
-                }
-                b'?' => {
-                    self.bump();
-                    TokenKind::Question
-                }
-                b'~' => {
-                    self.bump();
-                    TokenKind::Tilde
-                }
-                b'<' => {
-                    self.bump();
-                    TokenKind::Lt
-                }
-                b'>' => {
-                    self.bump();
-                    TokenKind::Gt
-                }
-                b'#' => {
-                    self.bump();
-                    TokenKind::Hash
-                }
-                b'`' => {
-                    self.bump();
-                    TokenKind::Backtick
-                }
-                other => {
-                    self.bump();
+            }
+            b'"' => TokenKind::Str(take_string(&mut s)),
+            b'0'..=b'9' => TokenKind::Int(take_int(&mut s)),
+            other => match s.punct(PUNCTS) {
+                Some(p) => punct_kind(p),
+                None => {
+                    s.bump();
                     TokenKind::Other(other as char)
                 }
-            };
-            out.push(self.tok(kind, lo));
+            },
+        };
+        out.push(s.token(kind, lo));
+    }
+}
+
+fn punct_kind(p: &str) -> TokenKind {
+    match p {
+        "=" => TokenKind::Eq,
+        "|" => TokenKind::Bar,
+        "*" => TokenKind::Star,
+        "(" => TokenKind::LParen,
+        ")" => TokenKind::RParen,
+        "[" => TokenKind::LBracket,
+        "]" => TokenKind::RBracket,
+        "{" => TokenKind::LBrace,
+        "}" => TokenKind::RBrace,
+        ";" => TokenKind::Semi,
+        ";;" => TokenKind::SemiSemi,
+        ":" => TokenKind::Colon,
+        "," => TokenKind::Comma,
+        "->" => TokenKind::Arrow,
+        "." => TokenKind::Dot,
+        "?" => TokenKind::Question,
+        "~" => TokenKind::Tilde,
+        "<" => TokenKind::Lt,
+        ">" => TokenKind::Gt,
+        "#" => TokenKind::Hash,
+        "`" => TokenKind::Backtick,
+        // tolerated in skipped expressions
+        "||" => TokenKind::Other('|'),
+        "-" => TokenKind::Other('-'),
+        _ => unreachable!("`{p}` is not in PUNCTS"),
+    }
+}
+
+fn skip_trivia(s: &mut Scanner) {
+    loop {
+        match (s.peek(), s.peek_at(1)) {
+            (Some(b' ' | b'\t' | b'\r' | b'\n'), _) => s.bump(),
+            (Some(b'('), Some(b'*')) => skip_comment(s),
+            _ => return,
         }
     }
+}
 
-    fn tok(&self, kind: TokenKind, lo: u32) -> Token {
-        Token { kind, span: Span::new(self.file, lo, self.pos as u32) }
+/// Skips a nested `(* … *)` comment, the cursor on its `(*`. String
+/// literals inside are lexed, so a `*)` in one does not end the comment.
+fn skip_comment(s: &mut Scanner) {
+    s.bump_n(2);
+    let mut depth = 1usize;
+    while depth > 0 {
+        match (s.peek(), s.peek_at(1)) {
+            (None, _) => return,
+            (Some(b'('), Some(b'*')) => {
+                s.bump_n(2);
+                depth += 1;
+            }
+            (Some(b'*'), Some(b')')) => {
+                s.bump_n(2);
+                depth -= 1;
+            }
+            (Some(b'"'), _) => {
+                let _ = take_string(s);
+            }
+            _ => s.bump(),
+        }
     }
+}
 
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
+/// Identifiers may contain primes (`x'`); a prime followed by a letter at
+/// the start of a token is a type variable, lexed separately.
+fn take_ident(s: &mut Scanner) -> String {
+    s.take_while(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'\'')
+}
 
-    fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
-    }
-
-    fn bump(&mut self) {
-        self.pos += 1;
-    }
-
-    fn skip_trivia(&mut self) {
-        loop {
-            match self.peek() {
-                Some(b' ' | b'\t' | b'\r' | b'\n') => self.bump(),
-                Some(b'(') if self.peek2() == Some(b'*') => self.skip_comment(),
-                _ => return,
+fn take_string(s: &mut Scanner) -> String {
+    s.bump(); // '"'
+    let mut out = String::new();
+    loop {
+        match s.peek() {
+            None | Some(b'"') => {
+                s.bump();
+                return out;
+            }
+            Some(b'\\') => {
+                s.bump();
+                match s.peek() {
+                    Some(b'n') => out.push('\n'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'"') => out.push('"'),
+                    Some(c) => out.push(c as char),
+                    None => {}
+                }
+                s.bump();
+            }
+            Some(c) => {
+                out.push(c as char);
+                s.bump();
             }
         }
     }
+}
 
-    fn skip_comment(&mut self) {
-        // at "(*"
-        self.bump();
-        self.bump();
-        let mut depth = 1usize;
-        while depth > 0 {
-            match self.peek() {
-                None => return,
-                Some(b'(') if self.peek2() == Some(b'*') => {
-                    self.bump();
-                    self.bump();
-                    depth += 1;
-                }
-                Some(b'*') if self.peek2() == Some(b')') => {
-                    self.bump();
-                    self.bump();
-                    depth -= 1;
-                }
-                Some(b'"') => {
-                    let _ = self.take_string();
-                }
-                _ => self.bump(),
-            }
-        }
-    }
-
-    fn take_ident(&mut self) -> String {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_' | b'\'')) {
-            // identifiers may contain primes (x') but a prime followed by a
-            // letter at the start of lexing is a tyvar, handled by caller
-            self.bump();
-        }
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
-    }
-
-    /// Like [`Self::take_ident`] but excludes primes — used for type
-    /// variables, where `'x'` must lex as a char literal, not tyvar `x'`.
-    fn take_plain_ident(&mut self) -> String {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_')) {
-            self.bump();
-        }
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
-    }
-
-    fn take_string(&mut self) -> String {
-        // at '"'
-        self.bump();
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None | Some(b'"') => {
-                    self.bump();
-                    return out;
-                }
-                Some(b'\\') => {
-                    self.bump();
-                    match self.peek() {
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'"') => out.push('"'),
-                        Some(c) => out.push(c as char),
-                        None => {}
-                    }
-                    self.bump();
-                }
-                Some(c) => {
-                    out.push(c as char);
-                    self.bump();
-                }
-            }
-        }
-    }
-
-    fn take_int(&mut self) -> i64 {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'x' | b'X' | b'a'..=b'f' | b'A'..=b'F' | b'_')
-        ) {
-            self.bump();
-        }
-        let text: String = String::from_utf8_lossy(&self.src[start..self.pos]).replace('_', "");
-        if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-            i64::from_str_radix(hex, 16).unwrap_or(0)
-        } else {
-            text.parse().unwrap_or(0)
-        }
+fn take_int(s: &mut Scanner) -> i64 {
+    let text = s.take_while(|c| c.is_ascii_hexdigit() || matches!(c, b'x' | b'X' | b'_'));
+    let text = text.replace('_', "");
+    if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        i64::from_str_radix(hex, 16).unwrap_or(0)
+    } else {
+        text.parse().unwrap_or(0)
     }
 }
 

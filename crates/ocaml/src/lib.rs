@@ -55,6 +55,6 @@ pub mod token;
 pub mod translate;
 
 pub use ast::{ExternalDecl, Field, Item, TypeDecl, TypeDeclKind, TypeExpr, Variant};
-pub use parser::{ParseError, ParsedFile};
+pub use parser::ParsedFile;
 pub use repository::TypeRepository;
 pub use translate::{ExternalSignature, Phase1, TranslateIssue, Translator};

@@ -7,31 +7,24 @@
 
 use crate::ast::*;
 use crate::lexer::lex;
-use crate::token::{Token, TokenKind};
+use crate::token::TokenKind;
+use ffisafe_support::scan::{Cursor, Kind};
 use ffisafe_support::{FileId, Span};
-
-/// A recoverable parse problem; the parser continues after recording one.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseError {
-    /// Where the problem occurred.
-    pub span: Span,
-    /// Human-readable description.
-    pub message: String,
-}
 
 /// Result of parsing one OCaml source file.
 #[derive(Clone, Debug, Default)]
 pub struct ParsedFile {
     /// Declarations found, in source order.
     pub items: Vec<Item>,
-    /// Recoverable problems encountered.
-    pub errors: Vec<ParseError>,
+    /// Recoverable parse problems (span + message); the parser continues
+    /// after recording one.
+    pub errors: Vec<(Span, String)>,
 }
 
 /// Parses OCaml source text into declarations.
 pub fn parse(file: FileId, src: &str) -> ParsedFile {
     let tokens = lex(file, src);
-    Parser { tokens, pos: 0, out: ParsedFile::default() }.run()
+    Parser { cur: Cursor::new(tokens), out: ParsedFile::default() }.run()
 }
 
 const STOP_KEYWORDS: &[&str] = &[
@@ -54,22 +47,24 @@ const STOP_KEYWORDS: &[&str] = &[
 ];
 
 struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+    cur: Cursor<TokenKind>,
     out: ParsedFile,
 }
 
 impl Parser {
     fn run(mut self) -> ParsedFile {
         loop {
-            match self.peek_kind() {
-                TokenKind::Eof => return self.out,
-                k if k.is_kw("type") => {
-                    self.bump();
+            match self.cur.peek() {
+                TokenKind::Eof => {
+                    self.out.errors = self.cur.take_errors();
+                    return self.out;
+                }
+                k if k.is_ident("type") => {
+                    self.cur.bump();
                     self.parse_type_chain();
                 }
-                k if k.is_kw("external") => {
-                    self.bump();
+                k if k.is_ident("external") => {
+                    self.cur.bump();
                     self.parse_external();
                 }
                 _ => self.skip_item(),
@@ -77,67 +72,10 @@ impl Parser {
         }
     }
 
-    // ---- token plumbing ---------------------------------------------------
-
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
-    }
-
-    fn peek_kind(&self) -> &TokenKind {
-        &self.peek().kind
-    }
-
-    fn peek_kind_at(&self, n: usize) -> &TokenKind {
-        &self.tokens[(self.pos + n).min(self.tokens.len() - 1)].kind
-    }
-
-    fn span(&self) -> Span {
-        self.peek().span
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat(&mut self, kind: &TokenKind) -> bool {
-        if self.peek_kind() == kind {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn error(&mut self, message: impl Into<String>) {
-        let span = self.span();
-        self.out.errors.push(ParseError { span, message: message.into() });
-    }
-
     /// Skips one unknown top-level item: advances until the next `type` /
     /// `external` keyword at bracket depth 0 (or EOF).
     fn skip_item(&mut self) {
-        let mut depth = 0i32;
-        loop {
-            match self.peek_kind() {
-                TokenKind::Eof => return,
-                TokenKind::LParen | TokenKind::LBracket | TokenKind::LBrace => {
-                    depth += 1;
-                    self.bump();
-                }
-                TokenKind::RParen | TokenKind::RBracket | TokenKind::RBrace => {
-                    depth -= 1;
-                    self.bump();
-                }
-                k if depth <= 0 && (k.is_kw("type") || k.is_kw("external")) => return,
-                _ => {
-                    self.bump();
-                }
-            }
-        }
+        self.cur.skip_until(|k| k.is_ident("type") || k.is_ident("external"));
     }
 
     // ---- type declarations --------------------------------------------------
@@ -147,8 +85,8 @@ impl Parser {
             if let Some(decl) = self.parse_type_decl() {
                 self.out.items.push(Item::Type(decl));
             }
-            if self.peek_kind().is_kw("and") {
-                self.bump();
+            if self.cur.peek().is_ident("and") {
+                self.cur.bump();
             } else {
                 return;
             }
@@ -156,55 +94,49 @@ impl Parser {
     }
 
     fn parse_type_decl(&mut self) -> Option<TypeDecl> {
-        let start = self.span();
+        let start = self.cur.span();
         // `nonrec` is a modifier we can ignore
-        if self.peek_kind().is_kw("nonrec") {
-            self.bump();
+        if self.cur.peek().is_ident("nonrec") {
+            self.cur.bump();
         }
         // parameters: 'a  or  ('a, 'b)
         let mut params = Vec::new();
-        match self.peek_kind().clone() {
+        match self.cur.peek().clone() {
             TokenKind::TyVar(v) => {
-                self.bump();
+                self.cur.bump();
                 params.push(v);
             }
             TokenKind::LParen => {
-                if matches!(self.peek_kind_at(1), TokenKind::TyVar(_)) {
-                    self.bump(); // (
-                    while let TokenKind::TyVar(v) = self.peek_kind().clone() {
-                        self.bump();
+                if matches!(self.cur.peek_at(1), TokenKind::TyVar(_)) {
+                    self.cur.bump(); // (
+                    while let TokenKind::TyVar(v) = self.cur.peek().clone() {
+                        self.cur.bump();
                         params.push(v);
-                        if !self.eat(&TokenKind::Comma) {
+                        if !self.cur.eat(&TokenKind::Comma) {
                             break;
                         }
                     }
-                    self.eat(&TokenKind::RParen);
+                    self.cur.eat(&TokenKind::RParen);
                 }
             }
             _ => {}
         }
-        let name = match self.peek_kind().clone() {
-            TokenKind::LIdent(n) => {
-                self.bump();
-                n
-            }
-            _ => {
-                self.error("expected type name");
-                self.skip_item();
-                return None;
-            }
+        let Some(name) = self.cur.take_ident() else {
+            self.cur.error("expected type name");
+            self.skip_item();
+            return None;
         };
-        if !self.eat(&TokenKind::Eq) {
+        if !self.cur.eat(&TokenKind::Eq) {
             // abstract type
             return Some(TypeDecl { name, params, kind: TypeDeclKind::Opaque, span: start });
         }
-        if self.peek_kind().is_kw("private") {
-            self.bump();
+        if self.cur.peek().is_ident("private") {
+            self.cur.bump();
         }
-        let kind = match self.peek_kind().clone() {
+        let kind = match self.cur.peek().clone() {
             TokenKind::LBrace => self.parse_record(),
             TokenKind::LBracket => {
-                self.skip_brackets();
+                self.cur.skip_group(&TokenKind::LBracket, &TokenKind::RBracket);
                 TypeDeclKind::PolyVariant
             }
             TokenKind::Bar | TokenKind::UIdent(_) => self.parse_sum(),
@@ -214,36 +146,30 @@ impl Parser {
     }
 
     fn parse_record(&mut self) -> TypeDeclKind {
-        self.bump(); // {
+        self.cur.bump(); // {
         let mut fields = Vec::new();
         loop {
-            if self.eat(&TokenKind::RBrace) || matches!(self.peek_kind(), TokenKind::Eof) {
+            if self.cur.eat(&TokenKind::RBrace) || matches!(self.cur.peek(), TokenKind::Eof) {
                 break;
             }
-            let mutable = if self.peek_kind().is_kw("mutable") {
-                self.bump();
+            let mutable = if self.cur.peek().is_ident("mutable") {
+                self.cur.bump();
                 true
             } else {
                 false
             };
-            let name = match self.peek_kind().clone() {
-                TokenKind::LIdent(n) => {
-                    self.bump();
-                    n
-                }
-                _ => {
-                    self.error("expected record field name");
-                    self.bump();
-                    continue;
-                }
+            let Some(name) = self.cur.take_ident() else {
+                self.cur.error("expected record field name");
+                self.cur.bump();
+                continue;
             };
-            if !self.eat(&TokenKind::Colon) {
-                self.error("expected `:` in record field");
+            if !self.cur.eat(&TokenKind::Colon) {
+                self.cur.error("expected `:` in record field");
             }
             let ty = self.parse_type_expr();
             fields.push(Field { name, mutable, ty });
-            if !self.eat(&TokenKind::Semi) {
-                self.eat(&TokenKind::RBrace);
+            if !self.cur.eat(&TokenKind::Semi) {
+                self.cur.eat(&TokenKind::RBrace);
                 break;
             }
         }
@@ -252,16 +178,16 @@ impl Parser {
 
     fn parse_sum(&mut self) -> TypeDeclKind {
         let mut variants = Vec::new();
-        self.eat(&TokenKind::Bar); // optional leading bar
-        while let TokenKind::UIdent(name) = self.peek_kind().clone() {
-            self.bump();
+        self.cur.eat(&TokenKind::Bar); // optional leading bar
+        while let TokenKind::UIdent(name) = self.cur.peek().clone() {
+            self.cur.bump();
             let mut args = Vec::new();
-            if self.peek_kind().is_kw("of") {
-                self.bump();
+            if self.cur.peek().is_ident("of") {
+                self.cur.bump();
                 args = self.parse_constructor_args();
             }
             variants.push(Variant { name, args });
-            if !self.eat(&TokenKind::Bar) {
+            if !self.cur.eat(&TokenKind::Bar) {
                 break;
             }
         }
@@ -273,7 +199,7 @@ impl Parser {
     /// `of (int * int)` yields one tuple arg.
     fn parse_constructor_args(&mut self) -> Vec<TypeExpr> {
         let mut args = vec![self.parse_postfix_type()];
-        while self.eat(&TokenKind::Star) {
+        while self.cur.eat(&TokenKind::Star) {
             args.push(self.parse_postfix_type());
         }
         args
@@ -282,53 +208,53 @@ impl Parser {
     // ---- external declarations ------------------------------------------------
 
     fn parse_external(&mut self) {
-        let start = self.span();
-        let ml_name = match self.peek_kind().clone() {
+        let start = self.cur.span();
+        let ml_name = match self.cur.peek().clone() {
             TokenKind::LIdent(n) => {
-                self.bump();
+                self.cur.bump();
                 n
             }
             TokenKind::LParen => {
                 // operator name like ( + ); consume to RParen
-                self.bump();
+                self.cur.bump();
                 let mut name = String::from("op");
-                while !matches!(self.peek_kind(), TokenKind::RParen | TokenKind::Eof) {
+                while !matches!(self.cur.peek(), TokenKind::RParen | TokenKind::Eof) {
                     name.push('_');
-                    self.bump();
+                    self.cur.bump();
                 }
-                self.eat(&TokenKind::RParen);
+                self.cur.eat(&TokenKind::RParen);
                 name
             }
             _ => {
-                self.error("expected external name");
+                self.cur.error("expected external name");
                 self.skip_item();
                 return;
             }
         };
-        if !self.eat(&TokenKind::Colon) {
-            self.error("expected `:` in external declaration");
+        if !self.cur.eat(&TokenKind::Colon) {
+            self.cur.error("expected `:` in external declaration");
             self.skip_item();
             return;
         }
         let ty = self.parse_type_expr();
-        if !self.eat(&TokenKind::Eq) {
-            self.error("expected `=` in external declaration");
+        if !self.cur.eat(&TokenKind::Eq) {
+            self.cur.error("expected `=` in external declaration");
             self.skip_item();
             return;
         }
         let mut c_names = Vec::new();
-        while let TokenKind::Str(s) = self.peek_kind().clone() {
-            self.bump();
+        while let TokenKind::Str(s) = self.cur.peek().clone() {
+            self.cur.bump();
             // runtime hints like "noalloc"/"float" are attributes, not names
             if s != "noalloc" && s != "float" {
                 c_names.push(s);
             }
         }
         if c_names.is_empty() {
-            self.error("external declaration has no C function name");
+            self.cur.error("external declaration has no C function name");
             return;
         }
-        let span = start.merge(self.span());
+        let span = start.merge(self.cur.span());
         self.out.items.push(Item::External(ExternalDecl { ml_name, ty, c_names, span }));
     }
 
@@ -338,30 +264,30 @@ impl Parser {
     /// associativity.
     fn parse_type_expr(&mut self) -> TypeExpr {
         // optional argument label
-        if matches!(self.peek_kind(), TokenKind::Question)
-            && matches!(self.peek_kind_at(1), TokenKind::LIdent(_))
-            && matches!(self.peek_kind_at(2), TokenKind::Colon)
+        if matches!(self.cur.peek(), TokenKind::Question)
+            && matches!(self.cur.peek_at(1), TokenKind::LIdent(_))
+            && matches!(self.cur.peek_at(2), TokenKind::Colon)
         {
-            self.bump();
-            self.bump();
-            self.bump();
+            self.cur.bump();
+            self.cur.bump();
+            self.cur.bump();
             // ?lbl:t means the parameter is `t option` at the C interface
             let inner = self.parse_tuple_type();
             let lhs = TypeExpr::Constr(vec!["option".into()], vec![inner]);
             return self.finish_arrow(lhs);
         }
-        if matches!(self.peek_kind(), TokenKind::LIdent(s) if !STOP_KEYWORDS.contains(&s.as_str()))
-            && matches!(self.peek_kind_at(1), TokenKind::Colon)
+        if matches!(self.cur.peek(), TokenKind::LIdent(s) if !STOP_KEYWORDS.contains(&s.as_str()))
+            && matches!(self.cur.peek_at(1), TokenKind::Colon)
         {
-            self.bump();
-            self.bump();
+            self.cur.bump();
+            self.cur.bump();
         }
         let lhs = self.parse_tuple_type();
         self.finish_arrow(lhs)
     }
 
     fn finish_arrow(&mut self, lhs: TypeExpr) -> TypeExpr {
-        if self.eat(&TokenKind::Arrow) {
+        if self.cur.eat(&TokenKind::Arrow) {
             let rhs = self.parse_type_expr();
             TypeExpr::Arrow(Box::new(lhs), Box::new(rhs))
         } else {
@@ -371,9 +297,9 @@ impl Parser {
 
     fn parse_tuple_type(&mut self) -> TypeExpr {
         let first = self.parse_postfix_type();
-        if self.peek_kind() == &TokenKind::Star {
+        if self.cur.peek() == &TokenKind::Star {
             let mut parts = vec![first];
-            while self.eat(&TokenKind::Star) {
+            while self.cur.eat(&TokenKind::Star) {
                 parts.push(self.parse_postfix_type());
             }
             TypeExpr::Tuple(parts)
@@ -387,11 +313,11 @@ impl Parser {
     fn parse_postfix_type(&mut self) -> TypeExpr {
         let mut base = self.parse_primary_type();
         loop {
-            match self.peek_kind().clone() {
+            match self.cur.peek().clone() {
                 TokenKind::LIdent(s) if !STOP_KEYWORDS.contains(&s.as_str()) => {
                     // `base s` — but only if this is genuinely an application,
                     // not a label (`s :`) of a following arrow
-                    if matches!(self.peek_kind_at(1), TokenKind::Colon) {
+                    if matches!(self.cur.peek_at(1), TokenKind::Colon) {
                         break;
                     }
                     let path = self.parse_lident_path();
@@ -412,39 +338,39 @@ impl Parser {
     }
 
     fn parse_primary_type(&mut self) -> TypeExpr {
-        match self.peek_kind().clone() {
+        match self.cur.peek().clone() {
             TokenKind::TyVar(v) => {
-                self.bump();
+                self.cur.bump();
                 TypeExpr::Var(v)
             }
             TokenKind::Other('_') => {
-                self.bump();
+                self.cur.bump();
                 TypeExpr::Var("_".into())
             }
             TokenKind::LParen => {
-                self.bump();
+                self.cur.bump();
                 let first = self.parse_type_expr();
-                if self.eat(&TokenKind::Comma) {
+                if self.cur.eat(&TokenKind::Comma) {
                     // (t1, t2) path
                     let mut args = vec![first];
                     loop {
                         args.push(self.parse_type_expr());
-                        if !self.eat(&TokenKind::Comma) {
+                        if !self.cur.eat(&TokenKind::Comma) {
                             break;
                         }
                     }
-                    self.eat(&TokenKind::RParen);
-                    let path = match self.peek_kind().clone() {
+                    self.cur.eat(&TokenKind::RParen);
+                    let path = match self.cur.peek().clone() {
                         TokenKind::LIdent(_) => self.parse_lident_path(),
                         TokenKind::UIdent(_) => self.parse_module_type_path(),
                         _ => {
-                            self.error("expected type constructor after (t, …)");
+                            self.cur.error("expected type constructor after (t, …)");
                             vec!["?".into()]
                         }
                     };
                     TypeExpr::Constr(path, args)
                 } else {
-                    self.eat(&TokenKind::RParen);
+                    self.cur.eat(&TokenKind::RParen);
                     first
                 }
             }
@@ -457,16 +383,16 @@ impl Parser {
                 TypeExpr::Constr(path, Vec::new())
             }
             TokenKind::LBracket => {
-                self.skip_brackets();
+                self.cur.skip_group(&TokenKind::LBracket, &TokenKind::RBracket);
                 TypeExpr::PolyVariant
             }
             TokenKind::Lt => {
-                self.skip_angle_object();
+                self.cur.skip_group(&TokenKind::Lt, &TokenKind::Gt);
                 TypeExpr::Object
             }
             _ => {
-                self.error("expected a type");
-                self.bump();
+                self.cur.error("expected a type");
+                self.cur.bump();
                 TypeExpr::named("?")
             }
         }
@@ -475,14 +401,14 @@ impl Parser {
     /// Parses `ident(.ident)*` starting at an LIdent.
     fn parse_lident_path(&mut self) -> Vec<String> {
         let mut path = Vec::new();
-        if let TokenKind::LIdent(s) = self.peek_kind().clone() {
-            self.bump();
+        if let TokenKind::LIdent(s) = self.cur.peek().clone() {
+            self.cur.bump();
             path.push(s);
         }
-        while self.peek_kind() == &TokenKind::Dot {
-            if let TokenKind::LIdent(s) | TokenKind::UIdent(s) = self.peek_kind_at(1).clone() {
-                self.bump();
-                self.bump();
+        while self.cur.peek() == &TokenKind::Dot {
+            if let TokenKind::LIdent(s) | TokenKind::UIdent(s) = self.cur.peek_at(1).clone() {
+                self.cur.bump();
+                self.cur.bump();
                 path.push(s);
             } else {
                 break;
@@ -495,15 +421,15 @@ impl Parser {
     fn lookahead_is_module_type_path(&self) -> bool {
         let mut n = 0usize;
         loop {
-            match self.peek_kind_at(n) {
+            match self.cur.peek_at(n) {
                 TokenKind::UIdent(_) => {}
                 _ => return false,
             }
-            match self.peek_kind_at(n + 1) {
+            match self.cur.peek_at(n + 1) {
                 TokenKind::Dot => {}
                 _ => return false,
             }
-            match self.peek_kind_at(n + 2) {
+            match self.cur.peek_at(n + 2) {
                 TokenKind::LIdent(_) => return true,
                 TokenKind::UIdent(_) => n += 2,
                 _ => return false,
@@ -515,69 +441,22 @@ impl Parser {
     fn parse_module_type_path(&mut self) -> Vec<String> {
         let mut path = Vec::new();
         loop {
-            match self.peek_kind().clone() {
+            match self.cur.peek().clone() {
                 TokenKind::UIdent(s) => {
-                    self.bump();
+                    self.cur.bump();
                     path.push(s);
-                    if !self.eat(&TokenKind::Dot) {
+                    if !self.cur.eat(&TokenKind::Dot) {
                         return path;
                     }
                 }
                 TokenKind::LIdent(s) => {
-                    self.bump();
+                    self.cur.bump();
                     path.push(s);
                     return path;
                 }
                 _ => {
-                    self.error("malformed module path");
+                    self.cur.error("malformed module path");
                     return path;
-                }
-            }
-        }
-    }
-
-    fn skip_brackets(&mut self) {
-        // at `[`
-        let mut depth = 0i32;
-        loop {
-            match self.peek_kind() {
-                TokenKind::LBracket => {
-                    depth += 1;
-                    self.bump();
-                }
-                TokenKind::RBracket => {
-                    depth -= 1;
-                    self.bump();
-                    if depth <= 0 {
-                        return;
-                    }
-                }
-                TokenKind::Eof => return,
-                _ => {
-                    self.bump();
-                }
-            }
-        }
-    }
-
-    fn skip_angle_object(&mut self) {
-        let mut depth = 0i32;
-        loop {
-            match self.peek_kind() {
-                TokenKind::Lt => {
-                    depth += 1;
-                    self.bump();
-                }
-                TokenKind::Gt => {
-                    depth -= 1;
-                    self.bump();
-                    if depth <= 0 {
-                        return;
-                    }
-                }
-                TokenKind::Eof => return,
-                _ => {
-                    self.bump();
                 }
             }
         }

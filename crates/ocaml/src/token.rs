@@ -1,6 +1,6 @@
 //! Tokens of the OCaml declaration sublanguage.
 
-use ffisafe_support::Span;
+use ffisafe_support::scan::{self, Kind};
 
 /// A lexed OCaml token.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,29 +63,30 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
-    /// Returns the identifier text when this is an `LIdent`.
-    pub fn as_lident(&self) -> Option<&str> {
+impl Kind for TokenKind {
+    fn is_eof(&self) -> bool {
+        matches!(self, TokenKind::Eof)
+    }
+
+    /// Lowercase identifiers, which include every keyword.
+    fn ident(&self) -> Option<&str> {
         match self {
             TokenKind::LIdent(s) => Some(s),
             _ => None,
         }
     }
 
-    /// Whether this token is the given keyword.
-    pub fn is_kw(&self, kw: &str) -> bool {
-        matches!(self, TokenKind::LIdent(s) if s == kw)
+    fn nesting(&self) -> i32 {
+        match self {
+            TokenKind::LParen | TokenKind::LBracket | TokenKind::LBrace => 1,
+            TokenKind::RParen | TokenKind::RBracket | TokenKind::RBrace => -1,
+            _ => 0,
+        }
     }
 }
 
-/// A token with its source span.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
-    /// Token kind and payload.
-    pub kind: TokenKind,
-    /// Source span.
-    pub span: Span,
-}
+/// An OCaml token with its source span.
+pub type Token = scan::Token<TokenKind>;
 
 #[cfg(test)]
 mod tests {
@@ -93,14 +94,10 @@ mod tests {
 
     #[test]
     fn keyword_recognition() {
-        assert!(TokenKind::LIdent("type".into()).is_kw("type"));
-        assert!(!TokenKind::LIdent("typ".into()).is_kw("type"));
-        assert!(!TokenKind::UIdent("Type".into()).is_kw("type"));
-    }
-
-    #[test]
-    fn as_lident() {
-        assert_eq!(TokenKind::LIdent("t".into()).as_lident(), Some("t"));
-        assert_eq!(TokenKind::Eq.as_lident(), None);
+        assert!(TokenKind::LIdent("type".into()).is_ident("type"));
+        assert!(!TokenKind::LIdent("typ".into()).is_ident("type"));
+        assert!(!TokenKind::UIdent("Type".into()).is_ident("type"));
+        assert_eq!(TokenKind::LBracket.nesting(), 1);
+        assert_eq!(TokenKind::Lt.nesting(), 0);
     }
 }

@@ -6,7 +6,8 @@
 //! inside literals or comments.
 
 use crate::token::{RsToken, RsTokenKind};
-use ffisafe_support::{FileId, Span};
+use ffisafe_support::scan::Scanner;
+use ffisafe_support::FileId;
 
 /// Multi-character punctuation, longest first.
 const PUNCTS: &[&str] = &[
@@ -17,270 +18,161 @@ const PUNCTS: &[&str] = &[
 
 /// Lexes Rust source text into tokens (ending with `Eof`).
 pub fn lex(file: FileId, src: &str) -> Vec<RsToken> {
-    RsLexer { file, src: src.as_bytes(), pos: 0 }.run()
+    let mut s = Scanner::new(file, src);
+    let mut out = Vec::new();
+    loop {
+        skip_trivia(&mut s);
+        let lo = s.pos();
+        let Some(c) = s.peek() else {
+            out.push(s.token(RsTokenKind::Eof, lo));
+            return out;
+        };
+        let kind = match c {
+            b'r' | b'b' if is_raw_or_byte_string(&s) => take_raw_or_byte_string(&mut s),
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => RsTokenKind::Ident(take_ident(&mut s)),
+            b'0'..=b'9' => RsTokenKind::Number(take_number(&mut s)),
+            b'"' => {
+                s.bump(); // opening quote
+                RsTokenKind::Str(quoted(&mut s, b'"'))
+            }
+            b'\'' => take_lifetime_or_char(&mut s),
+            _ => match s.punct(PUNCTS) {
+                Some(p) => RsTokenKind::Punct(p),
+                None => {
+                    s.bump();
+                    continue; // unknown byte: drop it
+                }
+            },
+        };
+        out.push(s.token(kind, lo));
+    }
 }
 
-struct RsLexer<'a> {
-    file: FileId,
-    src: &'a [u8],
-    pos: usize,
+fn skip_trivia(s: &mut Scanner) {
+    loop {
+        match (s.peek(), s.peek_at(1)) {
+            (Some(c), _) if c.is_ascii_whitespace() => s.bump(),
+            (Some(b'/'), Some(b'/')) => s.line_comment(),
+            (Some(b'/'), Some(b'*')) => s.block_comment(true),
+            _ => return,
+        }
+    }
 }
 
-impl<'a> RsLexer<'a> {
-    fn run(mut self) -> Vec<RsToken> {
-        let mut out = Vec::new();
-        loop {
-            self.skip_trivia();
-            let lo = self.pos as u32;
-            let Some(c) = self.peek() else {
-                out.push(self.tok(RsTokenKind::Eof, lo));
-                return out;
-            };
-            let kind = match c {
-                b'r' | b'b' if self.is_raw_or_byte_string() => self.take_raw_or_byte_string(),
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
-                    let s = self.take_ident();
-                    RsTokenKind::Ident(s)
-                }
-                b'0'..=b'9' => RsTokenKind::Number(self.take_number()),
-                b'"' => RsTokenKind::Str(self.take_string()),
-                b'\'' => self.take_lifetime_or_char(),
-                _ => {
-                    let mut matched = None;
-                    for p in PUNCTS {
-                        if self.src[self.pos..].starts_with(p.as_bytes()) {
-                            matched = Some(*p);
-                            break;
-                        }
-                    }
-                    match matched {
-                        Some(p) => {
-                            self.pos += p.len();
-                            RsTokenKind::Punct(p)
-                        }
-                        None => {
-                            self.bump();
-                            continue; // unknown byte: drop it
-                        }
-                    }
-                }
-            };
-            out.push(self.tok(kind, lo));
+fn is_ident_byte(c: u8) -> bool {
+    c.is_ascii_alphanumeric() || c == b'_'
+}
+
+fn take_ident(s: &mut Scanner) -> String {
+    let ident = s.take_while(is_ident_byte);
+    // `r#type` lexes as a raw identifier meaning `type`-the-name; strip
+    // the sigil so the parser never confuses it with the keyword (raw
+    // identifiers are never keywords).
+    if ident == "r" && s.peek() == Some(b'#') && s.peek_at(1).is_some_and(is_ident_byte) {
+        s.bump(); // '#'
+        return s.take_while(is_ident_byte);
+    }
+    ident
+}
+
+fn take_number(s: &mut Scanner) -> String {
+    let start = s.pos();
+    // Digits, radix prefixes/hex digits, `_` separators, exponent signs
+    // and type suffixes all fall in this set; the parser only ever looks
+    // at array-length literals, so precision is not required here.
+    while let Some(c) = s.peek() {
+        if !(is_ident_byte(c) || c == b'.') || (c == b'.' && s.peek_at(1) == Some(b'.')) {
+            break; // also stops a `0..n` range before its `..`
+        }
+        s.bump();
+    }
+    s.text(start)
+}
+
+/// A quoted literal's contents (escapes verbatim) up to its closing
+/// `quote`, which is stepped over; the cursor just past the opening one.
+fn quoted(s: &mut Scanner, quote: u8) -> String {
+    let start = s.pos();
+    while let Some(c) = s.peek() {
+        if c == quote {
+            break;
+        }
+        s.bump();
+        if c == b'\\' && s.peek().is_some() {
+            s.bump();
         }
     }
-
-    fn tok(&self, kind: RsTokenKind, lo: u32) -> RsToken {
-        RsToken { kind, span: Span::new(self.file, lo, self.pos as u32) }
+    let text = s.text(start);
+    if s.peek() == Some(quote) {
+        s.bump();
     }
+    text
+}
 
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn peek_at(&self, off: usize) -> Option<u8> {
-        self.src.get(self.pos + off).copied()
-    }
-
-    fn bump(&mut self) {
-        self.pos += 1;
-    }
-
-    fn skip_trivia(&mut self) {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_ascii_whitespace() => self.bump(),
-                Some(b'/') if self.peek_at(1) == Some(b'/') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                Some(b'/') if self.peek_at(1) == Some(b'*') => {
-                    self.pos += 2;
-                    let mut depth = 1usize;
-                    while depth > 0 {
-                        match (self.peek(), self.peek_at(1)) {
-                            (Some(b'/'), Some(b'*')) => {
-                                depth += 1;
-                                self.pos += 2;
-                            }
-                            (Some(b'*'), Some(b'/')) => {
-                                depth -= 1;
-                                self.pos += 2;
-                            }
-                            (Some(_), _) => self.bump(),
-                            (None, _) => break,
-                        }
-                    }
-                }
-                _ => return,
-            }
-        }
-    }
-
-    fn is_ident_byte(c: u8) -> bool {
-        c.is_ascii_alphanumeric() || c == b'_'
-    }
-
-    fn take_ident(&mut self) -> String {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if Self::is_ident_byte(c) {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        let mut s = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-        // `r#type` lexes as a raw identifier meaning `type`-the-name; strip
-        // the sigil so the parser never confuses it with the keyword (raw
-        // identifiers are never keywords).
-        if s == "r" && self.peek() == Some(b'#') && self.peek_at(1).is_some_and(Self::is_ident_byte)
-        {
-            self.bump(); // '#'
-            let raw_start = self.pos;
-            while let Some(c) = self.peek() {
-                if Self::is_ident_byte(c) {
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-            s = String::from_utf8_lossy(&self.src[raw_start..self.pos]).into_owned();
-        }
-        s
-    }
-
-    fn take_number(&mut self) -> String {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            // Digits, radix prefixes/hex digits, `_` separators, exponent
-            // signs and type suffixes all fall in this set; the parser only
-            // ever looks at array-length literals, so precision is not
-            // required here.
-            if Self::is_ident_byte(c) || c == b'.' {
-                if c == b'.' && self.peek_at(1) == Some(b'.') {
-                    break; // `0..n` range: stop before `..`
-                }
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
-    }
-
-    fn take_string(&mut self) -> String {
-        self.bump(); // opening quote
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            match c {
-                b'"' => break,
-                b'\\' => {
-                    self.bump();
-                    if self.peek().is_some() {
-                        self.bump();
-                    }
-                }
-                _ => self.bump(),
-            }
-        }
-        let s = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-        if self.peek() == Some(b'"') {
-            self.bump();
-        }
-        s
-    }
-
-    /// Whether the cursor sits on `r"`, `r#`-string, `b"`, `br"` or `b'`.
-    fn is_raw_or_byte_string(&self) -> bool {
-        match (self.peek(), self.peek_at(1)) {
-            (Some(b'r'), Some(b'"')) => true,
-            (Some(b'r'), Some(b'#')) => {
-                // distinguish r"..."/r#"..."# from raw identifiers r#name
-                let mut i = 1;
-                while self.peek_at(i) == Some(b'#') {
-                    i += 1;
-                }
-                self.peek_at(i) == Some(b'"')
-            }
-            (Some(b'b'), Some(b'"')) | (Some(b'b'), Some(b'\'')) => true,
-            (Some(b'b'), Some(b'r')) => matches!(self.peek_at(2), Some(b'"') | Some(b'#')),
-            _ => false,
-        }
-    }
-
-    fn take_raw_or_byte_string(&mut self) -> RsTokenKind {
-        if self.peek() == Some(b'b') {
-            self.bump();
-        }
-        if self.peek() == Some(b'\'') {
-            return self.take_lifetime_or_char(); // byte literal b'x'
-        }
-        if self.peek() == Some(b'r') {
-            self.bump();
-            let mut hashes = 0usize;
-            while self.peek() == Some(b'#') {
-                hashes += 1;
-                self.bump();
-            }
-            self.bump(); // opening quote
-            let start = self.pos;
-            let closer: Vec<u8> =
-                std::iter::once(b'"').chain(std::iter::repeat_n(b'#', hashes)).collect();
-            while self.pos < self.src.len() && !self.src[self.pos..].starts_with(&closer) {
-                self.bump();
-            }
-            let s = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-            self.pos = (self.pos + closer.len()).min(self.src.len());
-            RsTokenKind::Str(s)
-        } else {
-            RsTokenKind::Str(self.take_string())
-        }
-    }
-
-    fn take_lifetime_or_char(&mut self) -> RsTokenKind {
-        self.bump(); // opening '
-                     // A lifetime is `'ident` NOT followed by a closing quote ('a' is a
-                     // char literal, 'a a lifetime).
-        if self.peek().is_some_and(|c| c.is_ascii_alphabetic() || c == b'_') {
-            let mut i = 0;
-            while self.peek_at(i).is_some_and(Self::is_ident_byte) {
+/// Whether the cursor sits on `r"`, `r#`-string, `b"`, `br"` or `b'`.
+fn is_raw_or_byte_string(s: &Scanner) -> bool {
+    match (s.peek(), s.peek_at(1)) {
+        (Some(b'r'), Some(b'"')) => true,
+        (Some(b'r'), Some(b'#')) => {
+            // distinguish r"..."/r#"..."# from raw identifiers r#name
+            let mut i = 1;
+            while s.peek_at(i) == Some(b'#') {
                 i += 1;
             }
-            if self.peek_at(i) != Some(b'\'') {
-                let start = self.pos;
-                self.pos += i;
-                let s = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-                return RsTokenKind::Lifetime(s);
-            }
+            s.peek_at(i) == Some(b'"')
         }
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            match c {
-                b'\'' => break,
-                b'\\' => {
-                    self.bump();
-                    if self.peek().is_some() {
-                        self.bump();
-                    }
-                }
-                _ => self.bump(),
-            }
-        }
-        let s = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-        if self.peek() == Some(b'\'') {
-            self.bump();
-        }
-        RsTokenKind::Char(s)
+        (Some(b'b'), Some(b'"')) | (Some(b'b'), Some(b'\'')) => true,
+        (Some(b'b'), Some(b'r')) => matches!(s.peek_at(2), Some(b'"') | Some(b'#')),
+        _ => false,
     }
+}
+
+fn take_raw_or_byte_string(s: &mut Scanner) -> RsTokenKind {
+    if s.peek() == Some(b'b') {
+        s.bump();
+    }
+    if s.peek() == Some(b'\'') {
+        return take_lifetime_or_char(s); // byte literal b'x'
+    }
+    if s.peek() != Some(b'r') {
+        s.bump(); // opening quote
+        return RsTokenKind::Str(quoted(s, b'"'));
+    }
+    s.bump();
+    let hashes = s.take_while(|c| c == b'#').len();
+    s.bump(); // opening quote
+    let closer: Vec<u8> = std::iter::once(b'"').chain(std::iter::repeat_n(b'#', hashes)).collect();
+    let start = s.pos();
+    while s.peek().is_some() && !s.starts_with(&closer) {
+        s.bump();
+    }
+    let text = s.text(start);
+    if s.starts_with(&closer) {
+        s.bump_n(closer.len());
+    }
+    RsTokenKind::Str(text)
+}
+
+fn take_lifetime_or_char(s: &mut Scanner) -> RsTokenKind {
+    // A lifetime is `'ident` NOT followed by a closing quote ('a' is a
+    // char literal, 'a a lifetime).
+    s.bump(); // opening '
+    if s.peek().is_some_and(|c| c.is_ascii_alphabetic() || c == b'_') {
+        let mut i = 0;
+        while s.peek_at(i).is_some_and(is_ident_byte) {
+            i += 1;
+        }
+        if s.peek_at(i) != Some(b'\'') {
+            return RsTokenKind::Lifetime(s.take_while(is_ident_byte));
+        }
+    }
+    RsTokenKind::Char(quoted(s, b'\''))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ffisafe_support::scan::Kind;
 
     fn kinds(src: &str) -> Vec<RsTokenKind> {
         lex(FileId::from_raw(0), src).into_iter().map(|t| t.kind).collect()

@@ -10,18 +10,18 @@
 
 use crate::ast::*;
 use crate::lexer;
-use crate::token::{RsToken, RsTokenKind};
-use ffisafe_support::{FileId, Span};
+use crate::token::RsTokenKind;
+use ffisafe_support::scan::{Cursor, Kind};
+use ffisafe_support::FileId;
 
 /// Parses one `.rs` source file into its boundary-relevant items.
 pub fn parse(file: FileId, name: &str, src: &str) -> ParsedRustFile {
-    let toks = lexer::lex(file, src);
     let mut p = Parser {
-        toks,
-        pos: 0,
+        cur: Cursor::new(lexer::lex(file, src)),
         out: ParsedRustFile { name: name.to_string(), ..Default::default() },
     };
     p.items(true);
+    p.out.errors = p.cur.take_errors();
     p.out
 }
 
@@ -35,103 +35,37 @@ struct Attrs {
 }
 
 struct Parser {
-    toks: Vec<RsToken>,
-    pos: usize,
+    cur: Cursor<RsTokenKind>,
     out: ParsedRustFile,
 }
 
 impl Parser {
-    // ---- token plumbing -------------------------------------------------
-
-    fn peek(&self) -> &RsTokenKind {
-        &self.toks[self.pos].kind
-    }
-
-    fn peek_at(&self, off: usize) -> &RsTokenKind {
-        let i = (self.pos + off).min(self.toks.len() - 1);
-        &self.toks[i].kind
-    }
-
-    fn span(&self) -> Span {
-        self.toks[self.pos].span
-    }
-
-    fn bump(&mut self) {
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
-        }
-    }
-
-    fn at_eof(&self) -> bool {
-        matches!(self.peek(), RsTokenKind::Eof)
-    }
-
-    fn eat_punct(&mut self, p: &str) -> bool {
-        if self.peek().is_punct(p) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        if self.peek().is_ident(kw) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
     /// Consumes one `>` even when the lexer produced `>>` (nested generic
     /// closers), by rewriting the token in place.
     fn eat_gt(&mut self) -> bool {
-        match self.peek() {
+        match self.cur.peek() {
             RsTokenKind::Punct(">") => {
-                self.bump();
+                self.cur.bump();
                 true
             }
             RsTokenKind::Punct(">>") => {
-                self.toks[self.pos].kind = RsTokenKind::Punct(">");
+                self.cur.rewrite(RsTokenKind::Punct(">"));
                 true
             }
             _ => false,
         }
     }
 
-    fn take_ident(&mut self) -> Option<String> {
-        let s = self.peek().ident()?.to_string();
-        self.bump();
-        Some(s)
-    }
-
-    fn error(&mut self, span: Span, msg: impl Into<String>) {
-        self.out.errors.push((span, msg.into()));
-    }
-
     /// Skips a balanced `{ … }` / `( … )` / `[ … ]` group, cursor on the
     /// opener.
     fn skip_group(&mut self) {
-        let close = match self.peek() {
-            RsTokenKind::Punct("{") => "}",
-            RsTokenKind::Punct("(") => ")",
-            RsTokenKind::Punct("[") => "]",
-            _ => return,
-        };
-        let open = match self.peek() {
-            RsTokenKind::Punct(p) => *p,
-            _ => unreachable!(),
-        };
-        self.bump();
-        let mut depth = 1usize;
-        while depth > 0 && !self.at_eof() {
-            if self.peek().is_punct(open) {
-                depth += 1;
-            } else if self.peek().is_punct(close) {
-                depth -= 1;
-            }
-            self.bump();
+        if let RsTokenKind::Punct(open @ ("{" | "(" | "[")) = *self.cur.peek() {
+            let close = match open {
+                "{" => "}",
+                "(" => ")",
+                _ => "]",
+            };
+            self.cur.skip_group(&RsTokenKind::Punct(open), &RsTokenKind::Punct(close));
         }
     }
 
@@ -139,21 +73,21 @@ impl Parser {
     /// after a balanced top-level `{ … }` (items like `static X: T = { … };`
     /// and `fn` bodies both end an item).
     fn skip_item_rest(&mut self) {
-        while !self.at_eof() {
-            match self.peek() {
+        while !self.cur.at_eof() {
+            match self.cur.peek() {
                 RsTokenKind::Punct(";") => {
-                    self.bump();
+                    self.cur.bump();
                     return;
                 }
                 RsTokenKind::Punct("{") => {
                     self.skip_group();
                     // a trailing `;` after the group belongs to the item
-                    self.eat_punct(";");
+                    self.cur.eat_punct(";");
                     return;
                 }
                 RsTokenKind::Punct("(") | RsTokenKind::Punct("[") => self.skip_group(),
                 RsTokenKind::Punct("}") => return, // enclosing mod/block closes
-                _ => self.bump(),
+                _ => self.cur.bump(),
             }
         }
     }
@@ -164,60 +98,52 @@ impl Parser {
     /// `#![…]` ones).
     fn attrs(&mut self) -> Attrs {
         let mut out = Attrs::default();
-        while self.peek().is_punct("#") {
-            self.bump();
-            self.eat_punct("!"); // inner attribute: parsed the same, flags ignored anyway
-            if !self.peek().is_punct("[") {
+        while self.cur.peek().is_punct("#") {
+            self.cur.bump();
+            self.cur.eat_punct("!"); // inner attribute: parsed the same, flags ignored anyway
+            if !self.cur.peek().is_punct("[") {
                 return out;
             }
-            self.bump();
+            self.cur.bump();
             self.attr_body(&mut out);
             // consume to the closing `]` whatever attr_body left behind
-            let mut depth = 1usize;
-            while depth > 0 && !self.at_eof() {
-                if self.peek().is_punct("[") {
-                    depth += 1;
-                } else if self.peek().is_punct("]") {
-                    depth -= 1;
-                }
-                self.bump();
-            }
+            self.cur.close_group(&RsTokenKind::Punct("["), &RsTokenKind::Punct("]"));
         }
         out
     }
 
     fn attr_body(&mut self, out: &mut Attrs) {
-        let Some(mut head) = self.take_ident() else { return };
+        let Some(mut head) = self.cur.take_ident() else { return };
         // Rust 2024 spells exporty attributes `#[unsafe(no_mangle)]`.
-        if head == "unsafe" && self.peek().is_punct("(") {
-            self.bump();
-            match self.take_ident() {
+        if head == "unsafe" && self.cur.peek().is_punct("(") {
+            self.cur.bump();
+            match self.cur.take_ident() {
                 Some(inner) => head = inner,
                 None => return,
             }
         }
         match head.as_str() {
             "no_mangle" => out.no_mangle = true,
-            "export_name" | "link_name" if self.eat_punct("=") => {
-                if let RsTokenKind::Str(s) = self.peek() {
+            "export_name" | "link_name" if self.cur.eat_punct("=") => {
+                if let RsTokenKind::Str(s) = self.cur.peek() {
                     let s = s.clone();
                     if head == "export_name" {
                         out.export_name = Some(s);
                     } else {
                         out.link_name = Some(s);
                     }
-                    self.bump();
+                    self.cur.bump();
                 }
             }
             "repr" => {
-                if !self.peek().is_punct("(") {
+                if !self.cur.peek().is_punct("(") {
                     return;
                 }
-                self.bump();
+                self.cur.bump();
                 let mut repr = out.repr;
-                while !self.peek().is_punct(")") && !self.at_eof() {
-                    if let Some(arg) = self.peek().ident().map(String::from) {
-                        self.bump();
+                while !self.cur.peek().is_punct(")") && !self.cur.at_eof() {
+                    if let Some(arg) = self.cur.peek().ident().map(String::from) {
+                        self.cur.bump();
                         let int_reprs = [
                             "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64",
                             "i128", "isize",
@@ -227,7 +153,7 @@ impl Parser {
                             "transparent" if repr != Some(Repr::C) => {
                                 repr = Some(Repr::Transparent);
                             }
-                            "align" | "packed" if self.peek().is_punct("(") => {
+                            "align" | "packed" if self.cur.peek().is_punct("(") => {
                                 self.skip_group();
                             }
                             a if int_reprs.contains(&a)
@@ -238,9 +164,9 @@ impl Parser {
                             _ => {}
                         }
                     } else {
-                        self.bump();
+                        self.cur.bump();
                     }
-                    self.eat_punct(",");
+                    self.cur.eat_punct(",");
                 }
                 out.repr = repr;
             }
@@ -253,12 +179,12 @@ impl Parser {
     /// Parses items until EOF (`top` true) or the enclosing `}`.
     fn items(&mut self, top: bool) {
         loop {
-            if self.at_eof() {
+            if self.cur.at_eof() {
                 return;
             }
-            if self.peek().is_punct("}") {
+            if self.cur.peek().is_punct("}") {
                 if top {
-                    self.bump(); // stray close at top level: drop it
+                    self.cur.bump(); // stray close at top level: drop it
                     continue;
                 }
                 return;
@@ -270,27 +196,27 @@ impl Parser {
     fn item(&mut self) {
         let attrs = self.attrs();
         // visibility
-        if self.eat_kw("pub") && self.peek().is_punct("(") {
+        if self.cur.eat_ident("pub") && self.cur.peek().is_punct("(") {
             self.skip_group(); // pub(crate), pub(in path)
         }
         // leading fn qualifiers; remember the ABI if an `extern` shows up
         let mut abi: Option<String> = None;
         let mut saw_unsafe = false;
         loop {
-            if self.eat_kw("const") || self.eat_kw("async") {
+            if self.cur.eat_ident("const") || self.cur.eat_ident("async") {
                 continue;
             }
-            if self.peek().is_ident("unsafe") {
+            if self.cur.peek().is_ident("unsafe") {
                 saw_unsafe = true;
-                self.bump();
+                self.cur.bump();
                 continue;
             }
-            if self.peek().is_ident("extern") {
-                self.bump();
-                if let RsTokenKind::Str(s) = self.peek() {
+            if self.cur.peek().is_ident("extern") {
+                self.cur.bump();
+                if let RsTokenKind::Str(s) = self.cur.peek() {
                     abi = Some(s.clone());
-                    self.bump();
-                } else if self.eat_kw("crate") {
+                    self.cur.bump();
+                } else if self.cur.eat_ident("crate") {
                     self.skip_item_rest(); // `extern crate name;`
                     return;
                 } else {
@@ -302,11 +228,11 @@ impl Parser {
         }
         let _ = saw_unsafe;
 
-        match self.peek().clone() {
+        match self.cur.peek().clone() {
             // `extern "C" { … }` — a foreign block
             RsTokenKind::Punct("{") if abi.is_some() => {
                 let c_abi = is_c_abi(abi.as_deref());
-                self.bump();
+                self.cur.bump();
                 self.foreign_block(c_abi);
             }
             RsTokenKind::Ident(kw) => match kw.as_str() {
@@ -316,50 +242,50 @@ impl Parser {
                 "union" => self.adt_item(&attrs, AdtKind::Union),
                 "type" => self.alias_item(),
                 "mod" => {
-                    self.bump();
-                    let _ = self.take_ident();
-                    if self.peek().is_punct("{") {
-                        self.bump();
+                    self.cur.bump();
+                    let _ = self.cur.take_ident();
+                    if self.cur.peek().is_punct("{") {
+                        self.cur.bump();
                         self.items(false);
-                        self.eat_punct("}");
+                        self.cur.eat_punct("}");
                     } else {
-                        self.eat_punct(";"); // `mod name;` — out-of-line, not our file
+                        self.cur.eat_punct(";"); // `mod name;` — out-of-line, not our file
                     }
                 }
                 "impl" | "trait" | "macro_rules" | "macro" | "use" | "static" | "const" => {
-                    self.bump();
+                    self.cur.bump();
                     self.skip_item_rest();
                 }
                 _ => {
                     // Unknown leading token: resynchronize at the next item.
-                    let sp = self.span();
-                    self.error(sp, format!("unexpected `{kw}` at item position"));
-                    self.bump();
+                    let sp = self.cur.span();
+                    self.cur.error_at(sp, format!("unexpected `{kw}` at item position"));
+                    self.cur.bump();
                     self.skip_item_rest();
                 }
             },
             _ => {
-                self.bump(); // stray punctuation: drop and continue
+                self.cur.bump(); // stray punctuation: drop and continue
             }
         }
     }
 
     fn foreign_block(&mut self, c_abi: bool) {
-        while !self.at_eof() && !self.peek().is_punct("}") {
+        while !self.cur.at_eof() && !self.cur.peek().is_punct("}") {
             let attrs = self.attrs();
-            if self.eat_kw("pub") && self.peek().is_punct("(") {
+            if self.cur.eat_ident("pub") && self.cur.peek().is_punct("(") {
                 self.skip_group();
             }
-            self.eat_kw("unsafe");
-            if self.eat_kw("fn") {
-                let sp = self.span();
-                let Some(name) = self.take_ident() else {
-                    self.error(sp, "expected function name in extern block");
+            self.cur.eat_ident("unsafe");
+            if self.cur.eat_ident("fn") {
+                let sp = self.cur.span();
+                let Some(name) = self.cur.take_ident() else {
+                    self.cur.error_at(sp, "expected function name in extern block");
                     self.skip_item_rest();
                     continue;
                 };
                 let (params, variadic, ret) = self.fn_signature();
-                self.eat_punct(";");
+                self.cur.eat_punct(";");
                 if c_abi {
                     let link_name = attrs.link_name.clone().unwrap_or_else(|| name.clone());
                     self.out.imports.push(ForeignFn {
@@ -371,61 +297,61 @@ impl Parser {
                         span: sp,
                     });
                 }
-            } else if self.eat_kw("static") {
-                self.eat_kw("mut");
-                let sp = self.span();
-                let Some(name) = self.take_ident() else {
-                    self.error(sp, "expected static name in extern block");
+            } else if self.cur.eat_ident("static") {
+                self.cur.eat_ident("mut");
+                let sp = self.cur.span();
+                let Some(name) = self.cur.take_ident() else {
+                    self.cur.error_at(sp, "expected static name in extern block");
                     self.skip_item_rest();
                     continue;
                 };
-                if !self.eat_punct(":") {
+                if !self.cur.eat_punct(":") {
                     self.skip_item_rest();
                     continue;
                 }
                 let ty = self.ty();
-                self.eat_punct(";");
+                self.cur.eat_punct(";");
                 if c_abi {
                     let link_name = attrs.link_name.clone().unwrap_or_else(|| name.clone());
                     self.out.statics.push(ForeignStatic { name, link_name, ty, span: sp });
                 }
-            } else if self.eat_kw("type") {
+            } else if self.cur.eat_ident("type") {
                 // opaque foreign type (`extern { type Name; }`): skip
                 self.skip_item_rest();
             } else {
-                let sp = self.span();
-                self.error(sp, "unexpected token in extern block");
-                self.bump();
+                let sp = self.cur.span();
+                self.cur.error_at(sp, "unexpected token in extern block");
+                self.cur.bump();
                 self.skip_item_rest();
             }
         }
-        self.eat_punct("}");
+        self.cur.eat_punct("}");
     }
 
     fn fn_item(&mut self, attrs: &Attrs, abi: Option<&str>) {
-        self.bump(); // `fn`
-        let sp = self.span();
-        let Some(name) = self.take_ident() else {
-            self.error(sp, "expected function name");
+        self.cur.bump(); // `fn`
+        let sp = self.cur.span();
+        let Some(name) = self.cur.take_ident() else {
+            self.cur.error_at(sp, "expected function name");
             self.skip_item_rest();
             return;
         };
-        if self.peek().is_punct("<") {
+        if self.cur.peek().is_punct("<") {
             self.skip_generics();
         }
         let (params, _variadic, ret) = self.fn_signature();
         // `where` clause, then body (or `;` for trait-style decls)
-        while !self.at_eof()
-            && !self.peek().is_punct("{")
-            && !self.peek().is_punct(";")
-            && !self.peek().is_punct("}")
+        while !self.cur.at_eof()
+            && !self.cur.peek().is_punct("{")
+            && !self.cur.peek().is_punct(";")
+            && !self.cur.peek().is_punct("}")
         {
-            self.bump();
+            self.cur.bump();
         }
-        if self.peek().is_punct("{") {
+        if self.cur.peek().is_punct("{") {
             self.skip_group();
         } else {
-            self.eat_punct(";");
+            self.cur.eat_punct(";");
         }
         let exported = attrs.no_mangle || attrs.export_name.is_some();
         if exported && is_c_abi(abi) {
@@ -439,23 +365,23 @@ impl Parser {
     fn fn_signature(&mut self) -> (Vec<RustType>, bool, RustType) {
         let mut params = Vec::new();
         let mut variadic = false;
-        if self.eat_punct("(") {
-            while !self.at_eof() && !self.peek().is_punct(")") {
+        if self.cur.eat_punct("(") {
+            while !self.cur.at_eof() && !self.cur.peek().is_punct(")") {
                 let _ = self.attrs(); // per-parameter attributes
-                if self.eat_punct("...") {
+                if self.cur.eat_punct("...") {
                     variadic = true;
-                    self.eat_punct(",");
+                    self.cur.eat_punct(",");
                     continue;
                 }
                 self.param_pattern();
                 params.push(self.ty());
-                if !self.eat_punct(",") {
+                if !self.cur.eat_punct(",") {
                     break;
                 }
             }
-            self.eat_punct(")");
+            self.cur.eat_punct(")");
         }
-        let ret = if self.eat_punct("->") { self.ty() } else { RustType::Unit };
+        let ret = if self.cur.eat_punct("->") { self.ty() } else { RustType::Unit };
         (params, variadic, ret)
     }
 
@@ -463,98 +389,100 @@ impl Parser {
     /// Foreign declarations allow bare types, so the colon may be absent.
     fn param_pattern(&mut self) {
         // `mut name:` / `name:` / `_:`
-        let lookahead = if self.peek().is_ident("mut") { 1 } else { 0 };
-        let is_named = matches!(self.peek_at(lookahead), RsTokenKind::Ident(_))
-            && self.peek_at(lookahead + 1).is_punct(":")
-            && !self.peek_at(lookahead + 1).is_punct("::");
+        let lookahead = if self.cur.peek().is_ident("mut") { 1 } else { 0 };
+        let is_named = matches!(self.cur.peek_at(lookahead), RsTokenKind::Ident(_))
+            && self.cur.peek_at(lookahead + 1).is_punct(":")
+            && !self.cur.peek_at(lookahead + 1).is_punct("::");
         if is_named {
-            self.pos += lookahead + 2; // pattern + `:`
+            for _ in 0..lookahead + 2 {
+                self.cur.bump(); // pattern + `:`
+            }
         }
     }
 
     fn adt_item(&mut self, attrs: &Attrs, kind: AdtKind) {
-        self.bump(); // keyword
-        let sp = self.span();
-        let Some(name) = self.take_ident() else {
-            self.error(sp, "expected type name");
+        self.cur.bump(); // keyword
+        let sp = self.cur.span();
+        let Some(name) = self.cur.take_ident() else {
+            self.cur.error_at(sp, "expected type name");
             self.skip_item_rest();
             return;
         };
         let mut generic = false;
-        if self.peek().is_punct("<") {
-            generic = !self.generics_only_lifetimes();
+        if self.cur.peek().is_punct("<") {
+            generic = !self.skip_generics();
         }
         // `where` clause
-        while !self.at_eof()
-            && !self.peek().is_punct("{")
-            && !self.peek().is_punct("(")
-            && !self.peek().is_punct(";")
+        while !self.cur.at_eof()
+            && !self.cur.peek().is_punct("{")
+            && !self.cur.peek().is_punct("(")
+            && !self.cur.peek().is_punct(";")
         {
-            self.bump();
+            self.cur.bump();
         }
         let repr = attrs.repr.unwrap_or(Repr::Rust);
         let mut fields = Vec::new();
         let mut has_payload = false;
         match kind {
             AdtKind::Struct | AdtKind::Union => {
-                if self.peek().is_punct("{") {
-                    self.bump();
+                if self.cur.peek().is_punct("{") {
+                    self.cur.bump();
                     self.named_fields(&mut fields, "");
-                    self.eat_punct("}");
-                } else if self.peek().is_punct("(") {
-                    self.bump();
+                    self.cur.eat_punct("}");
+                } else if self.cur.peek().is_punct("(") {
+                    self.cur.bump();
                     self.tuple_fields(&mut fields, "");
-                    self.eat_punct(")");
-                    self.eat_punct(";");
+                    self.cur.eat_punct(")");
+                    self.cur.eat_punct(";");
                 } else {
-                    self.eat_punct(";"); // unit struct
+                    self.cur.eat_punct(";"); // unit struct
                 }
             }
             AdtKind::Enum => {
-                if self.peek().is_punct("{") {
-                    self.bump();
-                    while !self.at_eof() && !self.peek().is_punct("}") {
+                if self.cur.peek().is_punct("{") {
+                    self.cur.bump();
+                    while !self.cur.at_eof() && !self.cur.peek().is_punct("}") {
                         let _ = self.attrs();
-                        let Some(variant) = self.take_ident() else {
-                            self.bump();
+                        let Some(variant) = self.cur.take_ident() else {
+                            self.cur.bump();
                             continue;
                         };
-                        if self.peek().is_punct("(") {
-                            self.bump();
+                        if self.cur.peek().is_punct("(") {
+                            self.cur.bump();
                             let before = fields.len();
                             self.tuple_fields(&mut fields, &format!("{variant}."));
-                            self.eat_punct(")");
+                            self.cur.eat_punct(")");
                             has_payload |= fields.len() > before;
-                        } else if self.peek().is_punct("{") {
-                            self.bump();
+                        } else if self.cur.peek().is_punct("{") {
+                            self.cur.bump();
                             let before = fields.len();
                             self.named_fields(&mut fields, &format!("{variant}."));
-                            self.eat_punct("}");
+                            self.cur.eat_punct("}");
                             has_payload |= fields.len() > before;
                         }
-                        if self.eat_punct("=") {
+                        if self.cur.eat_punct("=") {
                             // explicit discriminant: skip to `,` / `}`
-                            while !self.at_eof()
-                                && !self.peek().is_punct(",")
-                                && !self.peek().is_punct("}")
+                            while !self.cur.at_eof()
+                                && !self.cur.peek().is_punct(",")
+                                && !self.cur.peek().is_punct("}")
                             {
                                 if matches!(
-                                    self.peek(),
+                                    self.cur.peek(),
                                     RsTokenKind::Punct("(")
                                         | RsTokenKind::Punct("[")
                                         | RsTokenKind::Punct("{")
                                 ) {
                                     self.skip_group();
                                 } else {
-                                    self.bump();
+                                    self.cur.bump();
                                 }
                             }
                         }
-                        self.eat_punct(",");
+                        self.cur.eat_punct(",");
                     }
-                    self.eat_punct("}");
+                    self.cur.eat_punct("}");
                 } else {
-                    self.eat_punct(";");
+                    self.cur.eat_punct(";");
                 }
             }
         }
@@ -562,22 +490,22 @@ impl Parser {
     }
 
     fn named_fields(&mut self, out: &mut Vec<Field>, prefix: &str) {
-        while !self.at_eof() && !self.peek().is_punct("}") {
+        while !self.cur.at_eof() && !self.cur.peek().is_punct("}") {
             let _ = self.attrs();
-            if self.eat_kw("pub") && self.peek().is_punct("(") {
+            if self.cur.eat_ident("pub") && self.cur.peek().is_punct("(") {
                 self.skip_group();
             }
-            let sp = self.span();
-            let Some(fname) = self.take_ident() else {
-                self.bump();
+            let sp = self.cur.span();
+            let Some(fname) = self.cur.take_ident() else {
+                self.cur.bump();
                 continue;
             };
-            if !self.eat_punct(":") {
+            if !self.cur.eat_punct(":") {
                 continue;
             }
             let ty = self.ty();
             out.push(Field { name: format!("{prefix}{fname}"), ty, span: sp });
-            if !self.eat_punct(",") {
+            if !self.cur.eat_punct(",") {
                 break;
             }
         }
@@ -585,81 +513,56 @@ impl Parser {
 
     fn tuple_fields(&mut self, out: &mut Vec<Field>, prefix: &str) {
         let mut i = 0usize;
-        while !self.at_eof() && !self.peek().is_punct(")") {
+        while !self.cur.at_eof() && !self.cur.peek().is_punct(")") {
             let _ = self.attrs();
-            if self.eat_kw("pub") && self.peek().is_punct("(") {
+            if self.cur.eat_ident("pub") && self.cur.peek().is_punct("(") {
                 self.skip_group();
             }
-            let sp = self.span();
+            let sp = self.cur.span();
             let ty = self.ty();
             out.push(Field { name: format!("{prefix}{i}"), ty, span: sp });
             i += 1;
-            if !self.eat_punct(",") {
+            if !self.cur.eat_punct(",") {
                 break;
             }
         }
     }
 
     fn alias_item(&mut self) {
-        self.bump(); // `type`
-        let sp = self.span();
-        let Some(name) = self.take_ident() else {
+        self.cur.bump(); // `type`
+        let sp = self.cur.span();
+        let Some(name) = self.cur.take_ident() else {
             self.skip_item_rest();
             return;
         };
-        if self.peek().is_punct("<") {
+        if self.cur.peek().is_punct("<") {
             self.skip_generics();
         }
-        if !self.eat_punct("=") {
+        if !self.cur.eat_punct("=") {
             self.skip_item_rest();
             return;
         }
         let ty = self.ty();
-        self.eat_punct(";");
+        self.cur.eat_punct(";");
         self.out.aliases.push(TypeAlias { name, ty, span: sp });
     }
 
-    /// Skips a `<…>` generic parameter list, cursor on `<`.
-    fn skip_generics(&mut self) {
-        self.bump();
-        let mut depth = 1usize;
-        while depth > 0 && !self.at_eof() {
-            match self.peek() {
-                RsTokenKind::Punct("<") => {
-                    depth += 1;
-                    self.bump();
-                }
-                RsTokenKind::Punct(">") => {
-                    depth -= 1;
-                    self.bump();
-                }
-                RsTokenKind::Punct(">>") => {
-                    depth = depth.saturating_sub(2);
-                    self.bump();
-                }
-                _ => self.bump(),
-            }
-        }
-    }
-
-    /// Like [`Parser::skip_generics`] but reports whether the list declared
-    /// anything other than lifetimes (i.e. real type/const parameters).
-    fn generics_only_lifetimes(&mut self) -> bool {
-        self.bump();
+    /// Skips a `<…>` generic parameter list, cursor on `<`, and reports
+    /// whether it declared only lifetimes (no type or const parameters).
+    fn skip_generics(&mut self) -> bool {
+        self.cur.bump();
         let mut depth = 1usize;
         let mut only_lifetimes = true;
-        while depth > 0 && !self.at_eof() {
-            match self.peek() {
+        while depth > 0 && !self.cur.at_eof() {
+            match self.cur.peek() {
                 RsTokenKind::Punct("<") => depth += 1,
                 RsTokenKind::Punct(">") => depth -= 1,
                 RsTokenKind::Punct(">>") => depth = depth.saturating_sub(2),
-                RsTokenKind::Lifetime(_) | RsTokenKind::Punct(",") => {}
-                RsTokenKind::Punct(":") => {
-                    // lifetime bounds `'a: 'b` — the bound side is lifetimes
-                }
+                // lifetime bounds `'a: 'b` — the bound side is lifetimes
+                RsTokenKind::Lifetime(_) | RsTokenKind::Punct("," | ":") => {}
                 _ => only_lifetimes = false,
             }
-            self.bump();
+            self.cur.bump();
         }
         only_lifetimes
     }
@@ -668,66 +571,66 @@ impl Parser {
 
     /// Parses one type expression.
     fn ty(&mut self) -> RustType {
-        match self.peek().clone() {
+        match self.cur.peek().clone() {
             RsTokenKind::Punct("*") => {
-                self.bump();
-                let mutable = if self.eat_kw("mut") {
+                self.cur.bump();
+                let mutable = if self.cur.eat_ident("mut") {
                     true
                 } else {
-                    self.eat_kw("const");
+                    self.cur.eat_ident("const");
                     false
                 };
                 RustType::Ptr { mutable, inner: Box::new(self.ty()) }
             }
             RsTokenKind::Punct("&") | RsTokenKind::Punct("&&") => {
-                if self.peek().is_punct("&&") {
+                if self.cur.peek().is_punct("&&") {
                     // split `&&T` into two references
-                    self.toks[self.pos].kind = RsTokenKind::Punct("&");
+                    self.cur.rewrite(RsTokenKind::Punct("&"));
                     return RustType::Ref { mutable: false, inner: Box::new(self.ty()) };
                 }
-                self.bump();
-                if let RsTokenKind::Lifetime(_) = self.peek() {
-                    self.bump();
+                self.cur.bump();
+                if let RsTokenKind::Lifetime(_) = self.cur.peek() {
+                    self.cur.bump();
                 }
-                let mutable = self.eat_kw("mut");
+                let mutable = self.cur.eat_ident("mut");
                 RustType::Ref { mutable, inner: Box::new(self.ty()) }
             }
             RsTokenKind::Punct("[") => {
-                self.bump();
+                self.cur.bump();
                 let inner = self.ty();
-                if self.eat_punct(";") {
+                if self.cur.eat_punct(";") {
                     let mut len = String::new();
-                    while !self.at_eof() && !self.peek().is_punct("]") {
-                        match self.peek() {
+                    while !self.cur.at_eof() && !self.cur.peek().is_punct("]") {
+                        match self.cur.peek() {
                             RsTokenKind::Number(n) => len.push_str(n),
                             RsTokenKind::Ident(s) => len.push_str(s),
                             RsTokenKind::Punct(p) => len.push_str(p),
                             _ => {}
                         }
-                        self.bump();
+                        self.cur.bump();
                     }
-                    self.eat_punct("]");
+                    self.cur.eat_punct("]");
                     RustType::Array(Box::new(inner), len)
                 } else {
-                    self.eat_punct("]");
+                    self.cur.eat_punct("]");
                     RustType::Slice(Box::new(inner))
                 }
             }
             RsTokenKind::Punct("(") => {
-                self.bump();
-                if self.eat_punct(")") {
+                self.cur.bump();
+                if self.cur.eat_punct(")") {
                     return RustType::Unit;
                 }
                 let mut parts = vec![self.ty()];
                 let mut trailing_comma = false;
-                while self.eat_punct(",") {
-                    if self.peek().is_punct(")") {
+                while self.cur.eat_punct(",") {
+                    if self.cur.peek().is_punct(")") {
                         trailing_comma = true;
                         break;
                     }
                     parts.push(self.ty());
                 }
-                self.eat_punct(")");
+                self.cur.eat_punct(")");
                 if parts.len() == 1 && !trailing_comma {
                     parts.pop().unwrap() // parenthesized type
                 } else {
@@ -735,11 +638,11 @@ impl Parser {
                 }
             }
             RsTokenKind::Punct("!") => {
-                self.bump();
+                self.cur.bump();
                 RustType::Never
             }
             RsTokenKind::Ident(kw) if kw == "dyn" || kw == "impl" => {
-                self.bump();
+                self.cur.bump();
                 self.skip_bounds();
                 if kw == "dyn" {
                     RustType::TraitObject
@@ -749,8 +652,8 @@ impl Parser {
             }
             RsTokenKind::Ident(kw) if kw == "for" => {
                 // HRTB: `for<'a> fn(&'a u8)`
-                self.bump();
-                if self.peek().is_punct("<") {
+                self.cur.bump();
+                if self.cur.peek().is_punct("<") {
                     self.skip_generics();
                 }
                 self.ty()
@@ -759,51 +662,51 @@ impl Parser {
                 self.fn_ptr_ty()
             }
             RsTokenKind::Ident(kw) if kw == "str" => {
-                self.bump();
+                self.cur.bump();
                 RustType::Str
             }
             RsTokenKind::Ident(kw) if kw == "_" => {
-                self.bump();
+                self.cur.bump();
                 RustType::Unknown
             }
             RsTokenKind::Ident(_) => self.path_ty(),
             _ => {
-                self.bump();
+                self.cur.bump();
                 RustType::Unknown
             }
         }
     }
 
     fn fn_ptr_ty(&mut self) -> RustType {
-        self.eat_kw("unsafe");
+        self.cur.eat_ident("unsafe");
         let mut abi_c = false;
-        if self.eat_kw("extern") {
-            if let RsTokenKind::Str(s) = self.peek() {
+        if self.cur.eat_ident("extern") {
+            if let RsTokenKind::Str(s) = self.cur.peek() {
                 abi_c = is_c_abi(Some(s));
-                self.bump();
+                self.cur.bump();
             } else {
                 abi_c = true;
             }
         }
-        if !self.eat_kw("fn") {
+        if !self.cur.eat_ident("fn") {
             return RustType::Unknown;
         }
         let mut params = Vec::new();
-        if self.eat_punct("(") {
-            while !self.at_eof() && !self.peek().is_punct(")") {
-                if self.eat_punct("...") {
-                    self.eat_punct(",");
+        if self.cur.eat_punct("(") {
+            while !self.cur.at_eof() && !self.cur.peek().is_punct(")") {
+                if self.cur.eat_punct("...") {
+                    self.cur.eat_punct(",");
                     continue;
                 }
                 self.param_pattern();
                 params.push(self.ty());
-                if !self.eat_punct(",") {
+                if !self.cur.eat_punct(",") {
                     break;
                 }
             }
-            self.eat_punct(")");
+            self.cur.eat_punct(")");
         }
-        let ret = if self.eat_punct("->") { self.ty() } else { RustType::Unit };
+        let ret = if self.cur.eat_punct("->") { self.ty() } else { RustType::Unit };
         RustType::FnPtr { abi_c, params, ret: Box::new(ret) }
     }
 
@@ -811,17 +714,17 @@ impl Parser {
         let mut full = String::new();
         let mut name = String::new();
         let mut args = Vec::new();
-        while let Some(seg) = self.take_ident() {
+        while let Some(seg) = self.cur.take_ident() {
             if !full.is_empty() {
                 full.push_str("::");
             }
             full.push_str(&seg);
             name = seg;
-            if self.peek().is_punct("<") {
+            if self.cur.peek().is_punct("<") {
                 args = self.generic_args();
             }
-            if self.peek().is_punct("::") {
-                self.bump();
+            if self.cur.peek().is_punct("::") {
+                self.cur.bump();
                 args.clear(); // `Segment<T>::Next` — keep the final segment's args
                 continue;
             }
@@ -833,36 +736,36 @@ impl Parser {
     /// Parses `<…>` generic arguments into types, cursor on `<`. Lifetimes
     /// and associated-type bindings are skipped.
     fn generic_args(&mut self) -> Vec<RustType> {
-        self.bump(); // `<`
+        self.cur.bump(); // `<`
         let mut args = Vec::new();
         loop {
-            if self.at_eof() || self.eat_gt() {
+            if self.cur.at_eof() || self.eat_gt() {
                 break;
             }
-            match self.peek().clone() {
+            match self.cur.peek().clone() {
                 RsTokenKind::Lifetime(_) => {
-                    self.bump();
+                    self.cur.bump();
                 }
                 RsTokenKind::Number(_) | RsTokenKind::Str(_) | RsTokenKind::Char(_) => {
-                    self.bump(); // const-generic literal argument
+                    self.cur.bump(); // const-generic literal argument
                 }
                 RsTokenKind::Ident(_)
-                    if self.peek_at(1).is_punct("=") && !self.peek_at(1).is_punct("==") =>
+                    if self.cur.peek_at(1).is_punct("=") && !self.cur.peek_at(1).is_punct("==") =>
                 {
                     // associated binding `Item = T`: skip name, `=`, the type
-                    self.bump();
-                    self.bump();
+                    self.cur.bump();
+                    self.cur.bump();
                     let _ = self.ty();
                 }
                 _ => args.push(self.ty()),
             }
-            if !self.eat_punct(",") {
+            if !self.cur.eat_punct(",") {
                 if self.eat_gt() {
                     break;
                 }
                 // malformed: avoid livelock
-                if !matches!(self.peek(), RsTokenKind::Lifetime(_)) && !self.at_eof() {
-                    self.bump();
+                if !matches!(self.cur.peek(), RsTokenKind::Lifetime(_)) && !self.cur.at_eof() {
+                    self.cur.bump();
                 }
             }
         }
@@ -872,8 +775,8 @@ impl Parser {
     /// Skips trait bounds after `dyn` / `impl` (stops at any token that can
     /// end a type in context).
     fn skip_bounds(&mut self) {
-        while !self.at_eof() {
-            match self.peek() {
+        while !self.cur.at_eof() {
+            match self.cur.peek() {
                 RsTokenKind::Punct(",")
                 | RsTokenKind::Punct(")")
                 | RsTokenKind::Punct(";")
@@ -883,9 +786,11 @@ impl Parser {
                 | RsTokenKind::Punct(">")
                 | RsTokenKind::Punct(">>")
                 | RsTokenKind::Punct("=") => return,
-                RsTokenKind::Punct("<") => self.skip_generics(),
+                RsTokenKind::Punct("<") => {
+                    self.skip_generics();
+                }
                 RsTokenKind::Punct("(") => self.skip_group(),
-                _ => self.bump(),
+                _ => self.cur.bump(),
             }
         }
     }

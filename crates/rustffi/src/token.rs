@@ -4,7 +4,7 @@
 //! attributes and type syntax; expression bodies are skipped by brace
 //! matching in the parser, so literals carry no decoded payload.
 
-use ffisafe_support::Span;
+use ffisafe_support::scan::{Kind, Token};
 
 /// A lexed Rust token.
 #[derive(Clone, Debug, PartialEq)]
@@ -26,34 +26,28 @@ pub enum RsTokenKind {
     Eof,
 }
 
-impl RsTokenKind {
-    /// Whether this token is the identifier `kw`.
-    pub fn is_ident(&self, kw: &str) -> bool {
-        matches!(self, RsTokenKind::Ident(s) if s == kw)
+impl Kind for RsTokenKind {
+    fn is_eof(&self) -> bool {
+        matches!(self, RsTokenKind::Eof)
     }
 
-    /// Whether this token is the punctuation `p`.
-    pub fn is_punct(&self, p: &str) -> bool {
-        matches!(self, RsTokenKind::Punct(s) if *s == p)
-    }
-
-    /// Identifier text, if any.
-    pub fn ident(&self) -> Option<&str> {
+    fn ident(&self) -> Option<&str> {
         match self {
             RsTokenKind::Ident(s) => Some(s),
             _ => None,
         }
     }
+
+    fn punct(&self) -> Option<&str> {
+        match self {
+            RsTokenKind::Punct(p) => Some(p),
+            _ => None,
+        }
+    }
 }
 
-/// A token with its source span.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RsToken {
-    /// Kind and payload.
-    pub kind: RsTokenKind,
-    /// Source span.
-    pub span: Span,
-}
+/// A Rust token with its source span.
+pub type RsToken = Token<RsTokenKind>;
 
 #[cfg(test)]
 mod tests {

@@ -14,6 +14,9 @@
 //!   content hashes keying the incremental-reanalysis cache.
 //! * [`table`] — a small plain-text table renderer used by the Figure 9
 //!   harness and the CLI.
+//! * [`scan`] — the byte scanner, token type and token cursor the OCaml,
+//!   C and Rust frontends' lexers and parsers share, including their one
+//!   parse-error shape.
 //! * [`wire`] — the daemon skeleton both TCP daemons are built on: frame
 //!   codec, versioned HELLO, session loop and snapshot export.
 //!
@@ -36,6 +39,7 @@ pub mod fingerprint;
 pub mod intern;
 pub mod json;
 pub mod rng;
+pub mod scan;
 pub mod session;
 pub mod source_map;
 pub mod span;

@@ -361,3 +361,33 @@ fn cache_disabled_runs_are_unaffected() {
     assert_eq!(report.stats.cache_fn_misses, 0, "no cache, no misses counted");
     assert_eq!(report.stats.workers_executed, 3, "every function analyzed live");
 }
+
+/// A trailing comment moves no span, so every function keeps its tier-1
+/// key, and every entry must also decode. In a large program a small
+/// function's signature index exceeds its payload size, which the decoder
+/// once mistook for corruption: cryptokit re-solved 5 of its functions
+/// after this edit and lablgtk 174.
+#[test]
+fn trailing_comment_edit_replays_every_function() {
+    let specs = ffisafe::bench::spec::paper_benchmarks();
+    for name in ["cryptokit-1.2", "lablgtk-2.2.0"] {
+        let spec = specs.iter().find(|s| s.name == name).expect("Figure 9 library");
+        let bench = ffisafe::bench::corpus::generate(spec);
+        let dir = temp_dir(&format!("trailing-{name}"));
+        let options = AnalysisOptions::default().with_jobs(2);
+        let before = [("lib.ml", bench.ml_source.clone()), ("glue.c", bench.c_source.clone())];
+        let cold = analyze(&as_refs(&before), options, Some(&dir));
+        assert_eq!(cold.stats.workers_executed, cold.stats.c_functions);
+
+        let after =
+            [("lib.ml", bench.ml_source.clone()), ("glue.c", bench.c_source + "/* trailing */\n")];
+        let warm = analyze(&as_refs(&after), options, Some(&dir));
+        assert!(!warm.stats.cache_report_hit, "{name}: the edit changes the corpus");
+        assert_eq!(warm.stats.cache_fn_rejected, 0, "{name}: every store hit decodes");
+        assert_eq!(warm.stats.cache_fn_hits, warm.stats.c_functions, "{name}");
+        assert_eq!(warm.stats.workers_executed, 0, "{name}: every function replays");
+        let reference = analyze(&as_refs(&after), options, None);
+        assert_eq!(warm.render_stable(), reference.render_stable(), "{name}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

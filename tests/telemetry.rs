@@ -17,12 +17,19 @@
 //! Tracing is process-global state, so every test that toggles it runs
 //! under one mutex and drains the sink before releasing it.
 
+use ffisafe::bench::corpus::generate;
+use ffisafe::bench::figure9::benchmark_corpus;
+use ffisafe::bench::spec::paper_benchmarks;
+use ffisafe::cache::{CacheStore, Tier};
+use ffisafe::core::pipeline::cache::analyzer_cache_version;
 use ffisafe::shard::{sweep, SweepConfig, SweepOutput};
 use ffisafe::support::json::{self, Json};
 use ffisafe::support::telemetry::{
     self, chrome_trace_json, drain_spans, nesting_violations, set_tracing, MetricsRegistry,
     SpanEvent,
 };
+use ffisafe::support::Fingerprint;
+use ffisafe::{AnalysisRequest, AnalysisService, Corpus, SourceKind};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -343,4 +350,94 @@ fn daemon_metrics_agree_with_the_per_request_outcomes() {
 
     // Leave the global sink clean for whichever test runs next.
     let _ = telemetry::drain_spans();
+}
+
+// ---- tier-1 replay accounting ---------------------------------------------
+
+/// Analyzes `before` into a fresh store, optionally replaces every tier-1
+/// payload with bytes no decoder accepts, then analyzes `after` through a
+/// new service on that store. Returns the second run's metrics: the
+/// store's own counters next to the report's.
+fn tier1_metrics(tag: &str, before: &Corpus, after: &Corpus, sabotage: bool) -> MetricsRegistry {
+    let dir = std::env::temp_dir().join(format!("ffisafe-tier1-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let analyze = |corpus: &Corpus| {
+        let service = AnalysisService::with_cache_dir(&dir).expect("temp cache dir opens");
+        let report = service.analyze(&AnalysisRequest::new(corpus.clone())).unwrap();
+        (service, report)
+    };
+    drop(analyze(before));
+    if sabotage {
+        let store = CacheStore::open(&dir, &analyzer_cache_version()).unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            let hex = name.strip_prefix("fn-").and_then(|n| n.strip_suffix(".bin"));
+            if let Some(fp) = hex.and_then(Fingerprint::parse_hex) {
+                store.put(Tier::Function, fp, b"not an outcome").unwrap();
+            }
+        }
+    }
+    let (service, report) = analyze(after);
+    let mut registry = MetricsRegistry::new();
+    service.cache_stats().expect("cached service").feed_metrics(&mut registry);
+    report.feed_metrics(&mut registry);
+    let _ = std::fs::remove_dir_all(&dir);
+    registry
+}
+
+/// Every tier-1 store hit is either replayed — a function outcome, or the
+/// Rust boundary check — or counted as a rejected decode. A rejection
+/// must never again be invisible.
+#[test]
+fn every_tier1_store_hit_is_replayed_or_counted_as_rejected() {
+    let counter = |reg: &MetricsRegistry, name: &str| {
+        reg.counter(name, &[]).unwrap_or_else(|| panic!("{name} missing"))
+    };
+    let conforms = |reg: &MetricsRegistry| {
+        let store_hits = counter(reg, "ffisafe_cache_store_fn_hits_total");
+        assert!(store_hits > 0, "the edit keeps tier-1 keys");
+        assert_eq!(
+            store_hits,
+            counter(reg, "ffisafe_cache_fn_hits_total")
+                + counter(reg, "ffisafe_frontend_rust_check_cache_hits_total")
+                + counter(reg, "ffisafe_cache_fn_rejected_total")
+        );
+    };
+    let trailing = |corpus: &Corpus| {
+        let mut b = Corpus::builder();
+        for f in corpus.files() {
+            b = match f.kind() {
+                SourceKind::Ml => b.ml_source(f.name(), f.src()),
+                SourceKind::C => b.c_source(f.name(), format!("{}/* trailing */\n", f.src())),
+                SourceKind::Rust => b.rust_source(f.name(), f.src()),
+            };
+        }
+        b.build()
+    };
+
+    // A trailing comment on cryptokit's glue moves no span: every entry
+    // replays, none is rejected.
+    let specs = paper_benchmarks();
+    let spec = specs.iter().find(|s| s.name == "cryptokit-1.2").unwrap();
+    let cryptokit = benchmark_corpus(&generate(spec));
+    let reg = tier1_metrics("cryptokit", &cryptokit, &trailing(&cryptokit), false);
+    conforms(&reg);
+    assert_eq!(counter(&reg, "ffisafe_cache_fn_rejected_total"), 0);
+    assert_eq!(counter(&reg, "ffisafe_workers_executed_total"), 0);
+
+    // With a `.rs` file the boundary check is one more tier-1 get.
+    let meshgrid = Corpus::from_dir(Path::new("examples/corpora/meshgrid")).unwrap();
+    let reg = tier1_metrics("meshgrid", &meshgrid, &trailing(&meshgrid), false);
+    conforms(&reg);
+    assert_eq!(counter(&reg, "ffisafe_frontend_rust_check_cache_hits_total"), 1);
+
+    // Payloads no decoder accepts are store hits that all count as
+    // rejected, the Rust check's included.
+    let reg = tier1_metrics("sabotaged", &meshgrid, &trailing(&meshgrid), true);
+    conforms(&reg);
+    assert_eq!(counter(&reg, "ffisafe_cache_fn_hits_total"), 0);
+    assert_eq!(
+        counter(&reg, "ffisafe_cache_fn_rejected_total"),
+        counter(&reg, "ffisafe_cache_store_fn_hits_total")
+    );
 }
