@@ -534,6 +534,13 @@ impl AnalysisService {
         request: &AnalysisRequest,
         options: AnalysisOptions,
     ) -> Result<AnalysisReport, ApiError> {
+        // `stats.seconds` covers the whole call: it is set last, once every
+        // stage's state has been dropped, since the caller waits for that too.
+        let start = Instant::now();
+        let timed = |mut report: AnalysisReport| {
+            report.stats.seconds = start.elapsed().as_secs_f64();
+            Ok(report)
+        };
         let corpus = &request.corpus;
         let mut span = telemetry::span_with("service.analyze", || {
             let count = |kind| corpus.files().filter(|f| f.kind() == kind).count().to_string();
@@ -552,11 +559,10 @@ impl AnalysisService {
         // Tier-2 probe before any parsing: the corpus is content-addressed,
         // so an already-analyzed (corpus, options) pair needs no frontend.
         if let (Some(pc), Some(fp)) = (cache.as_ref(), report_fp) {
-            let start = Instant::now();
             if let Some(cached) = pc.get(Tier::Report, fp).and_then(|b| cache::decode_report(&b)) {
                 pc.flush();
                 span.arg("report_hit", "true");
-                return Ok(cached_report(corpus, cached, start));
+                return timed(cached_report(corpus, cached));
             }
         }
 
@@ -565,7 +571,7 @@ impl AnalysisService {
             Some(&self.interner_seed),
             corpus.files().map(|f| (f.kind(), f.name(), f.src())),
         );
-        Ok(execute(parsed, corpus, report_fp, cache))
+        timed(execute(parsed, corpus, report_fp, cache))
     }
 
     /// Analyzes every request, fanning out over the service's batch pool.
@@ -699,7 +705,7 @@ pub(crate) fn parse_sources<'a>(
 /// A tier-2 hit as a report, built without parsing. The frontends
 /// register each file in corpus order before parsing it, so registering
 /// them the same way here yields the file ids the cached spans name.
-fn cached_report(corpus: &Corpus, cached: CachedReport, start: Instant) -> AnalysisReport {
+fn cached_report(corpus: &Corpus, cached: CachedReport) -> AnalysisReport {
     let mut source_map = SourceMap::new();
     for f in corpus.files() {
         source_map.add_file(f.name(), f.src());
@@ -708,7 +714,6 @@ fn cached_report(corpus: &Corpus, cached: CachedReport, start: Instant) -> Analy
         ml_loc: corpus.ml_loc(),
         c_loc: corpus.c_loc(),
         rust_loc: corpus.rust_loc(),
-        seconds: start.elapsed().as_secs_f64(),
         cache_report_hit: true,
         ..AnalysisStats::default()
     };
@@ -726,14 +731,14 @@ fn cached_report(corpus: &Corpus, cached: CachedReport, start: Instant) -> Analy
 ///
 /// `report_fp` is the tier-2 key the caller already probed, present
 /// exactly when `cache` is; the finished report is stored under it. This
-/// is the single engine entry every report-tier miss goes through.
+/// is the single engine entry every report-tier miss goes through. The
+/// caller sets `stats.seconds`.
 pub(crate) fn execute(
     parsed: ParsedSources,
     corpus: &Corpus,
     report_fp: Option<Fingerprint>,
     cache: Option<PipelineCache>,
 ) -> AnalysisReport {
-    let start = Instant::now();
     let ParsedSources { mut session, ml_files, c_units, rust_files } = parsed;
     let mut pcache = cache;
 
@@ -768,7 +773,7 @@ pub(crate) fn execute(
         type_nodes: base.table.node_count() + inferred.new_nodes,
         gc_edges: base.constraints.gc_edge_count() + inferred.new_gc_edges,
         jobs: inferred.jobs,
-        seconds: start.elapsed().as_secs_f64(),
+        seconds: 0.0,
         infer_work_seconds: inferred.work_seconds,
         infer_setup_seconds: inferred.setup_seconds,
         infer_critical_path_seconds: inferred.critical_path_seconds,

@@ -55,7 +55,9 @@ pub struct AnalysisStats {
     pub gc_edges: usize,
     /// Worker threads used by the inference stage.
     pub jobs: usize,
-    /// Wall-clock analysis time in seconds.
+    /// Wall-clock seconds of the whole `analyze` call, from receiving the
+    /// corpus to returning the report: parsing and the cache write-back
+    /// included.
     pub seconds: f64,
     /// Sum of per-function inference wall-clock (total parallelizable
     /// work). Cache replays contribute zero.

@@ -19,8 +19,10 @@
 //! * **Codecs.** [`encode_outcome`]/[`decode_outcome`] serialize the
 //!   plain-data [`FunctionOutcome`] for tier 1;
 //!   [`encode_report`]/[`decode_report`] serialize the rendered stable
-//!   report for tier 2. Decoding is total: any malformed payload yields
-//!   `None` and the caller treats it as a miss.
+//!   report for tier 2. Every payload type implements one private
+//!   `Payload` trait whose `put` and `get` sit side by side, so each field
+//!   order is written once. Decoding is total: any malformed payload
+//!   yields `None` and the caller treats it as a miss.
 //!
 //! Clone-local [`EffectKey::Local`] ids are encoded *without* their
 //! function index and re-bound to the replaying run's index on decode.
@@ -41,7 +43,7 @@ use ffisafe_ocaml as ocaml;
 use ffisafe_rustffi as rustffi;
 use ffisafe_support::{
     AnalysisOptions, Diagnostic, DiagnosticBag, DiagnosticCode, Fingerprint, FingerprintHasher,
-    Severity,
+    Severity, Span,
 };
 use ffisafe_types::{FlatInt, PsiBound, PsiId, PsiNode, PsiViolation};
 use std::sync::Arc;
@@ -374,214 +376,290 @@ fn code_from_tag(t: u8) -> Option<DiagnosticCode> {
     })
 }
 
-// ---- field codecs -------------------------------------------------------
+// ---- the payload codec --------------------------------------------------
 
-fn put_diagnostics(e: &mut Encoder, bag: &DiagnosticBag) {
-    e.put_len(bag.len());
-    for d in bag.iter() {
-        e.put_u8(code_tag(d.code()));
-        e.put_u8(severity_tag(d.severity()));
-        e.put_span(d.span());
-        e.put_str(d.message());
-        e.put_len(d.notes().len());
-        for (span, note) in d.notes() {
-            e.put_span(*span);
-            e.put_str(note);
-        }
-    }
+/// One type's payload form: its writer and its reader side by side, so
+/// each field order is written once. `get` is total: a malformed payload
+/// yields `None`, never a panic.
+trait Payload: Sized {
+    fn put(&self, e: &mut Encoder);
+    fn get(d: &mut Decoder) -> Option<Self>;
 }
 
-fn get_diagnostics(d: &mut Decoder) -> Option<DiagnosticBag> {
-    let n = d.get_len().ok()?;
-    let mut bag = DiagnosticBag::new();
-    for _ in 0..n {
-        let code = code_from_tag(d.get_u8().ok()?)?;
-        let severity = severity_from_tag(d.get_u8().ok()?)?;
-        let span = d.get_span().ok()?;
-        let message = d.get_str().ok()?;
-        let mut diag = Diagnostic::new(code, span, message).with_severity(severity);
-        let notes = d.get_len().ok()?;
-        for _ in 0..notes {
-            let nspan = d.get_span().ok()?;
-            let note = d.get_str().ok()?;
-            diag = diag.with_note(nspan, note);
-        }
-        bag.push(diag);
-    }
-    Some(bag)
-}
-
-/// Serializes a standalone diagnostic bag — the payload of the memoized
-/// Rust boundary check, stored under [`rust_check_fingerprint`].
-pub fn encode_diagnostics(bag: &DiagnosticBag) -> Vec<u8> {
+fn encode<T: Payload>(value: &T) -> Vec<u8> {
     let mut e = Encoder::new();
-    put_diagnostics(&mut e, bag);
+    value.put(&mut e);
     e.into_bytes()
 }
 
-/// Decodes a standalone diagnostic bag; `None` is a cache miss.
-pub fn decode_diagnostics(bytes: &[u8]) -> Option<DiagnosticBag> {
+/// Decodes one whole payload; bytes left over make it malformed too.
+fn decode<T: Payload>(bytes: &[u8]) -> Option<T> {
     let mut d = Decoder::new(bytes);
-    let bag = get_diagnostics(&mut d)?;
+    let value = T::get(&mut d)?;
     d.finish().ok()?;
-    Some(bag)
+    Some(value)
 }
 
-fn put_effect_key(e: &mut Encoder, key: EffectKey, own_idx: u32) {
-    match key {
-        EffectKey::Base(raw) => {
-            e.put_u8(0);
-            e.put_u32(raw);
+impl Payload for u32 {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u32(*self);
+    }
+    fn get(d: &mut Decoder) -> Option<Self> {
+        d.get_u32().ok()
+    }
+}
+
+impl Payload for bool {
+    fn put(&self, e: &mut Encoder) {
+        e.put_bool(*self);
+    }
+    fn get(d: &mut Decoder) -> Option<Self> {
+        d.get_bool().ok()
+    }
+}
+
+/// Counters, signature indices and slots: a plain `u64`. Unlike a
+/// collection length, such a value is not bounded by the payload size (a
+/// large clean function allocates far more nodes than its outcome has
+/// bytes), so it skips `Decoder::get_len`'s guard; range checks are the
+/// caller's.
+impl Payload for usize {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u64(*self as u64);
+    }
+    fn get(d: &mut Decoder) -> Option<Self> {
+        usize::try_from(d.get_u64().ok()?).ok()
+    }
+}
+
+impl Payload for String {
+    fn put(&self, e: &mut Encoder) {
+        e.put_str(self);
+    }
+    fn get(d: &mut Decoder) -> Option<Self> {
+        d.get_str().ok()
+    }
+}
+
+impl Payload for Span {
+    fn put(&self, e: &mut Encoder) {
+        e.put_span(*self);
+    }
+    fn get(d: &mut Decoder) -> Option<Self> {
+        d.get_span().ok()
+    }
+}
+
+impl Payload for PsiId {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u32(self.as_raw());
+    }
+    fn get(d: &mut Decoder) -> Option<Self> {
+        Some(PsiId::from_raw(d.get_u32().ok()?))
+    }
+}
+
+/// A collection: its length, read through `Decoder::get_len`'s guard, then
+/// its elements.
+impl<T: Payload> Payload for Vec<T> {
+    fn put(&self, e: &mut Encoder) {
+        put_slice(e, self);
+    }
+    fn get(d: &mut Decoder) -> Option<Self> {
+        let n = d.get_len().ok()?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(d)?);
         }
-        EffectKey::Local { func, raw } => {
-            debug_assert_eq!(func, own_idx, "a worker only mints local keys for its own clone");
-            e.put_u8(1);
-            e.put_u32(raw);
-        }
+        Some(items)
     }
 }
 
-fn get_effect_key(d: &mut Decoder, func_idx: u32) -> Option<EffectKey> {
-    Some(match d.get_u8().ok()? {
-        0 => EffectKey::Base(d.get_u32().ok()?),
-        1 => EffectKey::Local { func: func_idx, raw: d.get_u32().ok()? },
-        _ => return None,
-    })
-}
-
-fn put_flat_int(e: &mut Encoder, t: FlatInt) {
-    match t {
-        FlatInt::Bot => e.put_u8(0),
-        FlatInt::Known(n) => {
-            e.put_u8(1);
-            e.put_i64(n);
-        }
-        FlatInt::Top => e.put_u8(2),
+fn put_slice<T: Payload>(e: &mut Encoder, items: &[T]) {
+    e.put_len(items.len());
+    for item in items {
+        item.put(e);
     }
 }
 
-fn get_flat_int(d: &mut Decoder) -> Option<FlatInt> {
-    Some(match d.get_u8().ok()? {
-        0 => FlatInt::Bot,
-        1 => FlatInt::Known(d.get_i64().ok()?),
-        2 => FlatInt::Top,
-        _ => return None,
-    })
-}
-
-// ---- tier-1 payload -----------------------------------------------------
-
-/// Serializes one function outcome, or `None` for an outcome that cannot
-/// be replayed faithfully (an unresolved Ψ pin, which infer should never
-/// export — skipping the put keeps warm runs byte-identical even if an
-/// upstream bug ever produces one). `own_idx` is the function's index in
-/// the producing run, used only to strip the redundant index from local
-/// effect keys.
-///
-/// Scalar counters (`passes`, `new_nodes`, …) use `put_u64` and indices
-/// use `put_index`, not `put_len`: `Decoder::get_len`'s corruption guard
-/// caps values at the payload byte length, which collection lengths always
-/// satisfy but a large clean function's node counter, or a small
-/// function's index into a large program's signatures, need not.
-pub fn encode_outcome(o: &FunctionOutcome, own_idx: u32) -> Option<Vec<u8>> {
-    if o.psi_pins.iter().any(|(_, n)| matches!(n, PsiNode::Var | PsiNode::Link(_))) {
-        return None;
-    }
-    let mut e = Encoder::new();
-    e.put_str(&o.name);
-    put_diagnostics(&mut e, &o.diagnostics);
-    e.put_u64(o.passes as u64);
-    e.put_u64(o.new_nodes as u64);
-    e.put_len(o.gc_edges.len());
-    for &(lo, hi) in &o.gc_edges {
-        put_effect_key(&mut e, lo, own_idx);
-        put_effect_key(&mut e, hi, own_idx);
-    }
-    e.put_u64(o.recorded_gc_edges as u64);
-    e.put_len(o.gc_roots.len());
-    for &k in &o.gc_roots {
-        put_effect_key(&mut e, k, own_idx);
-    }
-    e.put_len(o.obligations.len());
-    for ob in &o.obligations {
-        e.put_str(&ob.callee);
-        put_effect_key(&mut e, ob.effect, own_idx);
-        e.put_bool(ob.effect_is_gc);
-        e.put_len(ob.unprotected_heap_ptrs.len());
-        for p in &ob.unprotected_heap_ptrs {
-            e.put_str(p);
-        }
-        e.put_len(ob.deferred_ptrs.len());
-        for (name, keys) in &ob.deferred_ptrs {
-            e.put_str(name);
-            e.put_len(keys.len());
-            for (func, slot) in keys {
-                e.put_str(func);
-                put_index(&mut e, *slot);
+/// Implements [`Payload`] for a tuple: its fields in order.
+macro_rules! tuple {
+    ($($t:ident . $i:tt),*) => {
+        impl<$($t: Payload),*> Payload for ($($t,)*) {
+            fn put(&self, e: &mut Encoder) {
+                $(self.$i.put(e);)*
+            }
+            fn get(d: &mut Decoder) -> Option<Self> {
+                Some(($($t::get(d)?,)*))
             }
         }
-        e.put_span(ob.span);
-    }
-    e.put_len(o.psi_violations.len());
-    for v in &o.psi_violations {
-        put_flat_int(&mut e, v.bound.t);
-        e.put_u32(v.bound.psi.as_raw());
-        e.put_span(v.bound.span);
-        e.put_str(&v.bound.context);
-        e.put_str(&v.reason);
-    }
-    e.put_len(o.psi_pins.len());
-    for &(raw, node) in &o.psi_pins {
+    };
+}
+
+tuple!(A.0, B.1);
+tuple!(A.0, B.1, C.2);
+
+/// Implements [`Payload`] for a struct from one list of its fields in
+/// payload order. `get` builds the struct with a literal, so a field that
+/// is neither listed nor named under `zero` (not carried, decoded as
+/// `0.0`) does not compile.
+macro_rules! record {
+    ($ty:ident { $($field:ident),* } $(zero { $($zero:ident),* })?) => {
+        impl Payload for $ty {
+            fn put(&self, e: &mut Encoder) {
+                $(self.$field.put(e);)*
+            }
+            fn get(d: &mut Decoder) -> Option<Self> {
+                Some($ty { $($field: Payload::get(d)?,)* $($($zero: 0.0,)*)? })
+            }
+        }
+    };
+}
+
+// A replayed outcome reports zero seconds: no work was performed.
+record!(FunctionOutcome {
+    name, diagnostics, passes, new_nodes, gc_edges, recorded_gc_edges, gc_roots, obligations,
+    psi_violations, psi_pins, deferred_psi_bounds, pinned_polys, interface_pins, heap_slots
+} zero { seconds, setup_seconds });
+record!(ResolvedObligation {
+    callee,
+    effect,
+    effect_is_gc,
+    unprotected_heap_ptrs,
+    deferred_ptrs,
+    span
+});
+record!(PsiViolation { bound, reason });
+record!(PsiBound { t, psi, span, context });
+record!(DeferredPsiBound { mt_key, t, span, context });
+record!(InterfacePin { sig_idx, slot, mt_key, rendered, func_span, func_name });
+record!(CachedReport { errors, warnings, imprecision, rendered, diagnostics });
+
+/// A local key is written without its function index and decodes bound to
+/// function 0; [`decode_outcome`] re-binds it to the replaying index.
+impl Payload for EffectKey {
+    fn put(&self, e: &mut Encoder) {
+        let (tag, raw) = match *self {
+            EffectKey::Base(raw) => (0, raw),
+            EffectKey::Local { raw, .. } => (1, raw),
+        };
+        e.put_u8(tag);
         e.put_u32(raw);
-        match node {
+    }
+    fn get(d: &mut Decoder) -> Option<Self> {
+        Some(match d.get_u8().ok()? {
+            0 => EffectKey::Base(d.get_u32().ok()?),
+            1 => EffectKey::Local { func: 0, raw: d.get_u32().ok()? },
+            _ => return None,
+        })
+    }
+}
+
+impl Payload for FlatInt {
+    fn put(&self, e: &mut Encoder) {
+        match *self {
+            FlatInt::Bot => e.put_u8(0),
+            FlatInt::Known(n) => {
+                e.put_u8(1);
+                e.put_i64(n);
+            }
+            FlatInt::Top => e.put_u8(2),
+        }
+    }
+    fn get(d: &mut Decoder) -> Option<Self> {
+        Some(match d.get_u8().ok()? {
+            0 => FlatInt::Bot,
+            1 => FlatInt::Known(d.get_i64().ok()?),
+            2 => FlatInt::Top,
+            _ => return None,
+        })
+    }
+}
+
+impl Payload for PsiNode {
+    fn put(&self, e: &mut Encoder) {
+        match *self {
             PsiNode::Count(k) => {
                 e.put_u8(0);
                 e.put_u32(k);
             }
             PsiNode::Top => e.put_u8(1),
-            // rejected by the guard at the top of this function
+            // refused by `encode_outcome` before any byte is written
             PsiNode::Var | PsiNode::Link(_) => unreachable!("unresolved pins are not cached"),
         }
     }
-    e.put_len(o.deferred_psi_bounds.len());
-    for b in &o.deferred_psi_bounds {
-        e.put_u32(b.mt_key);
-        put_flat_int(&mut e, b.t);
-        e.put_span(b.span);
-        e.put_str(&b.context);
+    fn get(d: &mut Decoder) -> Option<Self> {
+        Some(match d.get_u8().ok()? {
+            0 => PsiNode::Count(d.get_u32().ok()?),
+            1 => PsiNode::Top,
+            _ => return None,
+        })
     }
-    e.put_len(o.pinned_polys.len());
-    for (sig, param, rendered) in &o.pinned_polys {
-        put_index(&mut e, *sig);
-        put_index(&mut e, *param);
-        e.put_str(rendered);
-    }
-    e.put_len(o.interface_pins.len());
-    for pin in &o.interface_pins {
-        put_index(&mut e, pin.sig_idx);
-        put_index(&mut e, pin.slot);
-        e.put_u32(pin.mt_key);
-        e.put_str(&pin.rendered);
-        e.put_span(pin.func_span);
-        e.put_str(&pin.func_name);
-    }
-    e.put_len(o.heap_slots.len());
-    for (func, slot) in &o.heap_slots {
-        e.put_str(func);
-        put_index(&mut e, *slot);
-    }
-    Some(e.into_bytes())
 }
 
-/// Writes a signature index or slot; the same bytes as `put_len`.
-fn put_index(e: &mut Encoder, v: usize) {
-    e.put_u64(v as u64);
+impl Payload for Diagnostic {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u8(code_tag(self.code()));
+        e.put_u8(severity_tag(self.severity()));
+        e.put_span(self.span());
+        e.put_str(self.message());
+        put_slice(e, self.notes());
+    }
+    fn get(d: &mut Decoder) -> Option<Self> {
+        let code = code_from_tag(d.get_u8().ok()?)?;
+        let severity = severity_from_tag(d.get_u8().ok()?)?;
+        let (span, message) = <(Span, String)>::get(d)?;
+        let diag = Diagnostic::new(code, span, message).with_severity(severity);
+        let notes = Vec::<(Span, String)>::get(d)?;
+        Some(notes.into_iter().fold(diag, |diag, (span, note)| diag.with_note(span, note)))
+    }
 }
 
-/// Reads what [`put_index`] wrote. Unlike a length, an index is not
-/// bounded by the payload size; range checks are the caller's.
-fn get_index(d: &mut Decoder) -> Option<usize> {
-    usize::try_from(d.get_u64().ok()?).ok()
+impl Payload for DiagnosticBag {
+    fn put(&self, e: &mut Encoder) {
+        e.put_len(self.len());
+        for diag in self.iter() {
+            diag.put(e);
+        }
+    }
+    fn get(d: &mut Decoder) -> Option<Self> {
+        let mut bag = DiagnosticBag::new();
+        for _ in 0..d.get_len().ok()? {
+            bag.push(Diagnostic::get(d)?);
+        }
+        Some(bag)
+    }
+}
+
+// ---- the public payloads -------------------------------------------------
+
+/// Serializes a standalone diagnostic bag — the payload of the memoized
+/// Rust boundary check, stored under [`rust_check_fingerprint`].
+pub fn encode_diagnostics(bag: &DiagnosticBag) -> Vec<u8> {
+    encode(bag)
+}
+
+/// Decodes a standalone diagnostic bag; `None` is a cache miss.
+pub fn decode_diagnostics(bytes: &[u8]) -> Option<DiagnosticBag> {
+    decode(bytes)
+}
+
+/// Serializes one function outcome, or `None` for an outcome that cannot
+/// be replayed faithfully (an unresolved Ψ pin, which infer should never
+/// export — skipping the put keeps warm runs byte-identical even if an
+/// upstream bug ever produces one). `own_idx` is the function's index in
+/// the producing run; the payload leaves it out of local effect keys.
+pub fn encode_outcome(o: &FunctionOutcome, own_idx: u32) -> Option<Vec<u8>> {
+    if o.psi_pins.iter().any(|(_, n)| matches!(n, PsiNode::Var | PsiNode::Link(_))) {
+        return None;
+    }
+    let edges = o.gc_edges.iter().flat_map(|(lo, hi)| [lo, hi]);
+    let mut keys = edges.chain(&o.gc_roots).chain(o.obligations.iter().map(|ob| &ob.effect));
+    debug_assert!(
+        keys.all(|k| !matches!(*k, EffectKey::Local { func, .. } if func != own_idx)),
+        "a worker only mints local keys for its own clone"
+    );
+    Some(encode(o))
 }
 
 /// Decodes a tier-1 payload, re-binding local effect keys to `func_idx`.
@@ -595,142 +673,21 @@ pub fn decode_outcome(
     expect_name: &str,
     n_sigs: usize,
 ) -> Option<FunctionOutcome> {
-    let mut d = Decoder::new(bytes);
-    let name = d.get_str().ok()?;
-    if name != expect_name {
+    let mut o: FunctionOutcome = decode(bytes)?;
+    let mut sigs =
+        o.pinned_polys.iter().map(|p| p.0).chain(o.interface_pins.iter().map(|p| p.sig_idx));
+    if o.name != expect_name || sigs.any(|sig| sig >= n_sigs) {
         return None;
     }
-    let diagnostics = get_diagnostics(&mut d)?;
-    let passes = d.get_u64().ok()? as usize;
-    let new_nodes = d.get_u64().ok()? as usize;
-    let n = d.get_len().ok()?;
-    let mut gc_edges = Vec::with_capacity(n);
-    for _ in 0..n {
-        let lo = get_effect_key(&mut d, func_idx)?;
-        let hi = get_effect_key(&mut d, func_idx)?;
-        gc_edges.push((lo, hi));
-    }
-    let recorded_gc_edges = d.get_u64().ok()? as usize;
-    let n = d.get_len().ok()?;
-    let mut gc_roots = Vec::with_capacity(n);
-    for _ in 0..n {
-        gc_roots.push(get_effect_key(&mut d, func_idx)?);
-    }
-    let n = d.get_len().ok()?;
-    let mut obligations = Vec::with_capacity(n);
-    for _ in 0..n {
-        let callee = d.get_str().ok()?;
-        let effect = get_effect_key(&mut d, func_idx)?;
-        let effect_is_gc = d.get_bool().ok()?;
-        let m = d.get_len().ok()?;
-        let mut unprotected_heap_ptrs = Vec::with_capacity(m);
-        for _ in 0..m {
-            unprotected_heap_ptrs.push(d.get_str().ok()?);
+    let edges = o.gc_edges.iter_mut().flat_map(|(lo, hi)| [lo, hi]);
+    let keys =
+        edges.chain(&mut o.gc_roots).chain(o.obligations.iter_mut().map(|ob| &mut ob.effect));
+    for key in keys {
+        if let EffectKey::Local { func, .. } = key {
+            *func = func_idx;
         }
-        let m = d.get_len().ok()?;
-        let mut deferred_ptrs = Vec::with_capacity(m);
-        for _ in 0..m {
-            let name = d.get_str().ok()?;
-            let k = d.get_len().ok()?;
-            let mut keys = Vec::with_capacity(k);
-            for _ in 0..k {
-                let func = d.get_str().ok()?;
-                let slot = get_index(&mut d)?;
-                keys.push((func, slot));
-            }
-            deferred_ptrs.push((name, keys));
-        }
-        let span = d.get_span().ok()?;
-        obligations.push(ResolvedObligation {
-            callee,
-            effect,
-            effect_is_gc,
-            unprotected_heap_ptrs,
-            deferred_ptrs,
-            span,
-        });
     }
-    let n = d.get_len().ok()?;
-    let mut psi_violations = Vec::with_capacity(n);
-    for _ in 0..n {
-        let t = get_flat_int(&mut d)?;
-        let psi = PsiId::from_raw(d.get_u32().ok()?);
-        let span = d.get_span().ok()?;
-        let context = d.get_str().ok()?;
-        let reason = d.get_str().ok()?;
-        psi_violations.push(PsiViolation { bound: PsiBound { t, psi, span, context }, reason });
-    }
-    let n = d.get_len().ok()?;
-    let mut psi_pins = Vec::with_capacity(n);
-    for _ in 0..n {
-        let raw = d.get_u32().ok()?;
-        let node = match d.get_u8().ok()? {
-            0 => PsiNode::Count(d.get_u32().ok()?),
-            1 => PsiNode::Top,
-            _ => return None,
-        };
-        psi_pins.push((raw, node));
-    }
-    let n = d.get_len().ok()?;
-    let mut deferred_psi_bounds = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mt_key = d.get_u32().ok()?;
-        let t = get_flat_int(&mut d)?;
-        let span = d.get_span().ok()?;
-        let context = d.get_str().ok()?;
-        deferred_psi_bounds.push(DeferredPsiBound { mt_key, t, span, context });
-    }
-    let n = d.get_len().ok()?;
-    let mut pinned_polys = Vec::with_capacity(n);
-    for _ in 0..n {
-        let sig = get_index(&mut d)?;
-        let param = get_index(&mut d)?;
-        let rendered = d.get_str().ok()?;
-        if sig >= n_sigs {
-            return None;
-        }
-        pinned_polys.push((sig, param, rendered));
-    }
-    let n = d.get_len().ok()?;
-    let mut interface_pins = Vec::with_capacity(n);
-    for _ in 0..n {
-        let sig_idx = get_index(&mut d)?;
-        let slot = get_index(&mut d)?;
-        let mt_key = d.get_u32().ok()?;
-        let rendered = d.get_str().ok()?;
-        let func_span = d.get_span().ok()?;
-        let func_name = d.get_str().ok()?;
-        if sig_idx >= n_sigs {
-            return None;
-        }
-        interface_pins.push(InterfacePin { sig_idx, slot, mt_key, rendered, func_span, func_name });
-    }
-    let n = d.get_len().ok()?;
-    let mut heap_slots = Vec::with_capacity(n);
-    for _ in 0..n {
-        let func = d.get_str().ok()?;
-        let slot = get_index(&mut d)?;
-        heap_slots.push((func, slot));
-    }
-    d.finish().ok()?;
-    Some(FunctionOutcome {
-        name,
-        diagnostics,
-        passes,
-        new_nodes,
-        gc_edges,
-        recorded_gc_edges,
-        gc_roots,
-        obligations,
-        psi_violations,
-        psi_pins,
-        deferred_psi_bounds,
-        pinned_polys,
-        interface_pins,
-        heap_slots,
-        seconds: 0.0,
-        setup_seconds: 0.0,
-    })
+    Some(o)
 }
 
 // ---- tier-2 payload -----------------------------------------------------
@@ -756,25 +713,14 @@ pub struct CachedReport {
 
 /// Serializes a tier-2 report entry.
 pub fn encode_report(r: &CachedReport) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_len(r.errors);
-    e.put_len(r.warnings);
-    e.put_len(r.imprecision);
-    e.put_str(&r.rendered);
-    put_diagnostics(&mut e, &r.diagnostics);
-    e.into_bytes()
+    encode(r)
 }
 
-/// Decodes a tier-2 report entry; `None` is a cache miss.
+/// Decodes a tier-2 report entry; `None` is a cache miss. Each count, like
+/// a collection length, is at most the payload's byte length.
 pub fn decode_report(bytes: &[u8]) -> Option<CachedReport> {
-    let mut d = Decoder::new(bytes);
-    let errors = d.get_len().ok()?;
-    let warnings = d.get_len().ok()?;
-    let imprecision = d.get_len().ok()?;
-    let rendered = d.get_str().ok()?;
-    let diagnostics = get_diagnostics(&mut d)?;
-    d.finish().ok()?;
-    Some(CachedReport { rendered, errors, warnings, imprecision, diagnostics })
+    let r: CachedReport = decode(bytes)?;
+    [r.errors, r.warnings, r.imprecision].iter().all(|&n| n <= bytes.len()).then_some(r)
 }
 
 #[cfg(test)]
@@ -782,7 +728,6 @@ mod tests {
     use super::*;
     use ffisafe_cil::ir::{IrExpr, IrFunction, IrStmt, IrStmtKind, VarId};
     use ffisafe_cil::CTypeExpr;
-    use ffisafe_support::Span;
 
     fn sample_function(name: &str, ret_const: i64) -> IrFunction {
         IrFunction {
@@ -951,23 +896,21 @@ mod tests {
         // wrong function name or too few signatures: miss, not garbage
         assert!(decode_outcome(&bytes, 13, "ml_g", 1).is_none());
         assert!(decode_outcome(&bytes, 13, "ml_f", 0).is_none());
+        // bytes after the payload: miss
+        assert!(decode_outcome(&[&bytes[..], &[0]].concat(), 13, "ml_f", 1).is_none());
         // truncation at every prefix: miss, never a panic
         for cut in 0..bytes.len() {
             assert!(decode_outcome(&bytes[..cut], 13, "ml_f", 1).is_none(), "cut {cut}");
         }
     }
 
-    #[test]
-    fn counters_larger_than_payload_still_decode() {
-        // Regression: `get_len`'s corruption guard caps values at the
-        // payload byte length. A big clean function allocates far more
-        // nodes than its tiny outcome payload has bytes; its counters
-        // must not be read through that guard.
-        let outcome = FunctionOutcome {
-            name: "ml_big".into(),
+    /// An outcome with no findings, for tests that set a few fields.
+    fn empty_outcome(name: &str) -> FunctionOutcome {
+        FunctionOutcome {
+            name: name.into(),
             diagnostics: DiagnosticBag::new(),
-            passes: 5_000,
-            new_nodes: 250_000,
+            passes: 1,
+            new_nodes: 0,
             gc_edges: vec![],
             recorded_gc_edges: 0,
             gc_roots: vec![],
@@ -978,8 +921,22 @@ mod tests {
             pinned_polys: vec![],
             interface_pins: vec![],
             heap_slots: vec![],
-            seconds: 0.5,
+            seconds: 0.0,
             setup_seconds: 0.0,
+        }
+    }
+
+    #[test]
+    fn counters_larger_than_payload_still_decode() {
+        // Regression: `get_len`'s corruption guard caps values at the
+        // payload byte length. A big clean function allocates far more
+        // nodes than its tiny outcome payload has bytes; its counters
+        // must not be read through that guard.
+        let outcome = FunctionOutcome {
+            passes: 5_000,
+            new_nodes: 250_000,
+            seconds: 0.5,
+            ..empty_outcome("ml_big")
         };
         let bytes = encode_outcome(&outcome, 0).expect("encodes");
         assert!(outcome.new_nodes > bytes.len(), "test premise: counter exceeds payload");
@@ -994,13 +951,6 @@ mod tests {
         // `get_len`, so a small function of a large program whose index
         // exceeded its payload size missed the store on every run.
         let outcome = FunctionOutcome {
-            name: "ml_late".into(),
-            diagnostics: DiagnosticBag::new(),
-            passes: 1,
-            new_nodes: 0,
-            gc_edges: vec![],
-            recorded_gc_edges: 0,
-            gc_roots: vec![],
             obligations: vec![ResolvedObligation {
                 callee: "caml_alloc".into(),
                 effect: EffectKey::Base(4),
@@ -1009,9 +959,6 @@ mod tests {
                 deferred_ptrs: vec![("x".into(), vec![("helper".into(), 6_000)])],
                 span: Span::dummy(),
             }],
-            psi_violations: vec![],
-            psi_pins: vec![],
-            deferred_psi_bounds: vec![],
             pinned_polys: vec![(9_000, 7_000, "int".into())],
             interface_pins: vec![InterfacePin {
                 sig_idx: 9_001,
@@ -1022,8 +969,7 @@ mod tests {
                 func_name: "ml_late".into(),
             }],
             heap_slots: vec![("ml_late".into(), 8_000)],
-            seconds: 0.0,
-            setup_seconds: 0.0,
+            ..empty_outcome("ml_late")
         };
         let bytes = encode_outcome(&outcome, 0).expect("encodes");
         assert!(bytes.len() < 6_000, "test premise: every index exceeds the payload");
@@ -1037,26 +983,106 @@ mod tests {
     }
 
     #[test]
-    fn unresolved_psi_pins_are_not_cached() {
+    fn pinned_poly_signature_indices_are_range_checked() {
         let outcome = FunctionOutcome {
-            name: "ml_odd".into(),
-            diagnostics: DiagnosticBag::new(),
-            passes: 1,
-            new_nodes: 0,
-            gc_edges: vec![],
-            recorded_gc_edges: 0,
-            gc_roots: vec![],
-            obligations: vec![],
-            psi_violations: vec![],
-            psi_pins: vec![(7, PsiNode::Var)],
-            deferred_psi_bounds: vec![],
-            pinned_polys: vec![],
-            interface_pins: vec![],
-            heap_slots: vec![],
-            seconds: 0.0,
-            setup_seconds: 0.0,
+            pinned_polys: vec![(3, 0, "int".into())],
+            ..empty_outcome("ml_poly")
         };
+        let bytes = encode_outcome(&outcome, 0).expect("encodes");
+        assert!(decode_outcome(&bytes, 0, "ml_poly", 4).is_some());
+        assert!(decode_outcome(&bytes, 0, "ml_poly", 3).is_none(), "index 3 of 3 signatures");
+    }
+
+    #[test]
+    fn unresolved_psi_pins_are_not_cached() {
+        let outcome =
+            FunctionOutcome { psi_pins: vec![(7, PsiNode::Var)], ..empty_outcome("ml_odd") };
         assert!(encode_outcome(&outcome, 0).is_none(), "unreplayable outcome must not cache");
+    }
+
+    #[test]
+    fn collection_lengths_larger_than_the_payload_are_rejected() {
+        // A length no payload could hold is refused before anything is
+        // allocated for it.
+        for len in [9, u64::MAX] {
+            assert!(decode_diagnostics(&len.to_le_bytes()).is_none(), "bag of {len}");
+        }
+        // In a tier-1 payload the `gc_edges` length follows the name (an
+        // 8-byte length and the 4 bytes of `ml_f`), the diagnostic count
+        // and two counters (8 bytes each).
+        let bytes = encode_outcome(&empty_outcome("ml_f"), 0).expect("encodes");
+        assert!(decode_outcome(&bytes, 0, "ml_f", 0).is_some());
+        for len in [bytes.len() as u64 + 1, u64::MAX] {
+            let mut corrupt = bytes.clone();
+            corrupt[36..44].copy_from_slice(&len.to_le_bytes());
+            assert!(decode_outcome(&corrupt, 0, "ml_f", 0).is_none(), "{len} edges");
+        }
+    }
+
+    #[test]
+    fn report_counts_larger_than_the_payload_are_rejected() {
+        let report = CachedReport {
+            rendered: String::new(),
+            errors: 0,
+            warnings: 0,
+            imprecision: 0,
+            diagnostics: DiagnosticBag::new(),
+        };
+        // Counts are fixed-width, so the payload length does not move.
+        let len = encode_report(&report).len();
+        for field in 0..3 {
+            let with = |n| {
+                let mut r = report.clone();
+                *[&mut r.errors, &mut r.warnings, &mut r.imprecision][field] = n;
+                decode_report(&encode_report(&r))
+            };
+            assert!(with(len).is_some(), "count {field} at the payload length");
+            assert!(with(len + 1).is_none(), "count {field} past the payload length");
+        }
+    }
+
+    #[test]
+    fn unknown_tags_are_rejected() {
+        // Each tag is found next to a distinctive value; the variants used
+        // are those a decoder that took an unknown tag for them would
+        // otherwise accept.
+        let (key, psi, pin) = (0xA1B2_C3D4_u32, 0x5EED_0001_u32, 0x0BAD_F00D_u32);
+        let outcome = FunctionOutcome {
+            gc_roots: vec![EffectKey::Base(key)],
+            psi_violations: vec![PsiViolation {
+                bound: PsiBound {
+                    t: FlatInt::Top,
+                    psi: PsiId::from_raw(psi),
+                    span: Span::dummy(),
+                    context: "switch".into(),
+                },
+                reason: "too many".into(),
+            }],
+            psi_pins: vec![(pin, PsiNode::Top)],
+            ..empty_outcome("ml_f")
+        };
+        let bytes = encode_outcome(&outcome, 0).expect("encodes");
+        assert!(decode_outcome(&bytes, 0, "ml_f", 0).is_some());
+        let at = |v: u32| bytes.windows(4).position(|w| w == v.to_le_bytes()).expect("present");
+        // the effect key's tag precedes its raw id, the flat int's tag
+        // precedes the bound's Ψ, the pin's node tag follows its raw id
+        for (i, tag) in [(at(key) - 1, 2), (at(psi) - 1, 3), (at(pin) + 4, 2)] {
+            let mut corrupt = bytes.clone();
+            corrupt[i] = tag;
+            assert!(decode_outcome(&corrupt, 0, "ml_f", 0).is_none(), "tag {tag} at byte {i}");
+        }
+
+        // A bag of one diagnostic: its length, then the code and severity
+        // tags.
+        let mut bag = DiagnosticBag::new();
+        bag.push(Diagnostic::new(DiagnosticCode::TypeMismatch, Span::dummy(), "boom"));
+        let bytes = encode_diagnostics(&bag);
+        assert!(decode_diagnostics(&bytes).is_some());
+        for (i, tag) in [(8, 24), (9, 4)] {
+            let mut corrupt = bytes.clone();
+            corrupt[i] = tag;
+            assert!(decode_diagnostics(&corrupt).is_none(), "tag {tag} at byte {i}");
+        }
     }
 
     #[test]
@@ -1112,6 +1138,7 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(decode_diagnostics(&bytes[..cut]).is_none(), "cut {cut}");
         }
+        assert!(decode_diagnostics(&[&bytes[..], &[0]].concat()).is_none(), "trailing byte");
     }
 
     #[test]
@@ -1134,5 +1161,6 @@ mod tests {
         assert_eq!(back.diagnostics.iter().next().unwrap().code(), DiagnosticCode::TypeMismatch);
         assert!(decode_report(&bytes[..bytes.len() - 1]).is_none());
         assert!(decode_report(b"").is_none());
+        assert!(decode_report(&[&bytes[..], &[0]].concat()).is_none(), "trailing byte");
     }
 }

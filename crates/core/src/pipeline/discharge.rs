@@ -17,31 +17,13 @@ use ffisafe_support::{Diagnostic, DiagnosticCode, Session};
 use ffisafe_types::GcNode;
 use std::collections::{HashMap, HashSet, VecDeque};
 
-/// What the discharge stage found (stats for logging and tests).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DischargeSummary {
-    /// Effect keys proven may-GC by the merged reachability solve.
-    pub gc_effects: usize,
-    /// `UnrootedValue` reports emitted.
-    pub unrooted: usize,
-    /// `Ψ` bound violations emitted (before dedup).
-    pub psi_violations: usize,
-    /// Polymorphic-abuse reports emitted.
-    pub poly_abuse: usize,
-    /// Interface-consistency conflicts emitted.
-    pub interface_conflicts: usize,
-}
-
-/// Runs the stage: merges outcomes into the session's diagnostic sink and
-/// returns summary statistics.
+/// Runs the stage: merges outcomes into the session's diagnostic sink.
 pub fn run(
     session: &mut Session,
     base: &mut BaseState,
     inferred: &InferArtifact,
     phase1: &ffisafe_ocaml::translate::Phase1,
-) -> DischargeSummary {
-    let mut summary = DischargeSummary::default();
-
+) {
     // ---- merged GC effect solve ----------------------------------------
     let mut adj: HashMap<EffectKey, Vec<EffectKey>> = HashMap::new();
     let mut roots: HashSet<EffectKey> = HashSet::new();
@@ -74,7 +56,6 @@ pub fn run(
             }
         }
     }
-    summary.gc_effects = gc_set.len();
 
     // ---- per-function merges, in program order -------------------------
     let gc_enabled = session.options().gc_effects;
@@ -97,8 +78,15 @@ pub fn run(
                     .iter()
                     .filter(|(_, keys)| keys.iter().any(|key| heap_slots.contains(key)))
                     .map(|(name, _)| name);
-                for name in ob.unprotected_heap_ptrs.iter().chain(deferred_hits) {
-                    summary.unrooted += 1;
+                // The names come from a hash set, so their order varies
+                // between runs, and the reports of one call share a span:
+                // only this sort fixes their order. Sorting here rather
+                // than where a worker lists them also orders the lists
+                // replayed from a store.
+                let mut names: Vec<&String> =
+                    ob.unprotected_heap_ptrs.iter().chain(deferred_hits).collect();
+                names.sort_unstable();
+                for name in names {
                     session.emit(Diagnostic::new(
                         DiagnosticCode::UnrootedValue,
                         ob.span,
@@ -112,7 +100,6 @@ pub fn run(
         }
 
         for v in &outcome.psi_violations {
-            summary.psi_violations += 1;
             session.emit(Diagnostic::new(
                 DiagnosticCode::ConstructorRange,
                 v.bound.span,
@@ -147,7 +134,6 @@ pub fn run(
             } else {
                 "the return".to_string()
             };
-            summary.interface_conflicts += 1;
             session.emit(Diagnostic::new(
                 DiagnosticCode::TypeMismatch,
                 pin.func_span,
@@ -186,7 +172,6 @@ pub fn run(
     // bounds above, resolved at the base state (also covers runs with no
     // C functions at all)
     for v in base.constraints.check_psi_bounds(&base.table) {
-        summary.psi_violations += 1;
         session.emit(Diagnostic::new(
             DiagnosticCode::ConstructorRange,
             v.bound.span,
@@ -203,7 +188,6 @@ pub fn run(
                 poly_pinned.get(&(sig_idx, param_idx)).cloned()
             };
             let Some(rendered) = rendered else { continue };
-            summary.poly_abuse += 1;
             session.emit(Diagnostic::new(
                 DiagnosticCode::PolymorphicAbuse,
                 sig.span,
@@ -214,8 +198,6 @@ pub fn run(
             ));
         }
     }
-
-    summary
 }
 
 /// Normalizes a base-table effect id. Base unification can only link

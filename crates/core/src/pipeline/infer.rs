@@ -418,12 +418,8 @@ fn bind_externals(
         // bytecode stubs (value *argv, int argn) are not checked
         if let Some(byte) = &sig.byte_c_name {
             if let Some(info) = registry.get(session.interner(), byte) {
-                let skip = info.params.len() == 2;
                 let effect = info.effect;
                 registry.set_external_index(session.interner(), byte, idx);
-                if !skip {
-                    // unusual: treat like the native variant below
-                }
                 table.unify_gc(effect, sig.effect);
             }
         }

@@ -74,7 +74,6 @@ pub mod frontend_rust;
 pub mod infer;
 
 pub use cache::{CachedReport, PipelineCache, CACHE_SCHEMA_VERSION};
-pub use discharge::DischargeSummary;
 pub use frontend::{Frontend, ParsedUnit, FRONTENDS};
 pub use frontend_c::CArtifact;
 pub use frontend_ml::MlArtifact;

@@ -370,9 +370,15 @@ fn cache_disabled_runs_are_unaffected() {
 #[test]
 fn trailing_comment_edit_replays_every_function() {
     let specs = ffisafe::bench::spec::paper_benchmarks();
-    for name in ["cryptokit-1.2", "lablgtk-2.2.0"] {
-        let spec = specs.iter().find(|s| s.name == name).expect("Figure 9 library");
-        let bench = ffisafe::bench::corpus::generate(spec);
+    let mut inputs: Vec<_> = ["cryptokit-1.2", "lablgtk-2.2.0"]
+        .into_iter()
+        .map(|name| {
+            let spec = specs.iter().find(|s| s.name == name).expect("Figure 9 library");
+            (name, ffisafe::bench::corpus::generate(spec))
+        })
+        .collect();
+    inputs.push(("scale-12k", ffisafe::bench::runner::scaling_benchmark(12000)));
+    for (name, bench) in inputs {
         let dir = temp_dir(&format!("trailing-{name}"));
         let options = AnalysisOptions::default().with_jobs(2);
         let before = [("lib.ml", bench.ml_source.clone()), ("glue.c", bench.c_source.clone())];
@@ -389,5 +395,55 @@ fn trailing_comment_edit_replays_every_function() {
         let reference = analyze(&as_refs(&after), options, None);
         assert_eq!(warm.render_stable(), reference.render_stable(), "{name}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Two unregistered parameters live across one allocating call: two
+/// `E006` reports that share a span.
+const PAIR_ML: &str = "external pair : string -> string -> string list = \"ml_pair\"\n";
+const PAIR_C: &str = "value ml_pair(value a, value b) {
+    value r = caml_alloc(2, 0);
+    Store_field(r, 0, a);
+    Store_field(r, 1, b);
+    return r;
+}
+";
+
+/// `json` with the value of every `…seconds` field replaced by `0`.
+fn zero_timings(json: &str) -> String {
+    const KEY_END: &str = "seconds\": ";
+    let mut out = String::with_capacity(json.len());
+    let mut rest = json;
+    while let Some(at) = rest.find(KEY_END) {
+        out.push_str(&rest[..at + KEY_END.len()]);
+        out.push('0');
+        rest = rest[at + KEY_END.len()..]
+            .trim_start_matches(|c: char| c.is_ascii_digit() || ".eE+-".contains(c));
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn reports_that_share_a_span_keep_one_order() {
+    let before = [("lib.ml", PAIR_ML.to_string()), ("glue.c", PAIR_C.to_string())];
+    let after = [("lib.ml", PAIR_ML.to_string()), ("glue.c", format!("{PAIR_C}/* trailing */\n"))];
+    let options = AnalysisOptions::default();
+    let reference = analyze(&as_refs(&before), options, None);
+    let unrooted = reference.diagnostics.with_code(ffisafe::DiagnosticCode::UnrootedValue);
+    assert_eq!(unrooted.count(), 2, "test premise: two E006 reports at one call");
+
+    let bytes = |r: &ffisafe::AnalysisReport| (r.render_stable(), zero_timings(&r.to_json()));
+    let mut expected = None;
+    for run in 0..50 {
+        let dir = temp_dir("pair-order");
+        let cold = analyze(&as_refs(&before), options, Some(&dir));
+        // The edit moves no span: every outcome replays from the store,
+        // with the live names in whatever order its worker listed them.
+        let warm = analyze(&as_refs(&after), options, Some(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(warm.stats.workers_executed, 0, "warm run {run} replays");
+        let got = (bytes(&cold), bytes(&warm));
+        assert_eq!(&got, expected.get_or_insert_with(|| got.clone()), "run {run}");
     }
 }

@@ -176,6 +176,37 @@ fn a_one_worker_sweep_starts_the_largest_library_first() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// `stats.seconds` is what a caller of `analyze` waits: it starts before
+/// parsing and ends after the last stage, so the request's own span may
+/// exceed it by no more than a millisecond of span bookkeeping.
+#[test]
+fn analysis_seconds_cover_the_whole_analyze_span() {
+    let _guard = TRACING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let corpus = benchmark_corpus(&ffisafe::bench::runner::scaling_benchmark(6000));
+    let service = AnalysisService::new();
+    drain_spans();
+    set_tracing(true);
+    let report = {
+        // Other tests may analyze concurrently: this thread's marker
+        // picks out its own `service.analyze` span.
+        let _marker = telemetry::span("test.caller");
+        service.analyze(&AnalysisRequest::new(corpus)).unwrap()
+    };
+    set_tracing(false);
+    let events = drain_spans();
+    let marker = events.iter().find(|e| e.name == "test.caller").expect("marker span");
+    let span = events
+        .iter()
+        .find(|e| e.name == "service.analyze" && e.tid == marker.tid)
+        .expect("the request's span");
+    let seconds_us = report.stats.seconds * 1e6;
+    assert!(
+        span.dur_us as f64 <= seconds_us + 1_000.0,
+        "service.analyze took {} µs, stats.seconds reads {seconds_us:.0} µs",
+        span.dur_us
+    );
+}
+
 #[test]
 fn sweep_report_bytes_are_identical_with_tracing_on_and_off() {
     let _guard = TRACING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
