@@ -210,8 +210,8 @@ impl<'a> Engine<'a> {
     /// Normalizes a shape according to the variable's resolved `ct`
     /// (§3.3: non-`value`, non-`int` types carry no useful shape).
     fn shape_for_ct(&mut self, ct: CtId, s: Shape) -> Shape {
-        let ct = self.table.resolve_ct(ct);
-        match self.table.ct_node(ct).clone() {
+        let ct = self.table.resolve(ct);
+        match self.table.node(ct).clone() {
             CtNode::Value(_) | CtNode::Var => s,
             CtNode::Int => Shape::new(Boxedness::Top, FlatInt::Known(0), s.t),
             _ => Shape::unknown(),
@@ -226,8 +226,8 @@ impl<'a> Engine<'a> {
 
     /// The `mt` under a `value` ct, binding unknown cts to fresh values.
     fn value_mt(&mut self, ct: CtId) -> Option<MtId> {
-        let ct = self.table.resolve_ct(ct);
-        match self.table.ct_node(ct).clone() {
+        let ct = self.table.resolve(ct);
+        match self.table.node(ct).clone() {
             CtNode::Value(mt) => Some(mt),
             CtNode::Var => {
                 let fresh = self.table.ct_fresh_value();
@@ -244,13 +244,13 @@ impl<'a> Engine<'a> {
         &mut self,
         mt: MtId,
     ) -> Option<(ffisafe_types::PsiId, ffisafe_types::SigmaId)> {
-        let mt = self.table.resolve_mt(mt);
-        match self.table.mt_node(mt).clone() {
+        let mt = self.table.resolve(mt);
+        match self.table.node(mt).clone() {
             MtNode::Rep(psi, sigma) => Some((psi, sigma)),
             MtNode::Var => {
                 let fresh = self.table.mt_fresh_rep();
                 self.table.unify_mt(mt, fresh).ok();
-                match self.table.mt_node(fresh).clone() {
+                match self.table.node(fresh).clone() {
                     MtNode::Rep(psi, sigma) => Some((psi, sigma)),
                     _ => None,
                 }
@@ -361,8 +361,8 @@ impl<'a> Engine<'a> {
     /// be safe and match the field type.
     fn store(&mut self, base: ExprTy, offset: ExprTy, value: ExprTy, span: Span) {
         self.check_safe(&value, span, "stored value");
-        let base_ct = self.table.resolve_ct(base.ct);
-        match self.table.ct_node(base_ct).clone() {
+        let base_ct = self.table.resolve(base.ct);
+        match self.table.node(base_ct).clone() {
             CtNode::Value(mt) => {
                 let Some(field) = self.value_field(mt, base.shape, offset.shape.t, span) else {
                     return;
@@ -445,7 +445,7 @@ impl<'a> Engine<'a> {
                     // strictness per the paper: tag-0 access without a
                     // boxedness test requires a product type; unify Ψ = 0
                     // only when Ψ is not already a known sum count
-                    let psi_node = self.table.psi_node(psi);
+                    let psi_node = self.table.node(psi);
                     if matches!(psi_node, ffisafe_types::PsiNode::Var) {
                         let zero = self.table.psi_count(0);
                         self.table.unify_psi(psi, zero).ok();
@@ -538,7 +538,11 @@ impl<'a> Engine<'a> {
         if self.options.gc_effects {
             self.constraints.add_gc_edge(info.effect, self.self_effect);
             if self.reporting && !info.noreturn {
-                let live = self.liveness.live_across(self.func, idx);
+                // Sorted, so the obligation (and the tier-1 payload that
+                // stores it) never follows the hash set's order.
+                let mut live: Vec<_> =
+                    self.liveness.live_across(self.func, idx).into_iter().collect();
+                live.sort_unstable();
                 let live: Vec<(String, CtId)> = live
                     .iter()
                     .map(|v| {
@@ -691,8 +695,8 @@ impl<'a> Engine<'a> {
                 // The Figure 8 example: the test forces a representational
                 // type when nothing else is known. Abstract/custom types
                 // keep their identity (only B is refined).
-                let mt = self.table.resolve_mt(mt);
-                if matches!(self.table.mt_node(mt), MtNode::Var) {
+                let mt = self.table.resolve(mt);
+                if matches!(self.table.node(mt), MtNode::Var) {
                     let fresh = self.table.mt_fresh_rep();
                     self.table.unify_mt(mt, fresh).ok();
                 }
@@ -760,7 +764,7 @@ impl<'a> Engine<'a> {
                 }
                 // fresh (ψ, σ) with T + 1 ≤ ψ  — (Val Int Exp)
                 let mt = self.table.mt_fresh_rep();
-                let MtNode::Rep(psi, _) = *self.table.mt_node(mt) else { unreachable!() };
+                let MtNode::Rep(psi, _) = *self.table.node(mt) else { unreachable!() };
                 if self.reporting {
                     self.constraints.add_psi_bound(
                         t.shape.t,
@@ -787,8 +791,8 @@ impl<'a> Engine<'a> {
                 // polymorphic variants) are always boxed, as are
                 // representational types with no nullary constructors.
                 if let Some(mt) = self.value_mt(t.ct) {
-                    let mt = self.table.resolve_mt(mt);
-                    match self.table.mt_node(mt).clone() {
+                    let mt = self.table.resolve(mt);
+                    match self.table.node(mt).clone() {
                         MtNode::Abstract { name, .. } => {
                             self.report(
                                 DiagnosticCode::TypeMismatch,
@@ -797,10 +801,8 @@ impl<'a> Engine<'a> {
                             );
                         }
                         MtNode::Rep(psi, sigma)
-                            if matches!(
-                                self.table.psi_node(psi),
-                                ffisafe_types::PsiNode::Count(0)
-                            ) && self.table.sigma_nonempty(sigma) =>
+                            if matches!(self.table.node(psi), ffisafe_types::PsiNode::Count(0))
+                                && self.table.sigma_nonempty(sigma) =>
                         {
                             let rendered = self.table.render_mt(mt);
                             self.report(
@@ -863,10 +865,10 @@ impl<'a> Engine<'a> {
     /// (AOP Exp): both operands C integers; values may be compared for
     /// equality against each other.
     fn arith(&mut self, op: &str, ta: ExprTy, tb: ExprTy, span: Span) -> ExprTy {
-        let a_ct = self.table.resolve_ct(ta.ct);
-        let b_ct = self.table.resolve_ct(tb.ct);
-        let a_val = matches!(self.table.ct_node(a_ct), CtNode::Value(_));
-        let b_val = matches!(self.table.ct_node(b_ct), CtNode::Value(_));
+        let a_ct = self.table.resolve(ta.ct);
+        let b_ct = self.table.resolve(tb.ct);
+        let a_val = matches!(self.table.node(a_ct), CtNode::Value(_));
+        let b_val = matches!(self.table.node(b_ct), CtNode::Value(_));
         if (op == "==" || op == "!=") && (a_val || b_val) {
             // comparing two OCaml values (e.g. `x == Val_unit`)
             self.unify_ct_or_report(ta.ct, tb.ct, span, "value comparison");
@@ -887,10 +889,10 @@ impl<'a> Engine<'a> {
     fn add(&mut self, a: &IrExpr, b: &IrExpr, op: &str, span: Span) -> ExprTy {
         let ta = self.eval(a);
         let tb = self.eval(b);
-        let a_ct = self.table.resolve_ct(ta.ct);
-        let b_ct = self.table.resolve_ct(tb.ct);
-        let a_node = self.table.ct_node(a_ct).clone();
-        let b_node = self.table.ct_node(b_ct).clone();
+        let a_ct = self.table.resolve(ta.ct);
+        let b_ct = self.table.resolve(tb.ct);
+        let a_node = self.table.node(a_ct).clone();
+        let b_node = self.table.node(b_ct).clone();
         match (a_node, b_node) {
             // (Add Val Exp)
             (CtNode::Value(mt), _) => self.add_value(mt, ta, tb, op, span),
@@ -946,8 +948,8 @@ impl<'a> Engine<'a> {
     /// `*e` — (Val Deref Exp) / (Val Deref Tuple Exp) / (C Deref Exp).
     fn deref(&mut self, inner: &IrExpr, span: Span) -> ExprTy {
         let t = self.eval(inner);
-        let ct = self.table.resolve_ct(t.ct);
-        match self.table.ct_node(ct).clone() {
+        let ct = self.table.resolve(t.ct);
+        match self.table.node(ct).clone() {
             CtNode::Value(mt) => {
                 let Some(field) = self.value_field(mt, t.shape, FlatInt::Known(0), span) else {
                     let fresh = self.table.ct_fresh_value();
@@ -979,11 +981,11 @@ impl<'a> Engine<'a> {
     /// Casts: (Custom Exp), (Val Cast Exp) and the §5.1 heuristics.
     fn cast(&mut self, ty: &CTypeExpr, inner: &IrExpr, span: Span) -> ExprTy {
         let t = self.eval(inner);
-        let src_ct = self.table.resolve_ct(t.ct);
-        let src_is_value = matches!(self.table.ct_node(src_ct), CtNode::Value(_));
+        let src_ct = self.table.resolve(t.ct);
+        let src_is_value = matches!(self.table.node(src_ct), CtNode::Value(_));
         match ty {
             CTypeExpr::Value => {
-                match self.table.ct_node(src_ct).clone() {
+                match self.table.node(src_ct).clone() {
                     // (value) e where e is already a value: identity
                     CtNode::Value(_) => t,
                     // (Custom Exp): C data enters OCaml as `ct custom`
@@ -1008,7 +1010,7 @@ impl<'a> Engine<'a> {
                 }
             }
             _ if src_is_value => {
-                let CtNode::Value(mt) = self.table.ct_node(src_ct).clone() else { unreachable!() };
+                let CtNode::Value(mt) = self.table.node(src_ct).clone() else { unreachable!() };
                 let target = eta(self.table, ty);
                 match ty {
                     // heuristic: casts through void * are ignored (§5.1)
@@ -1079,7 +1081,7 @@ impl<'a> Engine<'a> {
                 let tag = tys.first().map(|t| t.shape.t).unwrap_or(FlatInt::Top);
                 let mt = self.table.mt_fresh_rep();
                 if let (FlatInt::Known(n), MtNode::Rep(_, sigma)) =
-                    (tag, self.table.mt_node(mt).clone())
+                    (tag, self.table.node(mt).clone())
                 {
                     if n >= 0 {
                         let _ = self.table.sigma_at(sigma, n as usize);

@@ -38,11 +38,11 @@ mod tests {
         let mut tt = TypeTable::new();
         let a = eta(&mut tt, &CTypeExpr::Value);
         let b = eta(&mut tt, &CTypeExpr::Value);
-        let (CtNode::Value(m1), CtNode::Value(m2)) = (tt.ct_node(a).clone(), tt.ct_node(b).clone())
+        let (CtNode::Value(m1), CtNode::Value(m2)) = (tt.node(a).clone(), tt.node(b).clone())
         else {
             panic!()
         };
-        assert_ne!(tt.find_mt(m1), tt.find_mt(m2));
+        assert_ne!(tt.find(m1), tt.find(m2));
     }
 
     #[test]
@@ -53,6 +53,6 @@ mod tests {
         let n = eta(&mut tt, &CTypeExpr::Named("gzFile".into()));
         assert_eq!(tt.render_ct(n), "gzFile");
         let auto = eta(&mut tt, &CTypeExpr::Auto);
-        assert!(matches!(tt.ct_node(auto), CtNode::Var));
+        assert!(matches!(tt.node(auto), CtNode::Var));
     }
 }

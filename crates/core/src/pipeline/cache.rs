@@ -45,7 +45,9 @@ use ffisafe_support::{
     AnalysisOptions, Diagnostic, DiagnosticBag, DiagnosticCode, Fingerprint, FingerprintHasher,
     Severity, Span,
 };
-use ffisafe_types::{FlatInt, PsiBound, PsiId, PsiNode, PsiViolation};
+use ffisafe_types::{
+    CtId, FlatInt, GcId, MtId, PiId, PsiBound, PsiId, PsiNode, PsiViolation, SigmaId,
+};
 use std::sync::Arc;
 
 /// Bumped whenever the meaning or layout of cached payloads or the
@@ -204,12 +206,12 @@ pub fn base_state_digest(
     // The frozen arena, sort by sort, id order. Node enums hold only
     // plain data (ids, strings, vectors), so `Debug` is stable.
     h.write_u64(base.frozen.node_count() as u64);
-    hash_debug(&mut h, &base.frozen.mts());
-    hash_debug(&mut h, &base.frozen.cts());
-    hash_debug(&mut h, &base.frozen.psis());
-    hash_debug(&mut h, &base.frozen.sigmas());
-    hash_debug(&mut h, &base.frozen.pis());
-    hash_debug(&mut h, &base.frozen.gcs());
+    hash_debug(&mut h, &base.frozen.nodes::<MtId>());
+    hash_debug(&mut h, &base.frozen.nodes::<CtId>());
+    hash_debug(&mut h, &base.frozen.nodes::<PsiId>());
+    hash_debug(&mut h, &base.frozen.nodes::<SigmaId>());
+    hash_debug(&mut h, &base.frozen.nodes::<PiId>());
+    hash_debug(&mut h, &base.frozen.nodes::<GcId>());
 
     // Γ_I in symbol order, with the name↔symbol binding made explicit.
     let funcs = base.registry.iter_stable();
@@ -311,67 +313,6 @@ fn severity_from_tag(t: u8) -> Option<Severity> {
         1 => Severity::Warning,
         2 => Severity::Imprecision,
         3 => Severity::Note,
-        _ => return None,
-    })
-}
-
-fn code_tag(c: DiagnosticCode) -> u8 {
-    use DiagnosticCode::*;
-    match c {
-        TypeMismatch => 0,
-        BoxednessMismatch => 1,
-        ConstructorRange => 2,
-        TagRange => 3,
-        FieldRange => 4,
-        UnrootedValue => 5,
-        MissingCamlReturn => 6,
-        SpuriousCamlReturn => 7,
-        UnsafeValue => 8,
-        ArityMismatch => 9,
-        TrailingUnitParameter => 10,
-        PolymorphicAbuse => 11,
-        SuspiciousCast => 12,
-        UnknownOffset => 13,
-        GlobalValue => 14,
-        AddressOfValue => 15,
-        FunctionPointerCall => 16,
-        PolymorphicVariant => 17,
-        Context => 18,
-        RustArityMismatch => 19,
-        RustTypeMismatch => 20,
-        RustMissingReprC => 21,
-        RustFfiUnsafe => 22,
-        RustNullability => 23,
-    }
-}
-
-fn code_from_tag(t: u8) -> Option<DiagnosticCode> {
-    use DiagnosticCode::*;
-    Some(match t {
-        0 => TypeMismatch,
-        1 => BoxednessMismatch,
-        2 => ConstructorRange,
-        3 => TagRange,
-        4 => FieldRange,
-        5 => UnrootedValue,
-        6 => MissingCamlReturn,
-        7 => SpuriousCamlReturn,
-        8 => UnsafeValue,
-        9 => ArityMismatch,
-        10 => TrailingUnitParameter,
-        11 => PolymorphicAbuse,
-        12 => SuspiciousCast,
-        13 => UnknownOffset,
-        14 => GlobalValue,
-        15 => AddressOfValue,
-        16 => FunctionPointerCall,
-        17 => PolymorphicVariant,
-        18 => Context,
-        19 => RustArityMismatch,
-        20 => RustTypeMismatch,
-        21 => RustMissingReprC,
-        22 => RustFfiUnsafe,
-        23 => RustNullability,
         _ => return None,
     })
 }
@@ -599,14 +540,14 @@ impl Payload for PsiNode {
 
 impl Payload for Diagnostic {
     fn put(&self, e: &mut Encoder) {
-        e.put_u8(code_tag(self.code()));
+        e.put_u8(self.code().cache_tag());
         e.put_u8(severity_tag(self.severity()));
         e.put_span(self.span());
         e.put_str(self.message());
         put_slice(e, self.notes());
     }
     fn get(d: &mut Decoder) -> Option<Self> {
-        let code = code_from_tag(d.get_u8().ok()?)?;
+        let code = DiagnosticCode::from_cache_tag(d.get_u8().ok()?)?;
         let severity = severity_from_tag(d.get_u8().ok()?)?;
         let (span, message) = <(Span, String)>::get(d)?;
         let diag = Diagnostic::new(code, span, message).with_severity(severity);

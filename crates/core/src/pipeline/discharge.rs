@@ -31,10 +31,10 @@ pub fn run(
     for (lo, hi) in base_edges {
         let kl = base_key(base, lo);
         let kh = base_key(base, hi);
-        if matches!(base.table.gc_node(lo), GcNode::Gc) {
+        if matches!(base.table.node(lo), GcNode::Gc) {
             roots.insert(kl);
         }
-        if matches!(base.table.gc_node(hi), GcNode::Gc) {
+        if matches!(base.table.node(hi), GcNode::Gc) {
             roots.insert(kh);
         }
         adj.entry(kl).or_default().push(kh);
@@ -203,5 +203,5 @@ pub fn run(
 /// Normalizes a base-table effect id. Base unification can only link
 /// pre-snapshot nodes to each other, so the canonical id is always `Base`.
 fn base_key(base: &mut BaseState, id: ffisafe_types::GcId) -> EffectKey {
-    EffectKey::Base(base.table.resolve_gc(id).as_raw())
+    EffectKey::Base(base.table.resolve(id).as_raw())
 }

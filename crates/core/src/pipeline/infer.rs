@@ -339,7 +339,7 @@ pub fn link(
     let mut slot_concrete_at_base = Vec::with_capacity(ml.phase1.signatures.len());
     for sig in &ml.phase1.signatures {
         let slots: Vec<_> = sig.params.iter().chain(std::iter::once(&sig.ret)).collect();
-        slot_keys.push(slots.iter().map(|&&mt| table.find_mt(mt).as_raw()).collect());
+        slot_keys.push(slots.iter().map(|&&mt| table.find(mt).as_raw()).collect());
         slot_concrete_at_base.push(slots.iter().map(|&&mt| table.mt_is_concrete(mt)).collect());
     }
 
@@ -355,8 +355,8 @@ pub fn link(
         .collect();
     for (name, slots) in infos {
         for (i, &ct) in slots.iter().enumerate() {
-            let ct = table.resolve_ct(ct);
-            let already_heap = match table.ct_node(ct).clone() {
+            let ct = table.resolve(ct);
+            let already_heap = match table.node(ct).clone() {
                 CtNode::Value(mt) => table.mt_is_heap_pointer(mt),
                 _ => false,
             };
@@ -366,13 +366,13 @@ pub fn link(
         }
     }
 
-    let gc_len = table.gc_count();
+    let gc_len = table.count::<GcId>();
     let base_gc_canon =
-        (0..gc_len as u32).map(|raw| table.resolve_gc(GcId::from_raw(raw)).as_raw()).collect();
-    let open_mt_vars = (0..table.mt_count() as u32)
+        (0..gc_len as u32).map(|raw| table.resolve(GcId::from_raw(raw)).as_raw()).collect();
+    let open_mt_vars = (0..table.count::<MtId>() as u32)
         .filter(|&raw| {
             let id = MtId::from_raw(raw);
-            table.find_mt(id) == id && matches!(table.mt_node(id), MtNode::Var)
+            table.find(id) == id && matches!(table.node(id), MtNode::Var)
         })
         .collect();
 
@@ -736,8 +736,8 @@ fn analyze_one(
     // keys agree across workers even when this clone's unification gave the
     // class a different (or clone-local) canonical.
     let keyed = |table: &mut TypeTable, id: GcId| -> (EffectKey, bool) {
-        let canon = table.resolve_gc(id);
-        let is_gc = matches!(table.gc_node(canon), GcNode::Gc);
+        let canon = table.resolve(id);
+        let is_gc = matches!(table.node(canon), GcNode::Gc);
         let key = if (canon.as_raw() as usize) < base.gc_len {
             EffectKey::Base(base.base_gc_canon[canon.as_raw() as usize])
         } else if (id.as_raw() as usize) < base.gc_len {
@@ -768,23 +768,23 @@ fn analyze_one(
     // delta instead of all `0..gc_len` classes is what makes this export
     // O(touched), and the `BTreeSet` keeps member order identical to the
     // old ascending full scan.
-    let overlay_keys = table.gc_overlay_keys();
+    let overlay_keys = table.overlay_keys::<GcId>();
     let mut candidate_reps: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
     for &raw in &overlay_keys {
         candidate_reps.insert(base.base_gc_canon[raw as usize]);
-        let canon = table.resolve_gc(GcId::from_raw(raw));
+        let canon = table.resolve(GcId::from_raw(raw));
         if (canon.as_raw() as usize) < base.gc_len {
             candidate_reps.insert(base.base_gc_canon[canon.as_raw() as usize]);
         }
     }
     let mut merged: std::collections::BTreeMap<u32, Vec<u32>> = std::collections::BTreeMap::new();
     for &raw in &candidate_reps {
-        let clone_canon = table.resolve_gc(GcId::from_raw(raw));
+        let clone_canon = table.resolve(GcId::from_raw(raw));
         merged.entry(clone_canon.as_raw()).or_default().push(raw);
     }
     for (canon_raw, members) in merged {
-        let is_gc = matches!(table.gc_node(GcId::from_raw(canon_raw)), GcNode::Gc);
-        let base_is_gc = matches!(base.frozen.gc_node(GcId::from_raw(members[0])), GcNode::Gc);
+        let is_gc = matches!(table.node(GcId::from_raw(canon_raw)), GcNode::Gc);
+        let base_is_gc = matches!(base.frozen.node(GcId::from_raw(members[0])), GcNode::Gc);
         if members.len() == 1 && canon_raw == members[0] && is_gc == base_is_gc {
             continue; // class unchanged from the snapshot
         }
@@ -824,8 +824,8 @@ fn analyze_one(
         .heap_slot_candidates
         .iter()
         .map(|&(_, _, ct)| {
-            let ct = table.resolve_ct(ct);
-            let heap = match table.ct_node(ct).clone() {
+            let ct = table.resolve(ct);
+            let heap = match table.node(ct).clone() {
                 CtNode::Value(mt) => table.mt_is_heap_pointer(mt),
                 _ => false,
             };
@@ -860,8 +860,8 @@ fn analyze_one(
             if ob.protected.contains(name) {
                 continue;
             }
-            let ct = table.resolve_ct(*ct);
-            let unresolved = match table.ct_node(ct).clone() {
+            let ct = table.resolve(*ct);
+            let unresolved = match table.node(ct).clone() {
                 CtNode::Value(mt) => {
                     if table.mt_is_heap_pointer(mt) {
                         unprotected.push(name.clone());
@@ -908,10 +908,10 @@ fn analyze_one(
     let mut psi_pins = Vec::new();
     let mut open_psis = Vec::new();
     for &raw in &base.open_mt_vars {
-        let mt = table.resolve_mt(MtId::from_raw(raw));
-        if let MtNode::Rep(psi, _) = *table.mt_node(mt) {
-            let psi = table.resolve_psi(psi);
-            match table.psi_node(psi) {
+        let mt = table.resolve(MtId::from_raw(raw));
+        if let MtNode::Rep(psi, _) = *table.node(mt) {
+            let psi = table.resolve(psi);
+            match *table.node(psi) {
                 node @ (PsiNode::Count(_) | PsiNode::Top) => psi_pins.push((raw, node)),
                 PsiNode::Var => open_psis.push((raw, psi)),
                 PsiNode::Link(_) => unreachable!("resolved"),
@@ -921,8 +921,8 @@ fn analyze_one(
     let deferred_psi_bounds: Vec<DeferredPsiBound> = constraints
         .psi_bounds_from(base.psi_bound_len.min(constraints.psi_bound_count()))
         .filter_map(|b| {
-            let canon = table.find_psi(b.psi);
-            if !matches!(table.psi_node(canon), PsiNode::Var) {
+            let canon = table.find(b.psi);
+            if !matches!(table.node(canon), PsiNode::Var) {
                 return None; // resolved here: already checked in-clone
             }
             let mt_key = open_psis.iter().find(|&&(_, p)| p == canon)?.0;

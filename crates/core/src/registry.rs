@@ -445,7 +445,7 @@ mod tests {
         let mut reg = Registry::new();
         let f = reg.resolve_call(&mut tt, &mut intern, "caml_alloc", 2, Span::dummy()).clone();
         assert_eq!(f.origin, FuncOrigin::Runtime);
-        assert_eq!(tt.gc_node(f.effect), GcNode::Gc);
+        assert_eq!(*tt.node(f.effect), GcNode::Gc);
         assert_eq!(f.params.len(), 2);
     }
 
@@ -456,7 +456,7 @@ mod tests {
         let mut reg = Registry::new();
         let f = reg.resolve_call(&mut tt, &mut intern, "gzopen", 2, Span::dummy()).clone();
         assert_eq!(f.origin, FuncOrigin::Unknown);
-        assert_eq!(tt.gc_node(f.effect), GcNode::Var);
+        assert_eq!(*tt.node(f.effect), GcNode::Var);
         // memoized
         let again = reg.resolve_call(&mut tt, &mut intern, "gzopen", 2, Span::dummy()).clone();
         assert_eq!(f.ret, again.ret);
@@ -518,8 +518,8 @@ mod tests {
         // …but polymorphic per call site: distinct fresh nodes every time
         assert_ne!(a.ret, b.ret, "each call site must get a fresh instantiation");
         assert_ne!(a.params[0], b.params[0]);
-        assert_eq!(tt.gc_node(a.effect), GcNode::Gc);
-        assert_eq!(tt.gc_node(b.effect), GcNode::Gc);
+        assert_eq!(*tt.node(a.effect), GcNode::Gc);
+        assert_eq!(*tt.node(b.effect), GcNode::Gc);
         // non-runtime names are memoized as `None` and stay Unknown
         let g = reg.resolve_call(&mut tt, &mut intern, "gzopen", 1, Span::dummy());
         assert_eq!(g.origin, FuncOrigin::Unknown);
@@ -539,7 +539,7 @@ mod tests {
         let f = case(&mut reg, &mut tt, &mut intern, "caml_copy_double");
         assert_eq!(tt.render_ct(f.params[0]), "double");
         assert_eq!(tt.render_ct(f.ret), "float value");
-        assert_eq!(tt.gc_node(f.effect), GcNode::Gc);
+        assert_eq!(*tt.node(f.effect), GcNode::Gc);
         assert!(!f.noreturn);
 
         let f = case(&mut reg, &mut tt, &mut intern, "caml_failwith");
@@ -548,15 +548,15 @@ mod tests {
         assert!(f.noreturn);
 
         let f = case(&mut reg, &mut tt, &mut intern, "caml_named_value");
-        assert_eq!(tt.gc_node(f.effect), GcNode::NoGc);
+        assert_eq!(*tt.node(f.effect), GcNode::NoGc);
         assert!(!f.noreturn);
 
         let f = case(&mut reg, &mut tt, &mut intern, "caml_modify");
-        assert_eq!(tt.gc_node(f.effect), GcNode::NoGc);
+        assert_eq!(*tt.node(f.effect), GcNode::NoGc);
         assert_eq!(f.params.len(), 2);
 
         let f = case(&mut reg, &mut tt, &mut intern, "caml_enter_blocking_section");
-        assert_eq!(tt.gc_node(f.effect), GcNode::Gc);
+        assert_eq!(*tt.node(f.effect), GcNode::Gc);
         assert!(f.params.is_empty());
 
         let f = case(&mut reg, &mut tt, &mut intern, "caml_raise_not_found");

@@ -235,31 +235,31 @@ fn run_seed(seed: u64) {
     for (i, (&a, &b)) in clone_pools.mts.iter().zip(&overlay_pools.mts).enumerate() {
         assert_eq!(a, b, "seed {seed}: mt pool id {i}");
         assert_eq!(
-            cloned.resolve_mt(a).as_raw(),
-            overlay.resolve_mt(b).as_raw(),
+            cloned.resolve(a).as_raw(),
+            overlay.resolve(b).as_raw(),
             "seed {seed}: mt {i} canonical"
         );
         assert_eq!(cloned.render_mt(a), overlay.render_mt(b), "seed {seed}: mt {i} render");
     }
     for (i, (&a, &b)) in clone_pools.psis.iter().zip(&overlay_pools.psis).enumerate() {
         assert_eq!(
-            cloned.resolve_psi(a).as_raw(),
-            overlay.resolve_psi(b).as_raw(),
+            cloned.resolve(a).as_raw(),
+            overlay.resolve(b).as_raw(),
             "seed {seed}: psi {i} canonical"
         );
-        let ca = cloned.resolve_psi(a);
-        let cb = overlay.resolve_psi(b);
-        assert_eq!(cloned.psi_node(ca), overlay.psi_node(cb), "seed {seed}: psi {i} node");
+        let ca = cloned.resolve(a);
+        let cb = overlay.resolve(b);
+        assert_eq!(cloned.node(ca), overlay.node(cb), "seed {seed}: psi {i} node");
     }
     for (i, (&a, &b)) in clone_pools.gcs.iter().zip(&overlay_pools.gcs).enumerate() {
         assert_eq!(
-            cloned.resolve_gc(a).as_raw(),
-            overlay.resolve_gc(b).as_raw(),
+            cloned.resolve(a).as_raw(),
+            overlay.resolve(b).as_raw(),
             "seed {seed}: gc {i} canonical"
         );
-        let ca = cloned.resolve_gc(a);
-        let cb = overlay.resolve_gc(b);
-        assert_eq!(cloned.gc_node(ca), overlay.gc_node(cb), "seed {seed}: gc {i} node");
+        let ca = cloned.resolve(a);
+        let cb = overlay.resolve(b);
+        assert_eq!(cloned.node(ca), overlay.node(cb), "seed {seed}: gc {i} node");
     }
 
     // Constraint-store differential on top of the same two tables: the

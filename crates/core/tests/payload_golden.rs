@@ -11,9 +11,9 @@
 //! * the report's encoded diagnostic bag, and
 //! * the encoded tier-2 entry of the report,
 //!
-//! and compares the digest with the one recorded before the payload codec
-//! was rewritten. Every payload must also decode, and re-encode to the same
-//! bytes. A changed digest means a changed format: bump the schema version
+//! and compares the digest with a recorded one. Example files are named
+//! relative to `examples/corpora`, so the digests hold in any checkout.
+//! Every payload must also decode, and re-encode to the same bytes. A changed digest means a changed format: bump the schema version
 //! and record the new digests, never the other way round.
 
 use ffisafe_bench::corpus::generate;
@@ -21,7 +21,7 @@ use ffisafe_bench::figure9::benchmark_corpus;
 use ffisafe_bench::spec::paper_benchmarks;
 use ffisafe_core::pipeline::frontend::{frontend_for, ParsedUnit};
 use ffisafe_core::pipeline::{cache, frontend_c, frontend_ml, infer, CachedReport};
-use ffisafe_core::{AnalysisOptions, AnalysisRequest, AnalysisService, Corpus};
+use ffisafe_core::{source_files_under, AnalysisOptions, AnalysisRequest, AnalysisService, Corpus};
 use ffisafe_support::{FingerprintHasher, Session};
 use ffisafe_types::TypeTable;
 use std::path::Path;
@@ -39,18 +39,18 @@ const GOLDEN: &[(&str, &str)] = &[
     ("lablgl-1.00", "1fc2256d5b76f2678c5818e0c55338ae"),
     ("cryptokit-1.2", "093e19fe67a917e6878d462e3c9d9e9d"),
     ("lablgtk-2.2.0", "ad6242f75df0faebc5a4d24c19ffd965"),
-    ("gadgets", "887236e4bc5ad230e46a029321949b41"),
-    ("imgcodec", "8104aef6d9c74e33e4de41913e16f520"),
+    ("gadgets", "1f71b6fd9782d9b25a1ddabbee1274d3"),
+    ("imgcodec", "601d5cf85fea72680575a6defac736af"),
     ("intcalc", "87f5e96970b1e5328c281a75ff9dbc4e"),
-    ("meshgrid", "3043a5ad72130eecbe015af0398cc468"),
+    ("meshgrid", "901418d1708f037a41bd4b66572d4fd0"),
     ("ringbuf", "f54a58d99ed22b45527eabbeb1294c96"),
-    ("strutil", "f539729a88fc2527f568a5a0ff12b5f3"),
+    ("strutil", "e541f022b04b802724f4d3185ea9c9b1"),
 ];
 
-fn payload_digest(corpus: &Corpus) -> String {
-    let mut h = FingerprintHasher::new();
-
-    // Tier 1: the outcomes an uncached inference stage produces.
+/// Every encoded tier-1 outcome of an uncached `infer::run`, in program
+/// order (`None` for an outcome that refuses to encode). Each payload must
+/// decode and re-encode to the same bytes.
+fn tier1_payloads(corpus: &Corpus) -> Vec<Option<Vec<u8>>> {
     let mut session = Session::with_options(AnalysisOptions::default());
     let (mut ml_files, mut c_units) = (Vec::new(), Vec::new());
     for f in corpus.files() {
@@ -66,16 +66,31 @@ fn payload_digest(corpus: &Corpus) -> String {
     let base = infer::link(&mut session, table, &ml, &c.program);
     let inferred = infer::run(&session, &base, &c.program, &ml.phase1, None);
     let n_sigs = ml.phase1.signatures.len();
+    let mut out = Vec::new();
     for (idx, outcome) in inferred.outcomes.iter().enumerate() {
-        let Some(bytes) = cache::encode_outcome(outcome, idx as u32) else {
-            h.write_u8(0);
-            continue;
-        };
-        let back = cache::decode_outcome(&bytes, idx as u32, &outcome.name, n_sigs)
-            .unwrap_or_else(|| panic!("{}: its own payload decodes", outcome.name));
-        assert_eq!(cache::encode_outcome(&back, idx as u32), Some(bytes.clone()), "re-encode");
-        h.write_u8(1);
-        h.write_bytes(&bytes);
+        let bytes = cache::encode_outcome(outcome, idx as u32);
+        if let Some(bytes) = &bytes {
+            let back = cache::decode_outcome(bytes, idx as u32, &outcome.name, n_sigs)
+                .unwrap_or_else(|| panic!("{}: its own payload decodes", outcome.name));
+            assert_eq!(cache::encode_outcome(&back, idx as u32).as_ref(), Some(bytes), "re-encode");
+        }
+        out.push(bytes);
+    }
+    out
+}
+
+fn payload_digest(corpus: &Corpus) -> String {
+    let mut h = FingerprintHasher::new();
+
+    // Tier 1: the outcomes an uncached inference stage produces.
+    for bytes in tier1_payloads(corpus) {
+        match bytes {
+            Some(bytes) => {
+                h.write_u8(1);
+                h.write_bytes(&bytes);
+            }
+            None => h.write_u8(0),
+        }
     }
 
     // The report's diagnostic bag and its tier-2 entry.
@@ -102,10 +117,18 @@ fn corpora() -> Vec<(String, Corpus)> {
         .iter()
         .map(|spec| (spec.name.to_string(), benchmark_corpus(&generate(spec))))
         .collect();
+    // File names are relative to `examples/corpora` (`strutil/strutil_stubs.c`),
+    // so the rendered report, and with it the digest, does not depend on
+    // where the checkout lives.
     let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/corpora");
     for name in ["gadgets", "imgcodec", "intcalc", "meshgrid", "ringbuf", "strutil"] {
-        let corpus = Corpus::from_dir(examples.join(name)).expect("example corpus loads");
-        out.push((name.to_string(), corpus));
+        let mut builder = Corpus::builder();
+        for path in source_files_under(&examples.join(name)).expect("example corpus lists") {
+            let rel = path.strip_prefix(&examples).expect("under the corpora root");
+            let src = std::fs::read_to_string(&path).expect("example source reads");
+            builder = builder.source(rel.display().to_string(), src).expect("FFI source");
+        }
+        out.push((name.to_string(), builder.build()));
     }
     out
 }
@@ -121,4 +144,25 @@ fn payload_bytes_match_the_golden_digests() {
     let expected: Vec<(String, String)> =
         GOLDEN.iter().map(|(n, d)| (n.to_string(), d.to_string())).collect();
     assert_eq!(actual, expected);
+}
+
+/// Two unregistered parameters live across one allocating call (the CI
+/// determinism smoke's corpus). The tier-1 outcome lists both names, and
+/// every analysis must list them in one order, so that two writers of one
+/// key store the same bytes.
+#[test]
+fn live_names_encode_in_one_order() {
+    let corpus = Corpus::builder()
+        .ml_source("lib.ml", "external pair : string -> string -> string list = \"ml_pair\"\n")
+        .c_source(
+            "glue.c",
+            "value ml_pair(value a, value b) {\n    value r = caml_alloc(2, 0);\n    \
+             Store_field(r, 0, a);\n    Store_field(r, 1, b);\n    return r;\n}\n",
+        )
+        .build();
+    let first = tier1_payloads(&corpus);
+    assert!(first.iter().any(Option::is_some), "test premise: the outcome encodes");
+    for run in 1..50 {
+        assert_eq!(tier1_payloads(&corpus), first, "analysis {run}");
+    }
 }

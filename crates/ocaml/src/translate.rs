@@ -286,7 +286,7 @@ impl<'a> Translator<'a> {
         let arg_mts: Vec<MtId> = args.iter().map(|t| self.rho(t, env, span)).collect();
         let key = {
             let ids: Vec<String> =
-                arg_mts.iter().map(|m| self.table.find_mt(*m).as_raw().to_string()).collect();
+                arg_mts.iter().map(|m| self.table.find(*m).as_raw().to_string()).collect();
             format!("{name}({})", ids.join(","))
         };
         if let Some(&hit) = self.named.get(&key) {
@@ -350,7 +350,7 @@ impl<'a> Translator<'a> {
         // Key list applications by their (translated) element type so that
         // `int list` inside `int list list` shares one node.
         let a = self.rho(arg, env, span);
-        format!("{ctor}({})", self.table.find_mt(a).as_raw())
+        format!("{ctor}({})", self.table.find(a).as_raw())
     }
 }
 
@@ -437,14 +437,14 @@ mod tests {
     #[test]
     fn rho_list_is_recursive() {
         let (tt, m) = rho_of("", "int list");
-        let MtNode::Rep(psi, sigma) = *tt.mt_node(m) else { panic!() };
-        assert!(matches!(tt.psi_node(psi), PsiNode::Count(1)));
+        let MtNode::Rep(psi, sigma) = *tt.node(m) else { panic!() };
+        assert!(matches!(tt.node(psi), PsiNode::Count(1)));
         // one non-nullary constructor (::) with two fields, second is the
         // list itself
-        let SigmaNode::Cons(pi, _) = tt.sigma_node(sigma) else { panic!() };
+        let SigmaNode::Cons(pi, _) = *tt.node(sigma) else { panic!() };
         let fields = tt.pi_fields(pi).unwrap();
         assert_eq!(fields.len(), 2);
-        assert_eq!(tt.find_mt(fields[1]), tt.find_mt(m));
+        assert_eq!(tt.find(fields[1]), tt.find(m));
         // rendering terminates
         assert!(tt.render_mt(m).contains('µ'));
     }
@@ -452,8 +452,8 @@ mod tests {
     #[test]
     fn rho_array_is_uniform_block() {
         let (tt, m) = rho_of("", "float array");
-        let MtNode::Rep(_, sigma) = *tt.mt_node(m) else { panic!() };
-        let SigmaNode::Cons(pi, _) = tt.sigma_node(sigma) else { panic!() };
+        let MtNode::Rep(_, sigma) = *tt.node(m) else { panic!() };
+        let SigmaNode::Cons(pi, _) = *tt.node(sigma) else { panic!() };
         assert_eq!(tt.pi_fields(pi), None); // array row
     }
 
@@ -473,7 +473,7 @@ mod tests {
     fn rho_opaque_and_unknown_are_abstract() {
         // opaque types are shared inference variables (pinned by C uses)
         let (tt, m) = rho_of("type win", "win");
-        assert!(matches!(tt.mt_node(m), MtNode::Var), "{}", tt.render_mt(m));
+        assert!(matches!(tt.node(m), MtNode::Var), "{}", tt.render_mt(m));
         let (repo, _) = setup("");
         let mut table = TypeTable::new();
         let mut tr = Translator::new(&repo, &mut table);
@@ -527,7 +527,7 @@ mod tests {
         assert_eq!(sig.poly_params.len(), 1);
         assert_eq!(sig.poly_params[0].0, "a");
         // both uses of 'a share one variable
-        assert_eq!(table.find_mt(sig.params[0]), table.find_mt(sig.poly_params[0].1));
+        assert_eq!(table.find(sig.params[0]), table.find(sig.poly_params[0].1));
     }
 
     #[test]
@@ -567,6 +567,6 @@ mod tests {
         let te = TypeExpr::named("t");
         let m1 = tr.rho(&te, &HashMap::new(), Span::dummy());
         let m2 = tr.rho(&te, &HashMap::new(), Span::dummy());
-        assert_eq!(table.find_mt(m1), table.find_mt(m2));
+        assert_eq!(table.find(m1), table.find(m2));
     }
 }

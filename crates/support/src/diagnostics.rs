@@ -45,130 +45,126 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Stable machine-readable codes for every finding the analysis can emit.
-///
-/// `E*` are type/GC safety errors, `W*` questionable-practice warnings and
-/// `P*` imprecision reports, following §5.2 of the paper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum DiagnosticCode {
+/// Declares [`DiagnosticCode`] from one table: each code is listed once,
+/// with its report string, its default severity and the byte that stands
+/// for it in cache payloads. Strings and tags are stable: reports and
+/// stored payloads depend on them.
+macro_rules! diagnostic_codes {
+    ($($(#[$doc:meta])* $name:ident => $code:literal, $severity:ident, tag $tag:literal;)*) => {
+        /// Stable machine-readable codes for every finding the analysis can emit.
+        ///
+        /// `E*` are type/GC safety errors, `W*` questionable-practice warnings and
+        /// `P*` imprecision reports, following §5.2 of the paper.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        pub enum DiagnosticCode {
+            $($(#[$doc])* $name,)*
+        }
+
+        impl DiagnosticCode {
+            #[cfg(test)]
+            const ALL: &'static [DiagnosticCode] = &[$(DiagnosticCode::$name),*];
+
+            /// The default severity this code is reported at.
+            pub fn severity(self) -> Severity {
+                match self {
+                    $(DiagnosticCode::$name => Severity::$severity,)*
+                }
+            }
+
+            /// Stable short code string (`E001` …) for reports and tests.
+            pub fn code_str(self) -> &'static str {
+                match self {
+                    $(DiagnosticCode::$name => $code,)*
+                }
+            }
+
+            /// The byte that stands for this code in cache payloads.
+            pub fn cache_tag(self) -> u8 {
+                match self {
+                    $(DiagnosticCode::$name => $tag,)*
+                }
+            }
+
+            /// The code a cache payload byte stands for, if any.
+            pub fn from_cache_tag(tag: u8) -> Option<DiagnosticCode> {
+                match tag {
+                    $($tag => Some(DiagnosticCode::$name),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+diagnostic_codes! {
     // ---- errors -------------------------------------------------------
     /// Unification failure between inferred and declared multi-lingual types
     /// (e.g. `Val_int` applied where `Int_val` was needed).
-    TypeMismatch,
+    TypeMismatch => "E001", Error, tag 0;
     /// An unboxed value was used where a boxed value is required or
     /// vice-versa (boxedness lattice violation).
-    BoxednessMismatch,
+    BoxednessMismatch => "E002", Error, tag 1;
     /// A nullary-constructor value exceeds the number of nullary
     /// constructors of its sum type (`T + 1 ≤ Ψ` violated).
-    ConstructorRange,
+    ConstructorRange => "E003", Error, tag 2;
     /// A structured-block access uses a tag with no corresponding
     /// non-nullary constructor.
-    TagRange,
+    TagRange => "E004", Error, tag 3;
     /// A structured-block field access is out of bounds for the product at
     /// that tag.
-    FieldRange,
+    FieldRange => "E005", Error, tag 4;
     /// A live pointer into the OCaml heap was not registered with the GC
     /// before a call that may trigger collection.
-    UnrootedValue,
+    UnrootedValue => "E006", Error, tag 5;
     /// A function registered values with `CAMLparam`/`CAMLlocal` but exits
     /// through plain `return` instead of `CAMLreturn`.
-    MissingCamlReturn,
+    MissingCamlReturn => "E007", Error, tag 6;
     /// `CAMLreturn` used although nothing was registered.
-    SpuriousCamlReturn,
+    SpuriousCamlReturn => "E008", Error, tag 7;
     /// An unsafe value was passed to a function or stored to the heap
     /// (offset not statically zero).
-    UnsafeValue,
+    UnsafeValue => "E009", Error, tag 8;
     /// Arity mismatch between the OCaml `external` and the C definition.
-    ArityMismatch,
+    ArityMismatch => "E010", Error, tag 9;
     /// Arity mismatch between a Rust `extern "C"` signature and the C
     /// definition with the same link name.
-    RustArityMismatch,
+    RustArityMismatch => "E011", Error, tag 19;
     /// Representation-level type mismatch between a Rust `extern "C"`
     /// parameter/return and the C definition (e.g. integer vs pointer).
-    RustTypeMismatch,
+    RustTypeMismatch => "E012", Error, tag 20;
     /// A Rust struct/enum/union crosses the FFI boundary without
     /// `#[repr(C)]` (or another FFI-stable representation).
-    RustMissingReprC,
+    RustMissingReprC => "E013", Error, tag 21;
     /// An FFI-unsafe payload (`String`, `Vec`, wide pointer, non-`repr`
     /// ADT, …) is reachable from a Rust boundary signature.
-    RustFfiUnsafe,
+    RustFfiUnsafe => "E014", Error, tag 22;
     // ---- questionable practice -----------------------------------------
     /// Trailing `unit` parameter in the OCaml signature with no C
     /// counterpart.
-    TrailingUnitParameter,
+    TrailingUnitParameter => "W001", Warning, tag 10;
     /// A polymorphic (`'a`) external parameter used at a concrete
     /// representational type in C.
-    PolymorphicAbuse,
+    PolymorphicAbuse => "W002", Warning, tag 11;
     /// Value cast chains that are legal but fragile (heuristic).
-    SuspiciousCast,
+    SuspiciousCast => "W003", Warning, tag 12;
     /// A non-nullable Rust reference (`&T`) crosses the boundary where the
     /// C side has a plain (nullable) pointer; `Option<&T>` matches the C
     /// contract.
-    RustNullability,
+    RustNullability => "W004", Warning, tag 23;
     // ---- imprecision ----------------------------------------------------
     /// Pointer arithmetic with a statically-unknown offset.
-    UnknownOffset,
+    UnknownOffset => "P001", Imprecision, tag 13;
     /// A global variable holds a `value`; the analysis cannot track it.
-    GlobalValue,
+    GlobalValue => "P002", Imprecision, tag 14;
     /// A `value` variable (or struct containing one) has its address taken.
-    AddressOfValue,
+    AddressOfValue => "P003", Imprecision, tag 15;
     /// Call through an unknown C function pointer.
-    FunctionPointerCall,
+    FunctionPointerCall => "P004", Imprecision, tag 16;
     /// Polymorphic variants are not handled; report is likely spurious.
-    PolymorphicVariant,
+    PolymorphicVariant => "P005", Imprecision, tag 17;
     // ---- notes ----------------------------------------------------------
     /// Free-form note providing context for another diagnostic.
-    Context,
-}
-
-impl DiagnosticCode {
-    /// The default severity this code is reported at.
-    pub fn severity(self) -> Severity {
-        use DiagnosticCode::*;
-        match self {
-            TypeMismatch | BoxednessMismatch | ConstructorRange | TagRange | FieldRange
-            | UnrootedValue | MissingCamlReturn | SpuriousCamlReturn | UnsafeValue
-            | ArityMismatch | RustArityMismatch | RustTypeMismatch | RustMissingReprC
-            | RustFfiUnsafe => Severity::Error,
-            TrailingUnitParameter | PolymorphicAbuse | SuspiciousCast | RustNullability => {
-                Severity::Warning
-            }
-            UnknownOffset | GlobalValue | AddressOfValue | FunctionPointerCall
-            | PolymorphicVariant => Severity::Imprecision,
-            Context => Severity::Note,
-        }
-    }
-
-    /// Stable short code string (`E001` …) for reports and tests.
-    pub fn code_str(self) -> &'static str {
-        use DiagnosticCode::*;
-        match self {
-            TypeMismatch => "E001",
-            BoxednessMismatch => "E002",
-            ConstructorRange => "E003",
-            TagRange => "E004",
-            FieldRange => "E005",
-            UnrootedValue => "E006",
-            MissingCamlReturn => "E007",
-            SpuriousCamlReturn => "E008",
-            UnsafeValue => "E009",
-            ArityMismatch => "E010",
-            RustArityMismatch => "E011",
-            RustTypeMismatch => "E012",
-            RustMissingReprC => "E013",
-            RustFfiUnsafe => "E014",
-            TrailingUnitParameter => "W001",
-            PolymorphicAbuse => "W002",
-            SuspiciousCast => "W003",
-            RustNullability => "W004",
-            UnknownOffset => "P001",
-            GlobalValue => "P002",
-            AddressOfValue => "P003",
-            FunctionPointerCall => "P004",
-            PolymorphicVariant => "P005",
-            Context => "N001",
-        }
-    }
+    Context => "N001", Note, tag 18;
 }
 
 impl fmt::Display for DiagnosticCode {
@@ -371,37 +367,25 @@ mod tests {
 
     #[test]
     fn code_strings_are_unique() {
-        use DiagnosticCode::*;
-        let all = [
-            TypeMismatch,
-            BoxednessMismatch,
-            ConstructorRange,
-            TagRange,
-            FieldRange,
-            UnrootedValue,
-            MissingCamlReturn,
-            SpuriousCamlReturn,
-            UnsafeValue,
-            ArityMismatch,
-            RustArityMismatch,
-            RustTypeMismatch,
-            RustMissingReprC,
-            RustFfiUnsafe,
-            TrailingUnitParameter,
-            PolymorphicAbuse,
-            SuspiciousCast,
-            RustNullability,
-            UnknownOffset,
-            GlobalValue,
-            AddressOfValue,
-            FunctionPointerCall,
-            PolymorphicVariant,
-            Context,
-        ];
+        let all = DiagnosticCode::ALL;
         let mut strs: Vec<_> = all.iter().map(|c| c.code_str()).collect();
         strs.sort();
         strs.dedup();
         assert_eq!(strs.len(), all.len());
+    }
+
+    #[test]
+    fn cache_tags_are_unique_and_round_trip() {
+        let all = DiagnosticCode::ALL;
+        let mut tags: Vec<_> = all.iter().map(|c| c.cache_tag()).collect();
+        tags.sort();
+        tags.dedup();
+        assert_eq!(tags.len(), all.len());
+        for &code in all {
+            assert_eq!(DiagnosticCode::from_cache_tag(code.cache_tag()), Some(code));
+        }
+        let unused = (0..=u8::MAX).find(|t| !tags.contains(t)).unwrap();
+        assert_eq!(DiagnosticCode::from_cache_tag(unused), None);
     }
 
     #[test]

@@ -1,5 +1,10 @@
-//! The type arena: one table owning every node of every sort, with
-//! union-find resolution.
+//! The type arena: one table owning every node of every sort, with one
+//! union-find over all six.
+//!
+//! Each sort of Figure 3 is an id type implementing [`Sort`], which names
+//! its node type, its `Var` and `Link` nodes and its shelf of the arena;
+//! [`TypeTable::resolve`], [`TypeTable::find`], [`TypeTable::node`] and the
+//! unifier's `bind`/`merge` are written once for all of them.
 //!
 //! Storage is layered for the parallel pipeline. A [`TypeTable`] built
 //! from scratch owns its nodes outright; [`TypeTable::freeze`] turns the
@@ -14,99 +19,30 @@
 //! paying per-function cost proportional to what they touch, not to the
 //! whole base state.
 
+use crate::shelf::Shelf;
 use crate::term::*;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
-/// One sort's layered node storage: an immutable shared base, a sparse
-/// copy-on-write delta over it, and a locally-owned tail for fresh
-/// allocations. Ids `0..base.len()` address the base (through the delta),
-/// ids past that address the tail — so overlay allocation order matches a
-/// deep clone's exactly.
-#[derive(Clone, Debug)]
-pub(crate) struct Shelf<T> {
-    base: Arc<Vec<T>>,
-    /// Base ids this view re-bound, in id order (deterministic iteration).
-    over: BTreeMap<u32, T>,
-    local: Vec<T>,
-}
-
-impl<T> Default for Shelf<T> {
-    fn default() -> Self {
-        Shelf { base: Arc::new(Vec::new()), over: BTreeMap::new(), local: Vec::new() }
-    }
-}
-
-impl<T: Clone + PartialEq> Shelf<T> {
-    fn from_base(base: Arc<Vec<T>>) -> Self {
-        Shelf { base, over: BTreeMap::new(), local: Vec::new() }
-    }
-
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.base.len() + self.local.len()
-    }
-
-    #[inline]
-    pub(crate) fn get(&self, i: u32) -> &T {
-        let idx = i as usize;
-        if idx < self.base.len() {
-            match self.over.get(&i) {
-                Some(v) => v,
-                None => &self.base[idx],
-            }
-        } else {
-            &self.local[idx - self.base.len()]
-        }
-    }
-
-    /// Writing a base id's original value back removes the delta entry, so
-    /// the delta holds exactly the base ids whose node differs from the
-    /// frozen base — the property the effect-delta export relies on.
-    pub(crate) fn set(&mut self, i: u32, v: T) {
-        let idx = i as usize;
-        if idx < self.base.len() {
-            if self.base[idx] == v {
-                self.over.remove(&i);
-            } else {
-                self.over.insert(i, v);
-            }
-        } else {
-            self.local[idx - self.base.len()] = v;
-        }
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, v: T) -> u32 {
-        let id = self.len() as u32;
-        self.local.push(v);
-        id
-    }
-
-    /// Base ids re-bound by this view, ascending.
-    pub(crate) fn overlay_keys(&self) -> Vec<u32> {
-        self.over.keys().copied().collect()
-    }
-
-    pub(crate) fn overlay_len(&self) -> usize {
-        self.over.len()
-    }
-
-    /// Materializes base ∪ delta ∪ tail into one owned vector.
-    fn into_full_vec(self) -> Vec<T> {
-        if self.base.is_empty() {
-            return self.local;
-        }
-        let mut out: Vec<T> = match Arc::try_unwrap(self.base) {
-            Ok(v) => v,
-            Err(shared) => shared.as_ref().clone(),
-        };
-        for (i, v) in self.over {
-            out[i as usize] = v;
-        }
-        out.extend(self.local);
-        out
-    }
+/// One sort of Figure 3 (`mt`, `ct`, `Ψ`, `Σ`, `Π` or `GC`): an id type
+/// whose nodes are union-find nodes on one shelf of the arena. The six id
+/// types implement it; every union-find operation of [`TypeTable`] is
+/// generic over it.
+pub trait Sort: Copy + Eq {
+    /// The sort's node type (`MtNode` for [`MtId`], …).
+    type Node: Clone + PartialEq;
+    /// The node that forwards to `self`.
+    fn link(self) -> Self::Node;
+    /// Where `node` forwards to, if it is a link.
+    fn follow(node: &Self::Node) -> Option<Self>;
+    /// Whether `node` is an unbound variable.
+    fn is_var(node: &Self::Node) -> bool;
+    /// The id's raw arena index.
+    fn raw(self) -> u32;
+    /// The id at raw arena index `raw`.
+    fn of_raw(raw: u32) -> Self;
+    #[doc(hidden)]
+    fn shelf(table: &TypeTable) -> &Shelf<Self::Node>;
+    #[doc(hidden)]
+    fn shelf_mut(table: &mut TypeTable) -> &mut Shelf<Self::Node>;
 }
 
 /// Owns all type nodes and implements union-find over each sort.
@@ -145,83 +81,33 @@ pub struct TypeTable {
 ///
 /// Produced by [`TypeTable::freeze`] after linking; every inference worker
 /// gets an O(1) [`FrozenTypeTable::overlay`] view instead of a deep clone.
-/// Cloning a frozen table clones six `Arc`s.
+/// It wraps the same six shelves as a [`TypeTable`], each holding only its
+/// shared base, and offers no way to write them. Cloning a frozen table
+/// clones six `Arc`s.
 #[derive(Clone, Debug, Default)]
-pub struct FrozenTypeTable {
-    mts: Arc<Vec<MtNode>>,
-    cts: Arc<Vec<CtNode>>,
-    psis: Arc<Vec<PsiNode>>,
-    sigmas: Arc<Vec<SigmaNode>>,
-    pis: Arc<Vec<PiNode>>,
-    gcs: Arc<Vec<GcNode>>,
-}
+pub struct FrozenTypeTable(TypeTable);
 
 impl FrozenTypeTable {
     /// A fresh mutable view: reads fall through to this frozen base,
     /// writes stay private to the view. O(1).
     pub fn overlay(&self) -> TypeTable {
-        TypeTable {
-            mts: Shelf::from_base(self.mts.clone()),
-            cts: Shelf::from_base(self.cts.clone()),
-            psis: Shelf::from_base(self.psis.clone()),
-            sigmas: Shelf::from_base(self.sigmas.clone()),
-            pis: Shelf::from_base(self.pis.clone()),
-            gcs: Shelf::from_base(self.gcs.clone()),
-        }
+        self.0.clone()
     }
 
     /// Total node count across all sorts.
     pub fn node_count(&self) -> usize {
-        self.mts.len()
-            + self.cts.len()
-            + self.psis.len()
-            + self.sigmas.len()
-            + self.pis.len()
-            + self.gcs.len()
+        self.0.node_count()
     }
 
-    /// Number of GC effect nodes.
-    pub fn gc_count(&self) -> usize {
-        self.gcs.len()
+    /// The node behind the canonical representative of `id` (frozen chains
+    /// are at most one hop, but links are followed fully).
+    pub fn node<S: Sort>(&self, id: S) -> &S::Node {
+        self.0.node(id)
     }
 
-    /// The node behind the canonical representative of a frozen effect id
-    /// (frozen chains are at most one hop, but links are followed fully).
-    pub fn gc_node(&self, mut id: GcId) -> GcNode {
-        while let GcNode::Link(next) = self.gcs[id.0 as usize] {
-            id = next;
-        }
-        self.gcs[id.0 as usize]
-    }
-
-    /// All `mt` nodes, id order (digest input).
-    pub fn mts(&self) -> &[MtNode] {
-        &self.mts
-    }
-
-    /// All `ct` nodes, id order (digest input).
-    pub fn cts(&self) -> &[CtNode] {
-        &self.cts
-    }
-
-    /// All `Ψ` nodes, id order (digest input).
-    pub fn psis(&self) -> &[PsiNode] {
-        &self.psis
-    }
-
-    /// All `Σ` nodes, id order (digest input).
-    pub fn sigmas(&self) -> &[SigmaNode] {
-        &self.sigmas
-    }
-
-    /// All `Π` nodes, id order (digest input).
-    pub fn pis(&self) -> &[PiNode] {
-        &self.pis
-    }
-
-    /// All GC effect nodes, id order (digest input).
-    pub fn gcs(&self) -> &[GcNode] {
-        &self.gcs
+    /// All nodes of sort `S`, id order (digest input).
+    pub fn nodes<S: Sort>(&self) -> &[S::Node] {
+        S::shelf(&self.0).base()
     }
 }
 
@@ -238,48 +124,66 @@ impl TypeTable {
     /// overlay write to a base id reflects a genuine change, never
     /// base-derivable compression.
     pub fn freeze(mut self) -> FrozenTypeTable {
-        self.compress_all();
-        FrozenTypeTable {
-            mts: Arc::new(self.mts.into_full_vec()),
-            cts: Arc::new(self.cts.into_full_vec()),
-            psis: Arc::new(self.psis.into_full_vec()),
-            sigmas: Arc::new(self.sigmas.into_full_vec()),
-            pis: Arc::new(self.pis.into_full_vec()),
-            gcs: Arc::new(self.gcs.into_full_vec()),
-        }
+        self.freeze_sort::<MtId>();
+        self.freeze_sort::<CtId>();
+        self.freeze_sort::<PsiId>();
+        self.freeze_sort::<SigmaId>();
+        self.freeze_sort::<PiId>();
+        self.freeze_sort::<GcId>();
+        FrozenTypeTable(self)
     }
 
-    fn compress_all(&mut self) {
-        for i in 0..self.mts.len() as u32 {
-            self.resolve_mt(MtId(i));
+    /// Compresses every chain of sort `S`, then moves the sort into its
+    /// shared base.
+    fn freeze_sort<S: Sort>(&mut self) {
+        for i in 0..self.count::<S>() as u32 {
+            self.resolve(S::of_raw(i));
         }
-        for i in 0..self.cts.len() as u32 {
-            self.resolve_ct(CtId(i));
-        }
-        for i in 0..self.psis.len() as u32 {
-            self.resolve_psi(PsiId(i));
-        }
-        for i in 0..self.sigmas.len() as u32 {
-            self.resolve_sigma(SigmaId(i));
-        }
-        for i in 0..self.pis.len() as u32 {
-            self.resolve_pi(PiId(i));
-        }
-        for i in 0..self.gcs.len() as u32 {
-            self.resolve_gc(GcId(i));
-        }
+        S::shelf_mut(self).freeze();
     }
 
-    // ---- overlay observability -------------------------------------------
+    // ---- union-find ---------------------------------------------------------
 
-    /// Base GC effect ids this view re-bound, ascending. Because the
-    /// unifier writes GC nodes only as links onto resolved canonicals (and
-    /// the frozen base is fully compressed), every base effect class whose
+    /// Canonical representative of `id`, with path compression.
+    pub fn resolve<S: Sort>(&mut self, mut id: S) -> S {
+        let mut seen = Vec::new();
+        while let Some(next) = S::follow(S::shelf(self).get(id.raw())) {
+            seen.push(id);
+            id = next;
+        }
+        for s in seen {
+            self.set(s, id.link());
+        }
+        id
+    }
+
+    /// Canonical representative without mutation (no compression).
+    pub fn find<S: Sort>(&self, mut id: S) -> S {
+        while let Some(next) = S::follow(S::shelf(self).get(id.raw())) {
+            id = next;
+        }
+        id
+    }
+
+    /// The node behind the canonical representative of `id`.
+    pub fn node<S: Sort>(&self, id: S) -> &S::Node {
+        S::shelf(self).get(self.find(id).raw())
+    }
+
+    /// Overwrites the node behind `id` (not its representative). Used to
+    /// install links and grow rows.
+    pub(crate) fn set<S: Sort>(&mut self, id: S, node: S::Node) {
+        S::shelf_mut(self).set(id.raw(), node);
+    }
+
+    /// Base ids of sort `S` this view re-bound, ascending. The unifier
+    /// writes GC nodes only as links onto resolved canonicals (and the
+    /// frozen base is fully compressed), so every base effect class whose
     /// canonical or constant changed in this view has at least one member
-    /// in this list — the effect-delta export scans it instead of every
-    /// base class.
-    pub fn gc_overlay_keys(&self) -> Vec<u32> {
-        self.gcs.overlay_keys()
+    /// in `overlay_keys::<GcId>()` — the effect-delta export scans it
+    /// instead of every base class.
+    pub fn overlay_keys<S: Sort>(&self) -> Vec<u32> {
+        S::shelf(self).overlay_keys()
     }
 
     /// Total re-bound base ids across all sorts (diagnostics/tests).
@@ -330,12 +234,6 @@ impl TypeTable {
         MtId(self.mts.push(n))
     }
 
-    /// Overwrites the node behind `id`. Used by the OCaml translator to tie
-    /// recursive knots (`'a list`) and by the unifier to install links.
-    pub(crate) fn set_mt(&mut self, id: MtId, n: MtNode) {
-        self.mts.set(id.0, n);
-    }
-
     /// Binds the unbound variable `var` to `to`, tying a recursive knot.
     ///
     /// # Panics
@@ -346,7 +244,7 @@ impl TypeTable {
             matches!(*self.mts.get(var.0), MtNode::Var),
             "link_mt target must be an unbound variable"
         );
-        self.set_mt(var, MtNode::Link(to));
+        self.set(var, MtNode::Link(to));
     }
 
     // ---- allocation: ct -------------------------------------------------
@@ -401,10 +299,6 @@ impl TypeTable {
         CtId(self.cts.push(n))
     }
 
-    pub(crate) fn set_ct(&mut self, id: CtId, n: CtNode) {
-        self.cts.set(id.0, n);
-    }
-
     // ---- allocation: psi / sigma / pi / gc --------------------------------
 
     /// Fresh `ψ` variable.
@@ -420,10 +314,6 @@ impl TypeTable {
     /// `Ψ = ⊤` (the type is `int`-like).
     pub fn psi_top(&mut self) -> PsiId {
         PsiId(self.psis.push(PsiNode::Top))
-    }
-
-    pub(crate) fn set_psi(&mut self, id: PsiId, n: PsiNode) {
-        self.psis.set(id.0, n);
     }
 
     /// Fresh `σ` row variable.
@@ -448,10 +338,6 @@ impl TypeTable {
             tail = self.sigma_cons(p, tail);
         }
         tail
-    }
-
-    pub(crate) fn set_sigma(&mut self, id: SigmaId, n: SigmaNode) {
-        self.sigmas.set(id.0, n);
     }
 
     /// Fresh `π` row variable.
@@ -483,10 +369,6 @@ impl TypeTable {
         tail
     }
 
-    pub(crate) fn set_pi(&mut self, id: PiId, n: PiNode) {
-        self.pis.set(id.0, n);
-    }
-
     /// Fresh effect variable `γ`.
     pub fn fresh_gc(&mut self) -> GcId {
         GcId(self.gcs.push(GcNode::Var))
@@ -502,174 +384,6 @@ impl TypeTable {
         GcId(self.gcs.push(GcNode::NoGc))
     }
 
-    pub(crate) fn set_gc(&mut self, id: GcId, n: GcNode) {
-        self.gcs.set(id.0, n);
-    }
-
-    // ---- resolution -------------------------------------------------------
-
-    /// Canonical representative of an `mt`, with path compression.
-    pub fn resolve_mt(&mut self, mut id: MtId) -> MtId {
-        let mut seen = Vec::new();
-        while let &MtNode::Link(next) = self.mts.get(id.0) {
-            seen.push(id);
-            id = next;
-        }
-        for s in seen {
-            self.mts.set(s.0, MtNode::Link(id));
-        }
-        id
-    }
-
-    /// Canonical representative without mutation (no compression).
-    pub fn find_mt(&self, mut id: MtId) -> MtId {
-        while let &MtNode::Link(next) = self.mts.get(id.0) {
-            id = next;
-        }
-        id
-    }
-
-    /// The node behind the canonical representative of `id`.
-    pub fn mt_node(&self, id: MtId) -> &MtNode {
-        let id = self.find_mt(id);
-        self.mts.get(id.0)
-    }
-
-    /// Canonical representative of a `ct`.
-    pub fn resolve_ct(&mut self, mut id: CtId) -> CtId {
-        let mut seen = Vec::new();
-        while let &CtNode::Link(next) = self.cts.get(id.0) {
-            seen.push(id);
-            id = next;
-        }
-        for s in seen {
-            self.cts.set(s.0, CtNode::Link(id));
-        }
-        id
-    }
-
-    /// Canonical representative without mutation.
-    pub fn find_ct(&self, mut id: CtId) -> CtId {
-        while let &CtNode::Link(next) = self.cts.get(id.0) {
-            id = next;
-        }
-        id
-    }
-
-    /// The node behind the canonical representative of `id`.
-    pub fn ct_node(&self, id: CtId) -> &CtNode {
-        let id = self.find_ct(id);
-        self.cts.get(id.0)
-    }
-
-    /// Canonical representative of a `Ψ`.
-    pub fn resolve_psi(&mut self, mut id: PsiId) -> PsiId {
-        let mut seen = Vec::new();
-        while let &PsiNode::Link(next) = self.psis.get(id.0) {
-            seen.push(id);
-            id = next;
-        }
-        for s in seen {
-            self.psis.set(s.0, PsiNode::Link(id));
-        }
-        id
-    }
-
-    /// Canonical representative without mutation.
-    pub fn find_psi(&self, mut id: PsiId) -> PsiId {
-        while let &PsiNode::Link(next) = self.psis.get(id.0) {
-            id = next;
-        }
-        id
-    }
-
-    /// The node behind the canonical representative of `id`.
-    pub fn psi_node(&self, id: PsiId) -> PsiNode {
-        let id = self.find_psi(id);
-        *self.psis.get(id.0)
-    }
-
-    /// Canonical representative of a `Σ`.
-    pub fn resolve_sigma(&mut self, mut id: SigmaId) -> SigmaId {
-        let mut seen = Vec::new();
-        while let &SigmaNode::Link(next) = self.sigmas.get(id.0) {
-            seen.push(id);
-            id = next;
-        }
-        for s in seen {
-            self.sigmas.set(s.0, SigmaNode::Link(id));
-        }
-        id
-    }
-
-    /// Canonical representative without mutation.
-    pub fn find_sigma(&self, mut id: SigmaId) -> SigmaId {
-        while let &SigmaNode::Link(next) = self.sigmas.get(id.0) {
-            id = next;
-        }
-        id
-    }
-
-    /// The node behind the canonical representative of `id`.
-    pub fn sigma_node(&self, id: SigmaId) -> SigmaNode {
-        let id = self.find_sigma(id);
-        *self.sigmas.get(id.0)
-    }
-
-    /// Canonical representative of a `Π`.
-    pub fn resolve_pi(&mut self, mut id: PiId) -> PiId {
-        let mut seen = Vec::new();
-        while let &PiNode::Link(next) = self.pis.get(id.0) {
-            seen.push(id);
-            id = next;
-        }
-        for s in seen {
-            self.pis.set(s.0, PiNode::Link(id));
-        }
-        id
-    }
-
-    /// Canonical representative without mutation.
-    pub fn find_pi(&self, mut id: PiId) -> PiId {
-        while let &PiNode::Link(next) = self.pis.get(id.0) {
-            id = next;
-        }
-        id
-    }
-
-    /// The node behind the canonical representative of `id`.
-    pub fn pi_node(&self, id: PiId) -> PiNode {
-        let id = self.find_pi(id);
-        *self.pis.get(id.0)
-    }
-
-    /// Canonical representative of a `GC` effect.
-    pub fn resolve_gc(&mut self, mut id: GcId) -> GcId {
-        let mut seen = Vec::new();
-        while let &GcNode::Link(next) = self.gcs.get(id.0) {
-            seen.push(id);
-            id = next;
-        }
-        for s in seen {
-            self.gcs.set(s.0, GcNode::Link(id));
-        }
-        id
-    }
-
-    /// Canonical representative without mutation.
-    pub fn find_gc(&self, mut id: GcId) -> GcId {
-        while let &GcNode::Link(next) = self.gcs.get(id.0) {
-            id = next;
-        }
-        id
-    }
-
-    /// The node behind the canonical representative of `id`.
-    pub fn gc_node(&self, id: GcId) -> GcNode {
-        let id = self.find_gc(id);
-        *self.gcs.get(id.0)
-    }
-
     // ---- statistics --------------------------------------------------------
 
     /// Total number of nodes across all sorts (bench metric).
@@ -682,17 +396,11 @@ impl TypeTable {
             + self.gcs.len()
     }
 
-    /// Number of GC effect nodes. Parallel inference workers use the base
-    /// table's count to tell shared (frozen) effect ids from ids they
-    /// allocated locally in their overlay.
-    pub fn gc_count(&self) -> usize {
-        self.gcs.len()
-    }
-
-    /// Number of `mt` nodes, with the same shared/local reading as
-    /// [`TypeTable::gc_count`].
-    pub fn mt_count(&self) -> usize {
-        self.mts.len()
+    /// Number of nodes of sort `S`. Parallel inference workers use the base
+    /// table's counts to tell shared (frozen) ids from ids they allocated
+    /// locally in their overlay.
+    pub fn count<S: Sort>(&self) -> usize {
+        S::shelf(self).len()
     }
 
     // ---- structured queries -------------------------------------------------
@@ -700,13 +408,13 @@ impl TypeTable {
     /// Number of products in a sum row, if the row is closed.
     pub fn sigma_len(&self, id: SigmaId) -> Option<usize> {
         let mut n = 0usize;
-        let mut cur = self.find_sigma(id);
+        let mut cur = self.find(id);
         loop {
-            match *self.sigmas.get(cur.0) {
+            match *self.node(cur) {
                 SigmaNode::Nil => return Some(n),
                 SigmaNode::Cons(_, tail) => {
                     n += 1;
-                    cur = self.find_sigma(tail);
+                    cur = self.find(tail);
                     // cyclic rows cannot be closed
                     if n > self.sigmas.len() {
                         return None;
@@ -721,16 +429,16 @@ impl TypeTable {
     /// Returns `true` when the sum row is known to contain at least one
     /// product (the `|Σ| > 0` test of the (App) rule's `ValPtrs`).
     pub fn sigma_nonempty(&self, id: SigmaId) -> bool {
-        matches!(self.sigma_node(id), SigmaNode::Cons(..))
+        matches!(self.node(id), SigmaNode::Cons(..))
     }
 
     /// Collects the products of a row up to its (possibly open) end.
     pub fn sigma_products(&self, id: SigmaId) -> Vec<PiId> {
         let mut out = Vec::new();
-        let mut cur = self.find_sigma(id);
-        while let &SigmaNode::Cons(head, tail) = self.sigmas.get(cur.0) {
+        let mut cur = self.find(id);
+        while let SigmaNode::Cons(head, tail) = *self.node(cur) {
             out.push(head);
-            cur = self.find_sigma(tail);
+            cur = self.find(tail);
             if out.len() > self.sigmas.len() {
                 break; // cyclic row; stop
             }
@@ -742,12 +450,12 @@ impl TypeTable {
     /// Returns `None` for `Array` rows, whose length is unknown.
     pub fn pi_fields(&self, id: PiId) -> Option<Vec<MtId>> {
         let mut out = Vec::new();
-        let mut cur = self.find_pi(id);
+        let mut cur = self.find(id);
         loop {
-            match *self.pis.get(cur.0) {
+            match *self.node(cur) {
                 PiNode::Cons(head, tail) => {
                     out.push(head);
-                    cur = self.find_pi(tail);
+                    cur = self.find(tail);
                     if out.len() > self.pis.len() {
                         return Some(out); // cyclic; stop
                     }
@@ -763,7 +471,7 @@ impl TypeTable {
     /// representational type with at least one product, or a heap-allocated
     /// abstract type (strings, floats, boxed opaque data).
     pub fn mt_is_heap_pointer(&self, mt: MtId) -> bool {
-        match self.mt_node(mt) {
+        match self.node(mt) {
             MtNode::Rep(_, sigma) => self.sigma_nonempty(*sigma),
             MtNode::Abstract { heap, .. } => *heap,
             _ => false,
@@ -772,7 +480,7 @@ impl TypeTable {
 
     /// Whether `mt` resolved to something concrete (not a bare variable).
     pub fn mt_is_concrete(&self, mt: MtId) -> bool {
-        !matches!(self.mt_node(mt), MtNode::Var)
+        !matches!(self.node(mt), MtNode::Var)
     }
 
     /// Whether `mt` resolved to a fully *ground* type — no inference
@@ -786,11 +494,11 @@ impl TypeTable {
     }
 
     fn mt_ground_rec(&self, mt: MtId, seen: &mut std::collections::HashSet<u32>) -> bool {
-        let mt = self.find_mt(mt);
+        let mt = self.find(mt);
         if !seen.insert(mt.as_raw()) {
             return true; // equirecursive cycle: already being checked
         }
-        match self.mt_node(mt) {
+        match self.node(mt) {
             MtNode::Var => false,
             MtNode::Abstract { .. } => true,
             MtNode::Custom(ct) => self.ct_ground_rec(*ct, seen),
@@ -799,7 +507,7 @@ impl TypeTable {
                     && self.mt_ground_rec(*ret, seen)
             }
             MtNode::Rep(psi, sigma) => {
-                let psi_ok = !matches!(self.psi_node(*psi), PsiNode::Var);
+                let psi_ok = !matches!(self.node(*psi), PsiNode::Var);
                 psi_ok && self.sigma_ground_rec(*sigma, seen)
             }
             MtNode::Link(_) => unreachable!("resolved"),
@@ -807,21 +515,21 @@ impl TypeTable {
     }
 
     fn sigma_ground_rec(&self, sigma: SigmaId, seen: &mut std::collections::HashSet<u32>) -> bool {
-        let mut cur = self.find_sigma(sigma);
+        let mut cur = self.find(sigma);
         let mut steps = 0usize;
         loop {
             steps += 1;
             if steps > self.sigmas.len() + 1 {
                 return true; // cyclic row
             }
-            match self.sigma_node(cur) {
+            match *self.node(cur) {
                 SigmaNode::Var => return false,
                 SigmaNode::Nil => return true,
                 SigmaNode::Cons(pi, rest) => {
                     if !self.pi_ground_rec(pi, seen) {
                         return false;
                     }
-                    cur = self.find_sigma(rest);
+                    cur = self.find(rest);
                 }
                 SigmaNode::Link(_) => unreachable!("resolved"),
             }
@@ -829,14 +537,14 @@ impl TypeTable {
     }
 
     fn pi_ground_rec(&self, pi: PiId, seen: &mut std::collections::HashSet<u32>) -> bool {
-        let mut cur = self.find_pi(pi);
+        let mut cur = self.find(pi);
         let mut steps = 0usize;
         loop {
             steps += 1;
             if steps > self.pis.len() + 1 {
                 return true; // cyclic row
             }
-            match self.pi_node(cur) {
+            match *self.node(cur) {
                 PiNode::Var => return false,
                 PiNode::Nil => return true,
                 PiNode::Array(mt) => return self.mt_ground_rec(mt, seen),
@@ -844,7 +552,7 @@ impl TypeTable {
                     if !self.mt_ground_rec(mt, seen) {
                         return false;
                     }
-                    cur = self.find_pi(rest);
+                    cur = self.find(rest);
                 }
                 PiNode::Link(_) => unreachable!("resolved"),
             }
@@ -852,8 +560,8 @@ impl TypeTable {
     }
 
     fn ct_ground_rec(&self, ct: CtId, seen: &mut std::collections::HashSet<u32>) -> bool {
-        let ct = self.find_ct(ct);
-        match self.ct_node(ct) {
+        let ct = self.find(ct);
+        match self.node(ct) {
             CtNode::Var => false,
             CtNode::Void | CtNode::Int | CtNode::Float | CtNode::Named(_) => true,
             CtNode::Value(mt) => self.mt_ground_rec(*mt, seen),
@@ -861,7 +569,7 @@ impl TypeTable {
             CtNode::Fun(params, ret, gc) => {
                 params.clone().iter().all(|p| self.ct_ground_rec(*p, seen))
                     && self.ct_ground_rec(*ret, seen)
-                    && !matches!(self.gc_node(*gc), GcNode::Var)
+                    && !matches!(self.node(*gc), GcNode::Var)
             }
             CtNode::Link(_) => unreachable!("resolved"),
         }
@@ -878,9 +586,9 @@ mod tests {
         let a = tt.fresh_mt();
         let b = tt.fresh_mt();
         let c = tt.fresh_mt();
-        tt.set_mt(a, MtNode::Link(b));
-        tt.set_mt(b, MtNode::Link(c));
-        assert_eq!(tt.resolve_mt(a), c);
+        tt.set(a, MtNode::Link(b));
+        tt.set(b, MtNode::Link(c));
+        assert_eq!(tt.resolve(a), c);
         // path compression happened
         assert_eq!(*tt.mts.get(a.as_raw()), MtNode::Link(c));
     }
@@ -948,8 +656,8 @@ mod tests {
         let mut tt = TypeTable::new();
         let a = tt.fresh_mt();
         let b = tt.fresh_mt();
-        tt.set_mt(a, MtNode::Link(b));
-        let found = tt.find_mt(a);
+        tt.set(a, MtNode::Link(b));
+        let found = tt.find(a);
         assert_eq!(found, b);
         // no compression via find
         assert_eq!(*tt.mts.get(a.as_raw()), MtNode::Link(b));
@@ -961,12 +669,12 @@ mod tests {
         let a = tt.fresh_mt();
         let b = tt.fresh_mt();
         let c = tt.fresh_mt();
-        tt.set_mt(a, MtNode::Link(b));
-        tt.set_mt(b, MtNode::Link(c));
+        tt.set(a, MtNode::Link(b));
+        tt.set(b, MtNode::Link(c));
         let frozen = tt.freeze();
         let view = frozen.overlay();
         // frozen chains are ≤ 1 hop, so find needs no compression
-        assert_eq!(view.find_mt(a), c);
+        assert_eq!(view.find(a), c);
         assert_eq!(view.node_count(), 3);
         assert_eq!(view.overlay_node_count(), 0, "reads must not populate the overlay");
     }
@@ -992,15 +700,19 @@ mod tests {
         let frozen = tt.freeze();
         let mut view = frozen.overlay();
         view.unify_gc(a, g);
-        assert_eq!(view.gc_node(a), GcNode::Gc);
-        assert_eq!(view.gc_overlay_keys(), vec![a.as_raw()], "only the re-bound id is recorded");
+        assert_eq!(*view.node(a), GcNode::Gc);
+        assert_eq!(
+            view.overlay_keys::<GcId>(),
+            vec![a.as_raw()],
+            "only the re-bound id is recorded"
+        );
         // a sibling view never sees the write
         let sibling = frozen.overlay();
-        assert_eq!(sibling.gc_node(a), GcNode::Var);
+        assert_eq!(*sibling.node(a), GcNode::Var);
         // writing the base value back erases the delta entry
         let mut view2 = frozen.overlay();
-        view2.set_gc(a, GcNode::Var);
-        assert_eq!(view2.gc_overlay_keys(), Vec::<u32>::new());
+        view2.set(a, GcNode::Var);
+        assert_eq!(view2.overlay_keys::<GcId>(), Vec::<u32>::new());
     }
 
     #[test]
@@ -1013,7 +725,7 @@ mod tests {
         view.unify_mt(a, b).unwrap();
         let refrozen = view.freeze();
         let reread = refrozen.overlay();
-        assert_eq!(reread.find_mt(a), reread.find_mt(b));
+        assert_eq!(reread.find(a), reread.find(b));
         assert_eq!(reread.node_count(), 2);
     }
 }

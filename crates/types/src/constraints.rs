@@ -119,7 +119,7 @@ impl ConstraintSet {
     pub fn check_psi_bounds(&self, table: &TypeTable) -> Vec<PsiViolation> {
         let mut out = Vec::new();
         for bound in self.psi_bounds_from(0) {
-            let node = table.psi_node(bound.psi);
+            let node = *table.node(bound.psi);
             let violation = match node {
                 PsiNode::Top | PsiNode::Var => None,
                 PsiNode::Count(k) => match bound.t {
@@ -153,14 +153,14 @@ impl ConstraintSet {
         let mut roots: VecDeque<u32> = VecDeque::new();
         let mut all_nodes: HashSet<u32> = HashSet::new();
         for (lo, hi) in self.gc_edges_from(0) {
-            let lo = table.resolve_gc(lo).as_raw();
-            let hi = table.resolve_gc(hi).as_raw();
+            let lo = table.resolve(lo).as_raw();
+            let hi = table.resolve(hi).as_raw();
             all_nodes.insert(lo);
             all_nodes.insert(hi);
             adj.entry(lo).or_default().push(hi);
         }
         for &n in &all_nodes {
-            if matches!(table.gc_node(GcId(n)), GcNode::Gc) {
+            if matches!(table.node(GcId(n)), GcNode::Gc) {
                 roots.push_back(n);
             }
         }
@@ -187,8 +187,8 @@ pub struct GcSolution {
 impl GcSolution {
     /// Whether the effect `id` may invoke the garbage collector.
     pub fn may_gc(&self, table: &TypeTable, id: GcId) -> bool {
-        let canon = table.find_gc(id);
-        if matches!(table.gc_node(canon), GcNode::Gc) {
+        let canon = table.find(id);
+        if matches!(table.node(canon), GcNode::Gc) {
             return true;
         }
         self.gc_set.contains(&canon.as_raw())

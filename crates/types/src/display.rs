@@ -13,11 +13,11 @@ impl TypeTable {
     }
 
     fn render_mt_rec(&self, id: MtId, seen: &mut HashSet<u32>) -> String {
-        let id = self.find_mt(id);
+        let id = self.find(id);
         if !seen.insert(id.as_raw()) {
             return "µ".to_string();
         }
-        let out = match self.mt_node(id) {
+        let out = match self.node(id) {
             MtNode::Var => format!("α{}", id.as_raw()),
             MtNode::Fun(params, ret) => {
                 let mut s = String::new();
@@ -46,8 +46,8 @@ impl TypeTable {
     }
 
     fn render_ct_rec(&self, id: CtId, seen: &mut HashSet<u32>) -> String {
-        let id = self.find_ct(id);
-        match self.ct_node(id) {
+        let id = self.find(id);
+        match self.node(id) {
             CtNode::Var => format!("?c{}", id.as_raw()),
             CtNode::Void => "void".into(),
             CtNode::Int => "int".into(),
@@ -70,8 +70,8 @@ impl TypeTable {
 
     /// Renders a `Ψ` bound.
     pub fn render_psi(&self, id: PsiId) -> String {
-        let id = self.find_psi(id);
-        match self.psi_node(id) {
+        let id = self.find(id);
+        match *self.node(id) {
             PsiNode::Var => format!("ψ{}", id.as_raw()),
             PsiNode::Count(n) => n.to_string(),
             PsiNode::Top => "⊤".into(),
@@ -87,10 +87,10 @@ impl TypeTable {
 
     fn render_sigma_rec(&self, id: SigmaId, seen: &mut HashSet<u32>) -> String {
         let mut parts = Vec::new();
-        let mut cur = self.find_sigma(id);
+        let mut cur = self.find(id);
         let mut guard = 0usize;
         loop {
-            match self.sigma_node(cur) {
+            match *self.node(cur) {
                 SigmaNode::Nil => break,
                 SigmaNode::Var => {
                     parts.push(format!("σ{}", cur.as_raw()));
@@ -98,7 +98,7 @@ impl TypeTable {
                 }
                 SigmaNode::Cons(head, tail) => {
                     parts.push(self.render_pi_rec(head, seen));
-                    cur = self.find_sigma(tail);
+                    cur = self.find(tail);
                 }
                 SigmaNode::Link(_) => unreachable!("resolved"),
             }
@@ -117,10 +117,10 @@ impl TypeTable {
 
     fn render_pi_rec(&self, id: PiId, seen: &mut HashSet<u32>) -> String {
         let mut parts = Vec::new();
-        let mut cur = self.find_pi(id);
+        let mut cur = self.find(id);
         let mut guard = 0usize;
         loop {
-            match self.pi_node(cur) {
+            match *self.node(cur) {
                 PiNode::Nil => break,
                 PiNode::Var => {
                     parts.push(format!("π{}", cur.as_raw()));
@@ -132,7 +132,7 @@ impl TypeTable {
                 }
                 PiNode::Cons(head, tail) => {
                     parts.push(self.render_mt_rec(head, seen));
-                    cur = self.find_pi(tail);
+                    cur = self.find(tail);
                 }
                 PiNode::Link(_) => unreachable!("resolved"),
             }
@@ -153,8 +153,8 @@ impl TypeTable {
 
     /// Renders a GC effect.
     pub fn render_gc(&self, id: GcId) -> String {
-        let id = self.find_gc(id);
-        match self.gc_node(id) {
+        let id = self.find(id);
+        match *self.node(id) {
             GcNode::Var => format!("γ{}", id.as_raw()),
             GcNode::Gc => "gc".into(),
             GcNode::NoGc => "nogc".into(),
@@ -209,7 +209,7 @@ mod tests {
         let sig = tt.sigma_closed(&[pi]);
         let psi = tt.psi_count(1);
         let list = tt.mt_rep(psi, sig);
-        tt.set_mt(knot, MtNode::Link(list));
+        tt.set(knot, MtNode::Link(list));
         let s = tt.render_mt(list);
         assert!(s.contains('µ'), "{s}");
         assert!(s.contains("string"), "{s}");

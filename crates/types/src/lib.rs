@@ -14,8 +14,12 @@
 //! Π  ::= π | ∅ | mt × Π   (fields of a structured block)
 //! ```
 //!
-//! The central entry point is [`TypeTable`], an arena + union-find over all
-//! six sorts, providing:
+//! The central entry point is [`TypeTable`], an arena with one union-find
+//! for all six sorts. Each sort's id type (`MtId`, `CtId`, `PsiId`,
+//! `SigmaId`, `PiId`, `GcId`) implements [`Sort`], which names its node
+//! type and its `Var` and `Link` nodes, so [`TypeTable::resolve`],
+//! [`TypeTable::find`], [`TypeTable::node`] and the unifier's variable
+//! binding are written once. The table provides:
 //!
 //! * constructors (`mt_rep`, `ct_value`, `sigma_cons`, …) used by the
 //!   OCaml-side translation `ρ`/`Φ` and the C-side mapping `η`;
@@ -58,7 +62,7 @@
 //! let t = tt.mt_rep(psi_t, sig_t);
 //!
 //! tt.unify_mt(observed, t).unwrap();
-//! assert!(matches!(tt.psi_node(psi), PsiNode::Count(2)));
+//! assert!(matches!(tt.node(psi), PsiNode::Count(2)));
 //! ```
 
 #![warn(missing_docs)]
@@ -67,10 +71,11 @@ pub mod arena;
 pub mod constraints;
 pub mod display;
 pub mod lattice;
+mod shelf;
 pub mod term;
 pub mod unify;
 
-pub use arena::{FrozenTypeTable, TypeTable};
+pub use arena::{FrozenTypeTable, Sort, TypeTable};
 pub use constraints::{ConstraintSet, GcSolution, PsiBound, PsiViolation};
 pub use lattice::{Boxedness, FlatInt, Shape};
 pub use term::{

@@ -15,8 +15,11 @@
 //! row variable), and open rows grow during inference as the C code is
 //! observed testing tags and reading fields.
 
+use crate::arena::{Sort, TypeTable};
+use crate::shelf::Shelf;
+
 macro_rules! define_id {
-    ($(#[$doc:meta])* $name:ident) => {
+    ($(#[$doc:meta])* $name:ident, $node:ident, $shelf:ident) => {
         $(#[$doc])*
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
         pub struct $name(pub(crate) u32);
@@ -41,32 +44,67 @@ macro_rules! define_id {
                 write!(f, "{}{}", stringify!($name), self.0)
             }
         }
+
+        impl Sort for $name {
+            type Node = $node;
+
+            fn link(self) -> $node {
+                $node::Link(self)
+            }
+
+            fn follow(node: &$node) -> Option<Self> {
+                match node {
+                    $node::Link(next) => Some(*next),
+                    _ => None,
+                }
+            }
+
+            fn is_var(node: &$node) -> bool {
+                matches!(node, $node::Var)
+            }
+
+            fn raw(self) -> u32 {
+                self.0
+            }
+
+            fn of_raw(raw: u32) -> Self {
+                $name(raw)
+            }
+
+            fn shelf(table: &TypeTable) -> &Shelf<$node> {
+                &table.$shelf
+            }
+
+            fn shelf_mut(table: &mut TypeTable) -> &mut Shelf<$node> {
+                &mut table.$shelf
+            }
+        }
     };
 }
 
 define_id!(
     /// An extended OCaml type `mt`.
-    MtId
+    MtId, MtNode, mts
 );
 define_id!(
     /// An extended C type `ct`.
-    CtId
+    CtId, CtNode, cts
 );
 define_id!(
     /// An unboxed-value bound `Ψ`.
-    PsiId
+    PsiId, PsiNode, psis
 );
 define_id!(
     /// A sum row `Σ`.
-    SigmaId
+    SigmaId, SigmaNode, sigmas
 );
 define_id!(
     /// A product row `Π`.
-    PiId
+    PiId, PiNode, pis
 );
 define_id!(
     /// A garbage-collection effect `GC`.
-    GcId
+    GcId, GcNode, gcs
 );
 
 /// Nodes of sort `mt`.

@@ -15,7 +15,7 @@
 //! `Ψ` components unify only when identical (`n` does not unify with `⊤`),
 //! exactly as §3.3.3 prescribes.
 
-use crate::arena::TypeTable;
+use crate::arena::{Sort, TypeTable};
 use crate::term::*;
 use std::collections::HashSet;
 
@@ -145,7 +145,8 @@ impl std::fmt::Display for RowError {
 
 impl std::error::Error for RowError {}
 
-/// Memoization state for one top-level unification call.
+/// Memoization state for one top-level unification call: the pairs of
+/// each recursive sort already being unified.
 #[derive(Default)]
 struct Session {
     mt: HashSet<(u32, u32)>,
@@ -154,46 +155,49 @@ struct Session {
     pi: HashSet<(u32, u32)>,
 }
 
-fn key(a: u32, b: u32) -> (u32, u32) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
 impl TypeTable {
-    /// Merges two successfully-unified `mt` nodes (post-link; resolves
-    /// first in case child unification already aliased them).
-    fn merge_mt(&mut self, a: MtId, b: MtId) {
-        let a = self.resolve_mt(a);
-        let b = self.resolve_mt(b);
-        if a != b {
-            self.set_mt(b, MtNode::Link(a));
+    /// The prologue every unifier starts from. Resolves both sides and
+    /// returns `None` when the pair needs no further work: both are one
+    /// class already, one side is an unbound variable (then `a` is linked
+    /// to `b`, else `b` to `a`), or `visited` (the cycle memo of the
+    /// recursive sorts) already holds the pair. Otherwise returns both
+    /// canonicals with a copy of their nodes.
+    fn bind<S: Sort>(
+        &mut self,
+        a: S,
+        b: S,
+        visited: Option<&mut HashSet<(u32, u32)>>,
+    ) -> Option<(S, S, S::Node, S::Node)> {
+        let a = self.resolve(a);
+        let b = self.resolve(b);
+        if a == b {
+            return None;
         }
+        let shelf = S::shelf(self);
+        let (na, nb) = (shelf.get(a.raw()), shelf.get(b.raw()));
+        if S::is_var(na) {
+            self.set(a, b.link());
+            return None;
+        }
+        if S::is_var(nb) {
+            self.set(b, a.link());
+            return None;
+        }
+        let (na, nb) = (na.clone(), nb.clone());
+        let key = if a.raw() <= b.raw() { (a.raw(), b.raw()) } else { (b.raw(), a.raw()) };
+        if visited.is_some_and(|visited| !visited.insert(key)) {
+            return None; // already unifying this pair (cycle)
+        }
+        Some((a, b, na, nb))
     }
 
-    fn merge_ct(&mut self, a: CtId, b: CtId) {
-        let a = self.resolve_ct(a);
-        let b = self.resolve_ct(b);
+    /// Merges two successfully-unified nodes (post-link; resolves first in
+    /// case child unification already aliased them).
+    fn merge<S: Sort>(&mut self, a: S, b: S) {
+        let a = self.resolve(a);
+        let b = self.resolve(b);
         if a != b {
-            self.set_ct(b, CtNode::Link(a));
-        }
-    }
-
-    fn merge_sigma(&mut self, a: SigmaId, b: SigmaId) {
-        let a = self.resolve_sigma(a);
-        let b = self.resolve_sigma(b);
-        if a != b {
-            self.set_sigma(b, SigmaNode::Link(a));
-        }
-    }
-
-    fn merge_pi(&mut self, a: PiId, b: PiId) {
-        let a = self.resolve_pi(a);
-        let b = self.resolve_pi(b);
-        if a != b {
-            self.set_pi(b, PiNode::Link(a));
+            self.set(b, a.link());
         }
     }
 
@@ -220,156 +224,96 @@ impl TypeTable {
     }
 
     fn unify_mt_in(&mut self, s: &mut Session, a: MtId, b: MtId) -> Result<(), UnifyError> {
-        let a = self.resolve_mt(a);
-        let b = self.resolve_mt(b);
-        if a == b {
+        let Some((a, b, na, nb)) = self.bind(a, b, Some(&mut s.mt)) else {
             return Ok(());
-        }
-        let na = self.mts.get(a.as_raw()).clone();
-        let nb = self.mts.get(b.as_raw()).clone();
+        };
+        // NOTE: nodes are merged only *after* their children unify.
+        // Pre-linking would make a failed unification "succeed" on retry
+        // (the reporting pass re-runs the rules); the visited set, not
+        // pre-linking, is what guarantees termination on cyclic types.
         match (na, nb) {
-            (MtNode::Var, _) => {
-                self.set_mt(a, MtNode::Link(b));
+            (MtNode::Fun(p1, r1), MtNode::Fun(p2, r2)) => {
+                if p1.len() != p2.len() {
+                    return Err(UnifyError::FunArity { left: p1.len(), right: p2.len() });
+                }
+                for (x, y) in p1.iter().zip(p2.iter()) {
+                    self.unify_mt_in(s, *x, *y)?;
+                }
+                self.unify_mt_in(s, r1, r2)?;
+                self.merge(a, b);
                 Ok(())
             }
-            (_, MtNode::Var) => {
-                self.set_mt(b, MtNode::Link(a));
+            (MtNode::Custom(c1), MtNode::Custom(c2)) => {
+                self.unify_ct_in(s, c1, c2)?;
+                self.merge(a, b);
                 Ok(())
             }
-            (na, nb) => {
-                if !s.mt.insert(key(a.as_raw(), b.as_raw())) {
-                    return Ok(()); // already unifying this pair (cycle)
-                }
-                // NOTE: nodes are merged only *after* their children unify.
-                // Pre-linking would make a failed unification "succeed" on
-                // retry (the reporting pass re-runs the rules); the visited
-                // set, not pre-linking, is what guarantees termination on
-                // cyclic types.
-                match (na, nb) {
-                    (MtNode::Fun(p1, r1), MtNode::Fun(p2, r2)) => {
-                        if p1.len() != p2.len() {
-                            return Err(UnifyError::FunArity { left: p1.len(), right: p2.len() });
-                        }
-                        for (x, y) in p1.iter().zip(p2.iter()) {
-                            self.unify_mt_in(s, *x, *y)?;
-                        }
-                        self.unify_mt_in(s, r1, r2)?;
-                        self.merge_mt(a, b);
-                        Ok(())
-                    }
-                    (MtNode::Custom(c1), MtNode::Custom(c2)) => {
-                        self.unify_ct_in(s, c1, c2)?;
-                        self.merge_mt(a, b);
-                        Ok(())
-                    }
-                    (MtNode::Rep(ps1, sg1), MtNode::Rep(ps2, sg2)) => {
-                        self.unify_psi(ps1, ps2)?;
-                        self.unify_sigma_in(s, sg1, sg2)?;
-                        self.merge_mt(a, b);
-                        Ok(())
-                    }
-                    (MtNode::Abstract { name: n1, .. }, MtNode::Abstract { name: n2, .. }) => {
-                        if n1 == n2 {
-                            self.merge_mt(a, b);
-                            Ok(())
-                        } else {
-                            Err(UnifyError::AbstractMismatch { left: n1, right: n2 })
-                        }
-                    }
-                    _ => Err(UnifyError::MtMismatch {
-                        left: self.render_mt(a),
-                        right: self.render_mt(b),
-                    }),
+            (MtNode::Rep(ps1, sg1), MtNode::Rep(ps2, sg2)) => {
+                self.unify_psi(ps1, ps2)?;
+                self.unify_sigma_in(s, sg1, sg2)?;
+                self.merge(a, b);
+                Ok(())
+            }
+            (MtNode::Abstract { name: n1, .. }, MtNode::Abstract { name: n2, .. }) => {
+                if n1 == n2 {
+                    self.merge(a, b);
+                    Ok(())
+                } else {
+                    Err(UnifyError::AbstractMismatch { left: n1, right: n2 })
                 }
             }
+            _ => Err(UnifyError::MtMismatch { left: self.render_mt(a), right: self.render_mt(b) }),
         }
     }
 
     fn unify_ct_in(&mut self, s: &mut Session, a: CtId, b: CtId) -> Result<(), UnifyError> {
-        let a = self.resolve_ct(a);
-        let b = self.resolve_ct(b);
-        if a == b {
+        let Some((a, b, na, nb)) = self.bind(a, b, Some(&mut s.ct)) else {
             return Ok(());
-        }
-        let na = self.cts.get(a.as_raw()).clone();
-        let nb = self.cts.get(b.as_raw()).clone();
+        };
         match (na, nb) {
-            (CtNode::Var, _) => {
-                self.set_ct(a, CtNode::Link(b));
+            (CtNode::Void, CtNode::Void)
+            | (CtNode::Int, CtNode::Int)
+            | (CtNode::Float, CtNode::Float) => Ok(()),
+            (CtNode::Value(m1), CtNode::Value(m2)) => {
+                self.unify_mt_in(s, m1, m2)?;
+                self.merge(a, b);
                 Ok(())
             }
-            (_, CtNode::Var) => {
-                self.set_ct(b, CtNode::Link(a));
+            (CtNode::Ptr(p1), CtNode::Ptr(p2)) => {
+                self.unify_ct_in(s, p1, p2)?;
+                self.merge(a, b);
                 Ok(())
             }
-            (na, nb) => {
-                if !s.ct.insert(key(a.as_raw(), b.as_raw())) {
-                    return Ok(());
-                }
-                match (na, nb) {
-                    (CtNode::Void, CtNode::Void)
-                    | (CtNode::Int, CtNode::Int)
-                    | (CtNode::Float, CtNode::Float) => Ok(()),
-                    (CtNode::Value(m1), CtNode::Value(m2)) => {
-                        self.unify_mt_in(s, m1, m2)?;
-                        self.merge_ct(a, b);
-                        Ok(())
-                    }
-                    (CtNode::Ptr(p1), CtNode::Ptr(p2)) => {
-                        self.unify_ct_in(s, p1, p2)?;
-                        self.merge_ct(a, b);
-                        Ok(())
-                    }
-                    (CtNode::Named(n1), CtNode::Named(n2)) => {
-                        if n1 == n2 {
-                            Ok(())
-                        } else {
-                            Err(UnifyError::CtMismatch { left: n1, right: n2 })
-                        }
-                    }
-                    (CtNode::Fun(p1, r1, g1), CtNode::Fun(p2, r2, g2)) => {
-                        if p1.len() != p2.len() {
-                            return Err(UnifyError::FunArity { left: p1.len(), right: p2.len() });
-                        }
-                        self.unify_gc(g1, g2);
-                        for (x, y) in p1.iter().zip(p2.iter()) {
-                            self.unify_ct_in(s, *x, *y)?;
-                        }
-                        self.unify_ct_in(s, r1, r2)?;
-                        self.merge_ct(a, b);
-                        Ok(())
-                    }
-                    _ => Err(UnifyError::CtMismatch {
-                        left: self.render_ct(a),
-                        right: self.render_ct(b),
-                    }),
+            (CtNode::Named(n1), CtNode::Named(n2)) => {
+                if n1 == n2 {
+                    Ok(())
+                } else {
+                    Err(UnifyError::CtMismatch { left: n1, right: n2 })
                 }
             }
+            (CtNode::Fun(p1, r1, g1), CtNode::Fun(p2, r2, g2)) => {
+                if p1.len() != p2.len() {
+                    return Err(UnifyError::FunArity { left: p1.len(), right: p2.len() });
+                }
+                self.unify_gc(g1, g2);
+                for (x, y) in p1.iter().zip(p2.iter()) {
+                    self.unify_ct_in(s, *x, *y)?;
+                }
+                self.unify_ct_in(s, r1, r2)?;
+                self.merge(a, b);
+                Ok(())
+            }
+            _ => Err(UnifyError::CtMismatch { left: self.render_ct(a), right: self.render_ct(b) }),
         }
     }
 
     /// Unifies two `Ψ` bounds. Per §3.3.3, `n` unifies only with `n`
     /// (and `⊤` only with `⊤`); variables bind freely.
     pub fn unify_psi(&mut self, a: PsiId, b: PsiId) -> Result<(), UnifyError> {
-        let a = self.resolve_psi(a);
-        let b = self.resolve_psi(b);
-        if a == b {
-            return Ok(());
-        }
-        let na = *self.psis.get(a.as_raw());
-        let nb = *self.psis.get(b.as_raw());
-        match (na, nb) {
-            (PsiNode::Var, _) => {
-                self.set_psi(a, PsiNode::Link(b));
-                Ok(())
-            }
-            (_, PsiNode::Var) => {
-                self.set_psi(b, PsiNode::Link(a));
-                Ok(())
-            }
-            (PsiNode::Top, PsiNode::Top) => Ok(()),
-            (PsiNode::Count(n), PsiNode::Count(m)) if n == m => Ok(()),
-            _ => {
+        match self.bind(a, b, None) {
+            None | Some((_, _, PsiNode::Top, PsiNode::Top)) => Ok(()),
+            Some((_, _, PsiNode::Count(n), PsiNode::Count(m))) if n == m => Ok(()),
+            Some((a, b, _, _)) => {
                 Err(UnifyError::PsiMismatch { left: self.render_psi(a), right: self.render_psi(b) })
             }
         }
@@ -381,108 +325,63 @@ impl TypeTable {
         a: SigmaId,
         b: SigmaId,
     ) -> Result<(), UnifyError> {
-        let a = self.resolve_sigma(a);
-        let b = self.resolve_sigma(b);
-        if a == b {
+        let Some((a, b, na, nb)) = self.bind(a, b, Some(&mut s.sigma)) else {
             return Ok(());
-        }
-        let na = *self.sigmas.get(a.as_raw());
-        let nb = *self.sigmas.get(b.as_raw());
+        };
         match (na, nb) {
-            (SigmaNode::Var, _) => {
-                self.set_sigma(a, SigmaNode::Link(b));
+            (SigmaNode::Nil, SigmaNode::Nil) => Ok(()),
+            (SigmaNode::Cons(h1, t1), SigmaNode::Cons(h2, t2)) => {
+                self.unify_pi_in(s, h1, h2)?;
+                self.unify_sigma_in(s, t1, t2)?;
+                self.merge(a, b);
                 Ok(())
             }
-            (_, SigmaNode::Var) => {
-                self.set_sigma(b, SigmaNode::Link(a));
-                Ok(())
+            (SigmaNode::Nil, SigmaNode::Cons(..)) => {
+                Err(UnifyError::SumArity { have: 0, need: self.sigma_products(b).len() })
             }
-            (na, nb) => {
-                if !s.sigma.insert(key(a.as_raw(), b.as_raw())) {
-                    return Ok(());
-                }
-                match (na, nb) {
-                    (SigmaNode::Nil, SigmaNode::Nil) => Ok(()),
-                    (SigmaNode::Cons(h1, t1), SigmaNode::Cons(h2, t2)) => {
-                        self.unify_pi_in(s, h1, h2)?;
-                        self.unify_sigma_in(s, t1, t2)?;
-                        self.merge_sigma(a, b);
-                        Ok(())
-                    }
-                    (SigmaNode::Nil, SigmaNode::Cons(..)) => {
-                        let need = self.open_sigma_min_len(b);
-                        Err(UnifyError::SumArity { have: 0, need })
-                    }
-                    (SigmaNode::Cons(..), SigmaNode::Nil) => {
-                        let need = self.open_sigma_min_len(a);
-                        Err(UnifyError::SumArity { have: 0, need })
-                    }
-                    _ => unreachable!("links resolved, vars handled"),
-                }
+            (SigmaNode::Cons(..), SigmaNode::Nil) => {
+                Err(UnifyError::SumArity { have: 0, need: self.sigma_products(a).len() })
             }
+            _ => unreachable!("links resolved, vars handled"),
         }
-    }
-
-    fn open_sigma_min_len(&self, id: SigmaId) -> usize {
-        self.sigma_products(id).len()
     }
 
     fn unify_pi_in(&mut self, s: &mut Session, a: PiId, b: PiId) -> Result<(), UnifyError> {
-        let a = self.resolve_pi(a);
-        let b = self.resolve_pi(b);
-        if a == b {
+        let Some((a, b, na, nb)) = self.bind(a, b, Some(&mut s.pi)) else {
             return Ok(());
-        }
-        let na = *self.pis.get(a.as_raw());
-        let nb = *self.pis.get(b.as_raw());
+        };
         match (na, nb) {
-            (PiNode::Var, _) => {
-                self.set_pi(a, PiNode::Link(b));
+            (PiNode::Nil, PiNode::Nil) => Ok(()),
+            (PiNode::Cons(h1, t1), PiNode::Cons(h2, t2)) => {
+                self.unify_mt_in(s, h1, h2)?;
+                self.unify_pi_in(s, t1, t2)?;
+                self.merge(a, b);
                 Ok(())
             }
-            (_, PiNode::Var) => {
-                self.set_pi(b, PiNode::Link(a));
+            (PiNode::Array(e1), PiNode::Array(e2)) => {
+                self.unify_mt_in(s, e1, e2)?;
+                self.merge(a, b);
                 Ok(())
             }
-            (na, nb) => {
-                if !s.pi.insert(key(a.as_raw(), b.as_raw())) {
-                    return Ok(());
-                }
-                match (na, nb) {
-                    (PiNode::Nil, PiNode::Nil) => Ok(()),
-                    (PiNode::Cons(h1, t1), PiNode::Cons(h2, t2)) => {
-                        self.unify_mt_in(s, h1, h2)?;
-                        self.unify_pi_in(s, t1, t2)?;
-                        self.merge_pi(a, b);
-                        Ok(())
-                    }
-                    (PiNode::Array(e1), PiNode::Array(e2)) => {
-                        self.unify_mt_in(s, e1, e2)?;
-                        self.merge_pi(a, b);
-                        Ok(())
-                    }
-                    // A block of statically-known layout can be viewed as an
-                    // array when every field matches the element type; this
-                    // mirrors how C code iterates over tuples of uniform
-                    // type. Nil against Array is trivially fine.
-                    (PiNode::Cons(h, t), PiNode::Array(e))
-                    | (PiNode::Array(e), PiNode::Cons(h, t)) => {
-                        self.unify_mt_in(s, h, e)?;
-                        let arr = self.pi_array(e);
-                        self.unify_pi_in(s, t, arr)
-                    }
-                    (PiNode::Nil, PiNode::Array(_)) | (PiNode::Array(_), PiNode::Nil) => Ok(()),
-                    (PiNode::Nil, PiNode::Cons(..)) => {
-                        let need = self.pi_fields(b).map(|f| f.len()).unwrap_or(1);
-                        Err(UnifyError::ProductArity { have: 0, need })
-                    }
-                    (PiNode::Cons(..), PiNode::Nil) => {
-                        let need = self.pi_fields(a).map(|f| f.len()).unwrap_or(1);
-                        Err(UnifyError::ProductArity { have: 0, need })
-                    }
-                    _ => unreachable!("links resolved, vars handled"),
-                }
+            // A block of statically-known layout can be viewed as an array
+            // when every field matches the element type; this mirrors how C
+            // code iterates over tuples of uniform type. Nil against Array
+            // is trivially fine.
+            (PiNode::Cons(h, t), PiNode::Array(e)) | (PiNode::Array(e), PiNode::Cons(h, t)) => {
+                self.unify_mt_in(s, h, e)?;
+                let arr = self.pi_array(e);
+                self.unify_pi_in(s, t, arr)
             }
+            (PiNode::Nil, PiNode::Array(_)) | (PiNode::Array(_), PiNode::Nil) => Ok(()),
+            (PiNode::Nil, PiNode::Cons(..)) => {
+                let need = self.pi_fields(b).map(|f| f.len()).unwrap_or(1);
+                Err(UnifyError::ProductArity { have: 0, need })
+            }
+            (PiNode::Cons(..), PiNode::Nil) => {
+                let need = self.pi_fields(a).map(|f| f.len()).unwrap_or(1);
+                Err(UnifyError::ProductArity { have: 0, need })
+            }
+            _ => unreachable!("links resolved, vars handled"),
         }
     }
 
@@ -491,20 +390,13 @@ impl TypeTable {
     /// conservative `gc` (a join, not an error — the effect language has no
     /// declared annotations to contradict).
     pub fn unify_gc(&mut self, a: GcId, b: GcId) {
-        let a = self.resolve_gc(a);
-        let b = self.resolve_gc(b);
-        if a == b {
-            return;
-        }
-        let na = *self.gcs.get(a.as_raw());
-        let nb = *self.gcs.get(b.as_raw());
-        match (na, nb) {
-            (GcNode::Var, _) => self.set_gc(a, GcNode::Link(b)),
-            (_, GcNode::Var) => self.set_gc(b, GcNode::Link(a)),
-            (GcNode::Gc, _) => self.set_gc(b, GcNode::Link(a)),
-            (_, GcNode::Gc) => self.set_gc(a, GcNode::Link(b)),
-            (GcNode::NoGc, GcNode::NoGc) => self.set_gc(b, GcNode::Link(a)),
-            (GcNode::Link(_), _) | (_, GcNode::Link(_)) => unreachable!("resolved"),
+        match self.bind(a, b, None) {
+            None => {}
+            Some((a, b, GcNode::Gc, _) | (a, b, GcNode::NoGc, GcNode::NoGc)) => {
+                self.set(b, a.link())
+            }
+            Some((a, b, _, GcNode::Gc)) => self.set(a, b.link()),
+            Some(_) => unreachable!("resolved, vars handled"),
         }
     }
 
@@ -519,22 +411,22 @@ impl TypeTable {
     ///
     /// Fails when the row is closed and shorter than `tag + 1`.
     pub fn sigma_at(&mut self, sigma: SigmaId, tag: usize) -> Result<PiId, RowError> {
-        let mut cur = self.resolve_sigma(sigma);
+        let mut cur = self.resolve(sigma);
         let mut k = 0usize;
         loop {
-            match self.sigma_node(cur) {
+            match *self.node(cur) {
                 SigmaNode::Cons(head, tail) => {
                     if k == tag {
                         return Ok(head);
                     }
                     k += 1;
-                    cur = self.resolve_sigma(tail);
+                    cur = self.resolve(tail);
                 }
                 SigmaNode::Nil => return Err(RowError::TagOutOfRange { have: k, need: tag + 1 }),
                 SigmaNode::Var => {
                     let head = self.fresh_pi();
                     let tail = self.fresh_sigma();
-                    self.set_sigma(cur, SigmaNode::Cons(head, tail));
+                    self.set(cur, SigmaNode::Cons(head, tail));
                     if k == tag {
                         return Ok(head);
                     }
@@ -555,23 +447,23 @@ impl TypeTable {
     ///
     /// Fails when the row is closed and shorter than `idx + 1`.
     pub fn pi_at(&mut self, pi: PiId, idx: usize) -> Result<MtId, RowError> {
-        let mut cur = self.resolve_pi(pi);
+        let mut cur = self.resolve(pi);
         let mut k = 0usize;
         loop {
-            match self.pi_node(cur) {
+            match *self.node(cur) {
                 PiNode::Cons(head, tail) => {
                     if k == idx {
                         return Ok(head);
                     }
                     k += 1;
-                    cur = self.resolve_pi(tail);
+                    cur = self.resolve(tail);
                 }
                 PiNode::Array(elem) => return Ok(elem),
                 PiNode::Nil => return Err(RowError::FieldOutOfRange { have: k, need: idx + 1 }),
                 PiNode::Var => {
                     let head = self.fresh_mt();
                     let tail = self.fresh_pi();
-                    self.set_pi(cur, PiNode::Cons(head, tail));
+                    self.set(cur, PiNode::Cons(head, tail));
                     if k == idx {
                         return Ok(head);
                     }
@@ -620,10 +512,10 @@ mod tests {
         let a = tt.fresh_mt();
         let t = type_t(&mut tt);
         tt.unify_mt(a, t).unwrap();
-        assert_eq!(tt.resolve_mt(a), tt.resolve_mt(t));
+        assert_eq!(tt.resolve(a), tt.resolve(t));
         let b = tt.fresh_mt();
         tt.unify_mt(t, b).unwrap();
-        assert_eq!(tt.resolve_mt(b), tt.resolve_mt(t));
+        assert_eq!(tt.resolve(b), tt.resolve(t));
     }
 
     #[test]
@@ -653,7 +545,7 @@ mod tests {
         let declared = type_t(&mut tt);
         tt.unify_mt(observed, declared).unwrap();
         // Ψ resolved to 2, row closed at length 2
-        match tt.psi_node(psi) {
+        match tt.node(psi) {
             PsiNode::Count(2) => {}
             other => panic!("expected Count(2), got {other:?}"),
         }
@@ -664,7 +556,7 @@ mod tests {
     fn closed_row_rejects_excess_tags() {
         let mut tt = TypeTable::new();
         let declared = type_t(&mut tt);
-        let MtNode::Rep(_, sigma) = *tt.mt_node(declared) else { panic!() };
+        let MtNode::Rep(_, sigma) = *tt.node(declared) else { panic!() };
         assert!(tt.sigma_at(sigma, 1).is_ok());
         assert_eq!(tt.sigma_at(sigma, 2), Err(RowError::TagOutOfRange { have: 2, need: 3 }));
     }
@@ -747,13 +639,13 @@ mod tests {
             let sigma = tt.sigma_closed(&[pi]);
             let psi = tt.psi_count(1);
             let list = tt.mt_rep(psi, sigma);
-            tt.set_mt(knot, MtNode::Link(list));
+            tt.set(knot, MtNode::Link(list));
             list
         };
         let l1 = make_list(&mut tt);
         let l2 = make_list(&mut tt);
         tt.unify_mt(l1, l2).unwrap();
-        assert_eq!(tt.resolve_mt(l1), tt.resolve_mt(l2));
+        assert_eq!(tt.resolve(l1), tt.resolve(l2));
     }
 
     #[test]
@@ -762,11 +654,11 @@ mod tests {
         let v = tt.fresh_gc();
         let g = tt.gc_gc();
         tt.unify_gc(v, g);
-        assert_eq!(tt.gc_node(v), GcNode::Gc);
+        assert_eq!(*tt.node(v), GcNode::Gc);
         let n = tt.gc_nogc();
         let g2 = tt.gc_gc();
         tt.unify_gc(n, g2);
-        assert_eq!(tt.gc_node(n), GcNode::Gc);
+        assert_eq!(*tt.node(n), GcNode::Gc);
     }
 
     #[test]

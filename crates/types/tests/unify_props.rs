@@ -89,7 +89,7 @@ fn prop_unify_reflexive_and_idempotent() {
         let a = build(&mut tt, &r);
         let b = build(&mut tt, &r);
         assert!(tt.unify_mt(a, b).is_ok(), "{r:?}");
-        assert_eq!(tt.find_mt(a), tt.find_mt(b));
+        assert_eq!(tt.find(a), tt.find(b));
         assert!(tt.unify_mt(a, b).is_ok());
         assert!(tt.unify_mt(b, a).is_ok());
     }
@@ -129,7 +129,7 @@ fn prop_failed_unification_stays_failed() {
         let b = build(&mut tt, &rb);
         if tt.unify_mt(a, b).is_err() {
             assert!(tt.unify_mt(a, b).is_err(), "retry must fail too");
-            assert_ne!(tt.find_mt(a), tt.find_mt(b));
+            assert_ne!(tt.find(a), tt.find(b));
         }
     }
 }
@@ -144,7 +144,7 @@ fn prop_variable_absorbs_any_type() {
         let v = tt.fresh_mt();
         let t = build(&mut tt, &r);
         assert!(tt.unify_mt(v, t).is_ok(), "{r:?}");
-        assert_eq!(tt.find_mt(v), tt.find_mt(t));
+        assert_eq!(tt.find(v), tt.find(t));
     }
 }
 
@@ -180,7 +180,7 @@ fn prop_row_growth_consistent() {
             tt.mt_rep(p, s)
         };
         assert!(tt.unify_mt(observed, declared).is_ok());
-        assert!(matches!(tt.psi_node(psi), PsiNode::Count(2)));
+        assert!(matches!(tt.node(psi), PsiNode::Count(2)));
         assert_eq!(tt.sigma_len(sigma), Some(max_tag + 1));
     }
 }
@@ -197,7 +197,7 @@ fn prop_pi_at_deterministic() {
         let mut firsts = std::collections::HashMap::new();
         for &i in &indices {
             let f = tt.pi_at(pi, i).unwrap();
-            let canon = tt.find_mt(f);
+            let canon = tt.find(f);
             let prev = firsts.entry(i).or_insert(canon);
             assert_eq!(*prev, canon, "index {i} changed field identity");
         }

@@ -1,21 +1,36 @@
 //! End-to-end test of the `ffisafe` command-line binary.
 
-use std::io::Write;
+use std::path::PathBuf;
 use std::process::Command;
 
-fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ffisafe-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).unwrap();
-    f.write_all(contents.as_bytes()).unwrap();
-    path
+/// One test's input directory, removed when the test ends.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(test: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("ffisafe-cli-{test}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+
+    fn write(&self, name: &str, contents: &str) -> PathBuf {
+        let path = self.0.join(name);
+        std::fs::write(&path, contents).unwrap();
+        path
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 #[test]
 fn cli_reports_errors_and_exits_nonzero() {
-    let ml = write_temp("lib.ml", r#"external f : int -> int = "ml_f""#);
-    let c = write_temp("glue.c", r#"value ml_f(value n) { return Val_int(n); }"#);
+    let tmp = TempDir::new("reports_errors_and_exits_nonzero");
+    let ml = tmp.write("lib.ml", r#"external f : int -> int = "ml_f""#);
+    let c = tmp.write("glue.c", r#"value ml_f(value n) { return Val_int(n); }"#);
     let out =
         Command::new(env!("CARGO_BIN_EXE_ffisafe")).arg(&ml).arg(&c).output().expect("binary runs");
     assert!(!out.status.success(), "buggy input must fail");
@@ -26,8 +41,9 @@ fn cli_reports_errors_and_exits_nonzero() {
 
 #[test]
 fn cli_accepts_clean_input() {
-    let ml = write_temp("ok.ml", r#"external add : int -> int -> int = "ml_add""#);
-    let c = write_temp(
+    let tmp = TempDir::new("accepts_clean_input");
+    let ml = tmp.write("ok.ml", r#"external add : int -> int -> int = "ml_add""#);
+    let c = tmp.write(
         "ok.c",
         r#"value ml_add(value a, value b) { return Val_int(Int_val(a) + Int_val(b)); }"#,
     );
@@ -40,8 +56,9 @@ fn cli_accepts_clean_input() {
 
 #[test]
 fn cli_no_gc_flag_suppresses_gc_errors() {
-    let ml = write_temp("gc.ml", r#"external wrap : string -> string ref = "ml_wrap""#);
-    let c = write_temp(
+    let tmp = TempDir::new("no_gc_flag_suppresses_gc_errors");
+    let ml = tmp.write("gc.ml", r#"external wrap : string -> string ref = "ml_wrap""#);
+    let c = tmp.write(
         "gc.c",
         r#"
 value ml_wrap(value s) {
@@ -78,9 +95,10 @@ fn cli_help_and_missing_files() {
 
 #[test]
 fn cli_unknown_extension_is_usage_error() {
+    let tmp = TempDir::new("unknown_extension_is_usage_error");
     // Exit-code policy: an input the tool cannot classify is a usage
     // error (2), not a silent skip.
-    let txt = write_temp("notes.txt", "not glue code");
+    let txt = tmp.write("notes.txt", "not glue code");
     let out = Command::new(env!("CARGO_BIN_EXE_ffisafe")).arg(&txt).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -89,8 +107,9 @@ fn cli_unknown_extension_is_usage_error() {
 
 #[test]
 fn cli_format_json_stdout_is_pure_json() {
-    let ml = write_temp("fmt.ml", r#"external f : int -> int = "ml_f""#);
-    let c = write_temp("fmt.c", r#"value ml_f(value n) { return Val_int(n); }"#);
+    let tmp = TempDir::new("format_json_stdout_is_pure_json");
+    let ml = tmp.write("fmt.ml", r#"external f : int -> int = "ml_f""#);
+    let c = tmp.write("fmt.c", r#"value ml_f(value n) { return Val_int(n); }"#);
     let out = Command::new(env!("CARGO_BIN_EXE_ffisafe"))
         .args(["--format", "json", "--timings"])
         .arg(&ml)
@@ -122,7 +141,8 @@ fn cli_format_rejects_garbage() {
 
 #[test]
 fn cli_unwritable_cache_dir_is_io_error() {
-    let ml = write_temp("cd.ml", r#"external f : int -> int = "ml_f""#);
+    let tmp = TempDir::new("unwritable_cache_dir_is_io_error");
+    let ml = tmp.write("cd.ml", r#"external f : int -> int = "ml_f""#);
     let out = Command::new(env!("CARGO_BIN_EXE_ffisafe"))
         .args(["--cache-dir", "/proc/definitely-unwritable/x"])
         .arg(&ml)
@@ -156,7 +176,8 @@ fn cli_unknown_flag_is_usage_error() {
 /// anything starts, never silently ignored.
 #[test]
 fn cli_subcommands_reject_flags_of_other_subcommands() {
-    let corpus = write_temp("sub.ml", r#"external f : int -> int = "ml_f""#);
+    let tmp = TempDir::new("subcommands_reject_flags_of_other_subcommands");
+    let corpus = tmp.write("sub.ml", r#"external f : int -> int = "ml_f""#);
     let corpus = corpus.to_str().unwrap();
     for args in [
         &["cache-serve", "--jobs", "2"][..],
@@ -178,8 +199,9 @@ fn cli_subcommands_reject_flags_of_other_subcommands() {
 
 #[test]
 fn cli_jobs_flag_parses_and_rejects_garbage() {
-    let ml = write_temp("j.ml", r#"external add : int -> int = "ml_add""#);
-    let c = write_temp("j.c", r#"value ml_add(value a) { return Val_int(Int_val(a)); }"#);
+    let tmp = TempDir::new("jobs_flag_parses_and_rejects_garbage");
+    let ml = tmp.write("j.ml", r#"external add : int -> int = "ml_add""#);
+    let c = tmp.write("j.c", r#"value ml_add(value a) { return Val_int(Int_val(a)); }"#);
     let ok = Command::new(env!("CARGO_BIN_EXE_ffisafe"))
         .args(["--jobs", "2"])
         .arg(&ml)
@@ -202,8 +224,9 @@ fn cli_jobs_flag_parses_and_rejects_garbage() {
 
 #[test]
 fn cli_timings_flag_reports_phases() {
-    let ml = write_temp("t.ml", r#"external id : int -> int = "ml_id""#);
-    let c = write_temp("t.c", r#"value ml_id(value a) { return a; }"#);
+    let tmp = TempDir::new("timings_flag_reports_phases");
+    let ml = tmp.write("t.ml", r#"external id : int -> int = "ml_id""#);
+    let c = tmp.write("t.c", r#"value ml_id(value a) { return a; }"#);
     let out = Command::new(env!("CARGO_BIN_EXE_ffisafe"))
         .arg("--timings")
         .arg(&ml)
@@ -219,8 +242,9 @@ fn cli_timings_flag_reports_phases() {
 
 #[test]
 fn cli_cache_dir_warm_run_is_identical_and_observable() {
-    let ml = write_temp("cache.ml", r#"external f : int -> int = "ml_f""#);
-    let c = write_temp("cache.c", r#"value ml_f(value n) { return Val_int(n); }"#);
+    let tmp = TempDir::new("cache_dir_warm_run_is_identical_and_observable");
+    let ml = tmp.write("cache.ml", r#"external f : int -> int = "ml_f""#);
+    let c = tmp.write("cache.c", r#"value ml_f(value n) { return Val_int(n); }"#);
     let cache = std::env::temp_dir().join(format!("ffisafe-cli-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache);
 

@@ -36,9 +36,25 @@ use std::sync::Mutex;
 /// Serializes the tests that toggle the process-global tracing flag.
 static TRACING_LOCK: Mutex<()> = Mutex::new(());
 
+/// A temp tree that is removed when the test that built it ends.
+struct TempTree(PathBuf);
+
+impl std::ops::Deref for TempTree {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempTree {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Builds a small multi-library tree (clean, erroring, imprecise) so the
 /// sweep has real per-library work and nonzero diagnostics.
-fn build_tree(tag: &str) -> PathBuf {
+fn build_tree(tag: &str) -> TempTree {
     let root =
         std::env::temp_dir().join(format!("ffisafe-telemetry-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -65,7 +81,7 @@ fn build_tree(tag: &str) -> PathBuf {
         std::fs::write(dir.join("lib.ml"), ml).unwrap();
         std::fs::write(dir.join("glue.c"), c).unwrap();
     }
-    root
+    TempTree(root)
 }
 
 fn run_sweep(root: &Path, config: &SweepConfig) -> SweepOutput {
@@ -173,7 +189,6 @@ fn a_one_worker_sweep_starts_the_largest_library_first() {
     events.sort_by_key(|e| e.start_us);
     let order: Vec<&str> = events.iter().filter_map(|e| e.arg("library")).collect();
     assert_eq!(order, ["zulu", "alpha", "bravo", "charlie"], "largest first, ties by name");
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// `stats.seconds` is what a caller of `analyze` waits: it starts before
