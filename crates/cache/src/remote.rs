@@ -43,7 +43,7 @@
 //! The client degrades instead of failing: a dead connection is redialed
 //! once per operation, and an operation that still cannot complete reads
 //! as a miss (`get`) or surfaces an `io::Error` the pipeline ignores
-//! (`put`). Requests are sharded across [`CLIENT_CONNS`] connections by
+//! (`put`). Requests are sharded across `CLIENT_CONNS` connections by
 //! fingerprint prefix, so parallel workers do not serialize on one
 //! socket.
 

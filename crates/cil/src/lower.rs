@@ -466,15 +466,13 @@ impl<'a> FnLowerer<'a> {
                 if self.lower_store_field(e, span) {
                     return;
                 }
-                let (callee, args) = self.lower_call_parts(e);
-                match callee {
+                match self.lower_call_parts(e) {
                     Some((callee, args)) => {
                         self.emit(IrStmtKind::Call { dst: None, callee, args }, span)
                     }
                     None => {
                         // macro translated to a pure expression; evaluate for
                         // effect (none) and drop
-                        let _ = args;
                         let _ = self.lower_expr(e);
                     }
                 }
@@ -510,7 +508,7 @@ impl<'a> FnLowerer<'a> {
     /// function call (Figure 5's `lval := f(e…)`).
     fn lower_assign_to(&mut self, lval: IrLval, rhs: &CExpr, span: Span) {
         if let CExprKind::Call(..) = rhs.kind {
-            if let Some((callee, args)) = self.lower_call_parts(rhs).0 {
+            if let Some((callee, args)) = self.lower_call_parts(rhs) {
                 self.emit(IrStmtKind::Call { dst: Some(lval), callee, args }, span);
                 return;
             }
@@ -609,28 +607,27 @@ impl<'a> FnLowerer<'a> {
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn lower_call_parts(&mut self, e: &CExpr) -> (Option<(Callee, Vec<IrExpr>)>, Vec<IrExpr>) {
+    fn lower_call_parts(&mut self, e: &CExpr) -> Option<(Callee, Vec<IrExpr>)> {
         let CExprKind::Call(f, args) = &e.kind else {
-            return (None, Vec::new());
+            return None;
         };
         if let CExprKind::Ident(name) = &f.kind {
             if is_pure_macro(name) {
-                return (None, Vec::new());
+                return None;
             }
             // a local variable used as callee is a function pointer
             if let Some(v) = self.lookup(name) {
                 let ptr = IrExpr::var(v, f.span);
                 let lowered: Vec<IrExpr> = args.iter().map(|a| self.lower_expr(a)).collect();
-                return (Some((Callee::Pointer(Box::new(ptr)), lowered)), Vec::new());
+                return Some((Callee::Pointer(Box::new(ptr)), lowered));
             }
             let lowered: Vec<IrExpr> = args.iter().map(|a| self.lower_expr(a)).collect();
-            return (Some((Callee::Named(name.clone()), lowered)), Vec::new());
+            return Some((Callee::Named(name.clone()), lowered));
         }
         // call through an expression: function pointer
         let callee = self.lower_expr(f);
         let lowered: Vec<IrExpr> = args.iter().map(|a| self.lower_expr(a)).collect();
-        (Some((Callee::Pointer(Box::new(callee)), lowered)), Vec::new())
+        Some((Callee::Pointer(Box::new(callee)), lowered))
     }
 
     fn lower_expr(&mut self, e: &CExpr) -> IrExpr {
@@ -823,8 +820,7 @@ impl<'a> FnLowerer<'a> {
             }
         }
         // ordinary call in expression position: extract to a temporary
-        let (parts, _) = self.lower_call_parts(e);
-        match parts {
+        match self.lower_call_parts(e) {
             Some((callee, args)) => {
                 let tmp = self.fresh_temp(CTypeExpr::Auto, span);
                 self.emit(IrStmtKind::Call { dst: Some(IrLval::Var(tmp)), callee, args }, span);

@@ -43,13 +43,13 @@ use crate::pipeline::{discharge, frontend, frontend_c, frontend_ml, frontend_rus
 use ffisafe_cache::{open_backend, CacheBackend, CacheLocation, Tier};
 use ffisafe_cil as cil;
 use ffisafe_ocaml as ocaml;
+use ffisafe_support::pool::{self, available_cores};
 use ffisafe_support::telemetry;
 use ffisafe_support::{Fingerprint, Interner, Phase, PhaseTimings, Session, SourceMap};
 use ffisafe_types::TypeTable;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---- errors -------------------------------------------------------------
@@ -451,8 +451,8 @@ impl ServiceConfig {
 ///   ([`crate::registry::runtime_names`]) pre-interned once, cloned into
 ///   each request's session;
 /// * the **batch pool width** — [`AnalysisService::analyze_batch`] fans
-///   requests out over scoped worker threads of this width and still
-///   returns results in submission order;
+///   requests out over this many [`ffisafe_support::pool`] workers and
+///   still returns results in submission order;
 /// * **one open [`ffisafe_cache`] store** — concurrent requests interleave
 ///   tier-1/tier-2 traffic on the same store, so a batch over N corpora
 ///   warms one cache, not N.
@@ -574,7 +574,9 @@ impl AnalysisService {
         timed(execute(parsed, corpus, report_fp, cache))
     }
 
-    /// Analyzes every request, fanning out over the service's batch pool.
+    /// Analyzes every request, fanning out over up to the service's batch
+    /// width of [`ffisafe_support::pool`] workers (a width of 1 analyzes
+    /// on the calling thread).
     ///
     /// Results come back **in submission order** regardless of the pool
     /// width or which request finishes first: slot `i` of the returned
@@ -597,43 +599,17 @@ impl AnalysisService {
         let mut span =
             telemetry::span_with("service.analyze_batch", || vec![("requests", n.to_string())]);
         span.arg("width", width.to_string());
-        if n <= 1 || width == 1 {
-            return requests.iter().map(|r| self.analyze(r)).collect();
-        }
         let cores = available_cores();
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<AnalysisReport, ApiError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..width {
-                scope.spawn(|| {
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
-                            break;
-                        }
-                        let request = &requests[idx];
-                        let mut options = *request.analysis_options();
-                        if options.jobs == 0 {
-                            options.jobs = fair_share_jobs(cores, width);
-                        }
-                        let result = self.analyze_as(request, options);
-                        *slots[idx].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-                    }
-                    // Scoped joins don't wait for thread-local teardown, so
-                    // the spans must be handed off before the closure ends.
-                    telemetry::flush_thread();
-                });
+        let order: Vec<usize> = (0..n).collect();
+        let analyze = |idx: usize| {
+            let request = &requests[idx];
+            let mut options = *request.analysis_options();
+            if options.jobs == 0 {
+                options.jobs = fair_share_jobs(cores, width);
             }
-        });
-        slots
-            .into_iter()
-            .map(|cell| {
-                cell.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every batch slot completed")
-            })
-            .collect()
+            self.analyze_as(request, options)
+        };
+        pool::run(width, &order, analyze).0
     }
 
     fn effective_batch_jobs(&self) -> usize {
@@ -643,14 +619,6 @@ impl AnalysisService {
             available_cores()
         }
     }
-}
-
-/// The machine's available parallelism (at least 1) — the core budget
-/// that [`fair_share_jobs`] divides among concurrent requests. Public so
-/// schedulers layered on the service (the batch executor here, the
-/// admission layer in `ffisafe-serve`) size against the same number.
-pub fn available_cores() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// The inference-pool width an auto-jobs request gets when `width`
@@ -718,11 +686,11 @@ fn cached_report(corpus: &Corpus, cached: CachedReport) -> AnalysisReport {
         ..AnalysisStats::default()
     };
     AnalysisReport {
-        diagnostics: cached.diagnostics.clone(),
+        diagnostics: cached.diagnostics,
         stats,
         timings: PhaseTimings::default(),
         source_map,
-        cached: Some(cached),
+        cached_render: Some(cached.rendered),
     }
 }
 
@@ -788,7 +756,7 @@ pub(crate) fn execute(
         stats,
         timings: *session.timings(),
         source_map: session.source_map().clone(),
-        cached: None,
+        cached_render: None,
     };
     if let (Some(pc), Some(fp)) = (pcache.as_ref(), report_fp) {
         let entry = CachedReport {

@@ -15,7 +15,6 @@
 //! [`pipeline::infer`]: crate::pipeline::infer
 //! [`pipeline::discharge`]: crate::pipeline::discharge
 
-use crate::pipeline::cache::CachedReport;
 use ffisafe_support::json::escape_into;
 use ffisafe_support::telemetry::{self, MetricsRegistry};
 use ffisafe_support::{DiagnosticBag, DiagnosticCode, Loc, Phase, PhaseTimings, SourceMap};
@@ -124,34 +123,26 @@ pub struct AnalysisReport {
     /// Cumulative wall-clock time per pipeline phase.
     pub timings: PhaseTimings,
     pub(crate) source_map: SourceMap,
-    /// Set when this report was served from the tier-2 report cache.
-    pub(crate) cached: Option<CachedReport>,
+    /// The stored [`AnalysisReport::render_stable`] text, set when this
+    /// report was served from the tier-2 report cache.
+    pub(crate) cached_render: Option<String>,
 }
 
 impl AnalysisReport {
     /// Number of error findings (Figure 9 "Errors" + false positives —
     /// ground-truth classification is the harness's job).
     pub fn error_count(&self) -> usize {
-        match &self.cached {
-            Some(c) => c.errors,
-            None => self.diagnostics.count_errors(),
-        }
+        self.diagnostics.count_errors()
     }
 
     /// Number of questionable-practice warnings.
     pub fn warning_count(&self) -> usize {
-        match &self.cached {
-            Some(c) => c.warnings,
-            None => self.diagnostics.count_warnings(),
-        }
+        self.diagnostics.count_warnings()
     }
 
     /// Number of imprecision reports.
     pub fn imprecision_count(&self) -> usize {
-        match &self.cached {
-            Some(c) => c.imprecision,
-            None => self.diagnostics.count_imprecision(),
-        }
+        self.diagnostics.count_imprecision()
     }
 
     /// The source map used to resolve diagnostic spans.
@@ -361,8 +352,8 @@ impl AnalysisReport {
     /// determinism tests rely on. The tier-2 cache stores exactly this
     /// string, so cache hits replay it verbatim.
     pub fn render_stable(&self) -> String {
-        if let Some(c) = &self.cached {
-            return c.rendered.clone();
+        if let Some(rendered) = &self.cached_render {
+            return rendered.clone();
         }
         let mut out = String::new();
         for d in self.diagnostics.iter() {

@@ -76,13 +76,14 @@ pub mod pipeline;
 pub mod registry;
 
 pub use api::{
-    available_cores, fair_share_jobs, source_files_under, AnalysisRequest, AnalysisService,
-    ApiError, CacheMode, Corpus, CorpusBuilder, CorpusFile, ServiceConfig, SourceKind,
+    fair_share_jobs, source_files_under, AnalysisRequest, AnalysisService, ApiError, CacheMode,
+    Corpus, CorpusBuilder, CorpusFile, ServiceConfig, SourceKind,
 };
 pub use driver::{
     AnalysisReport, AnalysisStats, ReportSummary, RuntimeCheckSuggestion, REPORT_SCHEMA_VERSION,
 };
 pub use engine::{AnalysisOptions, GcObligation};
+pub use ffisafe_support::pool::available_cores;
 pub use ffisafe_support::{Phase, PhaseTimings, Session};
 pub use pipeline::{Frontend, ParsedUnit, FRONTENDS};
 pub use registry::{FuncInfo, FuncOrigin, Registry};

@@ -8,10 +8,13 @@
 //! constraints, registry and interner are frozen behind `Arc`s alongside
 //! it.
 //!
-//! [`run`] then analyzes every function against that snapshot on a
-//! `std::thread` worker pool. Unification mutates the type table, so
-//! workers cannot share one mutable table; each function instead gets an
-//! O(1) copy-on-write *overlay* of the frozen base. Reads fall through to
+//! [`run`] then analyzes every function against that snapshot on the
+//! workspace's worker pool ([`ffisafe_support::pool::run_timed`], which
+//! also measures each worker's CPU time for the stage's work total; see
+//! `WorkTimer`); the same pool first fingerprints the functions for the
+//! tier-1 cache probe. Unification mutates the type table, so workers
+//! cannot share one mutable table; each function instead gets an O(1)
+//! copy-on-write *overlay* of the frozen base. Reads fall through to
 //! the shared arena; writes — re-bound base nodes, fresh allocations,
 //! local constraint appends — stay private to the worker. An overlay
 //! issues exactly the ids a deep clone would, so the stage stays
@@ -34,7 +37,7 @@ use crate::registry::{FuncOrigin, Registry};
 use ffisafe_cache::Tier;
 use ffisafe_cil as cil;
 use ffisafe_ocaml as ocaml;
-use ffisafe_support::telemetry;
+use ffisafe_support::{pool, telemetry};
 use ffisafe_support::{
     Diagnostic, DiagnosticBag, DiagnosticCode, Fingerprint, Interner, Session, Span,
 };
@@ -42,8 +45,7 @@ use ffisafe_types::{
     ConstraintSet, CtId, CtNode, FlatInt, FrozenTypeTable, GcId, GcNode, MtId, MtNode, PsiNode,
     PsiViolation, TypeTable,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The frozen post-link state every inference worker overlays.
 ///
@@ -517,41 +519,20 @@ pub fn run(
     // Tier-1 probe: replay every hit, queue every miss. Fingerprinting
     // walks each function's whole IR, so it runs on the worker pool; only
     // the store lookups (small file reads) stay serial.
+    let all: Vec<usize> = (0..n).collect();
+    let fingerprints: Vec<Fingerprint> = match cache {
+        Some(pc) => {
+            let fingerprint =
+                |idx| super::cache::function_fingerprint(pc.base_digest, &program.functions[idx]);
+            pool::run(options.effective_jobs(), &all, fingerprint).0
+        }
+        None => Vec::new(),
+    };
     let mut slots: Vec<Option<FunctionOutcome>> = (0..n).map(|_| None).collect();
-    let mut fingerprints: Vec<Option<Fingerprint>> = vec![None; n];
     let mut cache_rejected = 0;
     if let Some(pc) = cache {
-        let base_digest = pc.base_digest;
-        let fp_jobs = options.effective_jobs().clamp(1, n);
-        if fp_jobs > 1 {
-            let next = AtomicUsize::new(0);
-            let cells: Vec<Mutex<Option<Fingerprint>>> = (0..n).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..fp_jobs {
-                    scope.spawn(|| loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
-                            break;
-                        }
-                        let fp = super::cache::function_fingerprint(
-                            base_digest,
-                            &program.functions[idx],
-                        );
-                        *cells[idx].lock().unwrap() = Some(fp);
-                    });
-                }
-            });
-            for (slot, cell) in fingerprints.iter_mut().zip(cells) {
-                *slot = cell.into_inner().unwrap();
-            }
-        } else {
-            for (slot, func) in fingerprints.iter_mut().zip(&program.functions) {
-                *slot = Some(super::cache::function_fingerprint(base_digest, func));
-            }
-        }
         for (idx, func) in program.functions.iter().enumerate() {
-            let fp = fingerprints[idx].expect("computed above");
-            if let Some(bytes) = pc.get(Tier::Function, fp) {
+            if let Some(bytes) = pc.get(Tier::Function, fingerprints[idx]) {
                 slots[idx] = super::cache::decode_outcome(
                     &bytes,
                     idx as u32,
@@ -568,74 +549,34 @@ pub fn run(
     let workers_executed = todo.len();
 
     let jobs = options.effective_jobs().clamp(1, todo.len().max(1));
-    // Per-thread lifetime CPU totals: the per-function timers are clipped
-    // to scheduler quanta, so only these telescoping sums give the stage's
-    // true total work. `None` entries mean the interface is unavailable
-    // and the artifact falls back to summing per-function seconds.
-    let mut thread_work: Vec<Option<f64>> = Vec::new();
-    if !todo.is_empty() {
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<FunctionOutcome>>> =
-            todo.iter().map(|_| Mutex::new(None)).collect();
-        let worked: Vec<Mutex<Option<f64>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            let (next, results, todo, options) = (&next, &results, &todo, &options);
-            for w in 0..jobs {
-                let worked = &worked[w];
-                scope.spawn(move || {
-                    let cpu_start = thread_work_seconds();
-                    loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= todo.len() {
-                            break;
-                        }
-                        let idx = todo[t];
-                        // `infer.solve` spans only wrap actually-executed
-                        // workers (cache misses), so a warm run emits none.
-                        let _span = telemetry::span_with("infer.solve", || {
-                            vec![
-                                ("function", program.functions[idx].name.clone()),
-                                ("index", idx.to_string()),
-                            ]
-                        });
-                        let outcome =
-                            analyze_one(base, &program.functions[idx], phase1, idx as u32, options);
-                        *results[t].lock().unwrap() = Some(outcome);
-                    }
-                    let delta = cpu_start
-                        .zip(thread_work_seconds())
-                        .map(|(start, end)| (end - start).max(0.0));
-                    *worked.lock().unwrap() = delta;
-                    // Scoped joins don't wait for thread-local teardown, so
-                    // the spans must be handed off before the closure ends.
-                    telemetry::flush_thread();
-                });
-            }
+    let (solved, workers) = pool::run_timed(jobs, &all[..todo.len()], |t| {
+        let idx = todo[t];
+        // `infer.solve` spans only wrap actually-executed workers (cache
+        // misses), so a warm run emits none.
+        let _span = telemetry::span_with("infer.solve", || {
+            vec![("function", program.functions[idx].name.clone()), ("index", idx.to_string())]
         });
-        thread_work = worked.into_iter().map(|cell| cell.into_inner().unwrap()).collect();
-        for (t, cell) in results.into_iter().enumerate() {
-            let outcome = cell.into_inner().unwrap().expect("worker completed every claimed index");
-            let idx = todo[t];
-            if let (Some(pc), Some(fp)) = (cache, fingerprints[idx]) {
-                // An unencodable outcome or failed write only loses future
-                // warm hits; never fail the analysis over it.
-                if let Some(payload) = super::cache::encode_outcome(&outcome, idx as u32) {
-                    pc.put(Tier::Function, fp, &payload);
-                }
+        analyze_one(base, &program.functions[idx], phase1, idx as u32, &options)
+    });
+    for (&idx, outcome) in todo.iter().zip(solved) {
+        if let Some(pc) = cache {
+            // An unencodable outcome or failed write only loses future
+            // warm hits; never fail the analysis over it.
+            if let Some(payload) = super::cache::encode_outcome(&outcome, idx as u32) {
+                pc.put(Tier::Function, fingerprints[idx], &payload);
             }
-            slots[idx] = Some(outcome);
         }
+        slots[idx] = Some(outcome);
     }
 
     let outcomes: Vec<FunctionOutcome> =
         slots.into_iter().map(|s| s.expect("every function replayed or analyzed")).collect();
-    // Prefer the telescoping per-thread CPU totals (exact whatever the
-    // contention); the per-function sum is the portable fallback.
-    let work_seconds = if !thread_work.is_empty() && thread_work.iter().all(Option::is_some) {
-        thread_work.iter().map(|w| w.unwrap()).sum()
-    } else {
-        outcomes.iter().map(|o| o.seconds).sum()
-    };
+    // Prefer the workers' telescoping lifetime CPU totals (exact whatever
+    // the contention); the per-function sum is the portable fallback.
+    let work_seconds = workers
+        .iter()
+        .try_fold(0.0, |total, w| Some(total + w.cpu_seconds?))
+        .unwrap_or_else(|| outcomes.iter().map(|o| o.seconds).sum());
     InferArtifact {
         passes: outcomes.iter().map(|o| o.passes).sum(),
         new_nodes: outcomes.iter().map(|o| o.new_nodes).sum(),
@@ -652,22 +593,23 @@ pub fn run(
     }
 }
 
-/// Measures the CPU time one worker thread spends on one function.
+/// Measures the CPU time one worker spends on one function.
 ///
 /// Work accounting feeds [`InferArtifact::work_seconds`], which the bench
 /// suite compares across `--jobs` widths. With more workers than cores a
 /// wall clock bills each worker for time it sat *descheduled* while a
 /// sibling held the core, so "total work" would appear to inflate with
 /// parallelism even though no extra computation happened. Per-thread CPU
-/// time (Linux `schedstat`) is scheduling-invariant but coarse: the
-/// counter only advances at scheduler events (ticks, context switches),
-/// so a per-function delta is either zero or a whole multi-millisecond
-/// quantum. Per-function `seconds` therefore reports the *smaller* of the
-/// CPU delta and the wall clock — exact when the function ran
-/// uninterrupted, and clipped to on-CPU time when it was preempted.
-/// Stage-total work uses per-thread lifetime counters instead
-/// ([`thread_work_seconds`]), which telescope to the true total. Where
-/// `schedstat` does not exist, everything falls back to wall clock.
+/// time (Linux `schedstat`, read by [`pool::thread_cpu_ns`]) is
+/// scheduling-invariant but coarse: the counter only advances at
+/// scheduler events (ticks, context switches), so a per-function delta is
+/// either zero or a whole multi-millisecond quantum. Per-function
+/// `seconds` therefore reports the *smaller* of the CPU delta and the wall
+/// clock — exact when the function ran uninterrupted, and clipped to
+/// on-CPU time when it was preempted. Stage-total work sums the pool's
+/// per-worker lifetime counters instead ([`pool::Worker::cpu_seconds`]),
+/// which telescope to the true total. Where `schedstat` does not exist,
+/// everything falls back to wall clock.
 struct WorkTimer {
     wall: std::time::Instant,
     cpu_ns: Option<u64>,
@@ -675,7 +617,7 @@ struct WorkTimer {
 
 impl WorkTimer {
     fn start() -> Self {
-        Self { wall: std::time::Instant::now(), cpu_ns: thread_cpu_ns() }
+        Self { wall: std::time::Instant::now(), cpu_ns: pool::thread_cpu_ns() }
     }
 
     /// Wall seconds since `start`. Used for the overlay-setup split: the
@@ -687,30 +629,11 @@ impl WorkTimer {
 
     fn elapsed_seconds(&self) -> f64 {
         let wall = self.wall.elapsed().as_secs_f64();
-        match (self.cpu_ns, thread_cpu_ns()) {
+        match (self.cpu_ns, pool::thread_cpu_ns()) {
             (Some(start), Some(now)) => (now.saturating_sub(start) as f64 * 1e-9).min(wall),
             _ => wall,
         }
     }
-}
-
-/// Nanoseconds this thread has spent on-CPU (first field of the Linux
-/// per-thread `schedstat`). `None` where the interface does not exist
-/// (non-Linux); zero until the thread's first scheduler event.
-fn thread_cpu_ns() -> Option<u64> {
-    let text = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    text.split_whitespace().next()?.parse().ok()
-}
-
-/// A worker thread's total on-CPU seconds so far, read at a forced
-/// scheduler event so the counter is current to the nanosecond.
-/// [`std::thread::yield_now`] drives the kernel through `update_curr`,
-/// flushing the running slice into `schedstat` before the read; without
-/// it the boundary reads would be stale by up to a tick. `None` where the
-/// interface does not exist.
-fn thread_work_seconds() -> Option<f64> {
-    std::thread::yield_now();
-    thread_cpu_ns().map(|ns| ns as f64 * 1e-9)
 }
 
 /// Analyzes one function on a fresh overlay of the frozen base state and

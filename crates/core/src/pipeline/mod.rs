@@ -11,7 +11,7 @@
 //!                             ├─▶ infer::link ─▶ BaseState
 //! frontend_c ─▶ CArtifact ──┬─┘        │
 //!                           │          ▼
-//! frontend_rust ─▶ RustArtifact   infer::run (parallel worker pool)
+//! frontend_rust ─▶ RustArtifact   infer::run (support::pool workers)
 //!     (checks the C program)           │ InferArtifact
 //!           │                          ▼
 //!           └──▶ diagnostics      discharge ─▶ diagnostics in the Session
@@ -27,8 +27,9 @@
 //!   (the third language pair; OCaml/C checks representation through the
 //!   `value` encoding, Rust/C checks `repr`-level layout).
 //! * [`infer`] — seeds the function registry (`Γ_I`), binds externals to
-//!   their C definitions, then runs per-function flow-sensitive inference
-//!   on a worker pool ([`ffisafe_support::AnalysisOptions::jobs`]).
+//!   their C definitions, then fingerprints and analyzes each function
+//!   (flow-sensitive inference) on [`ffisafe_support::pool`] workers,
+//!   [`ffisafe_support::AnalysisOptions::jobs`] of them.
 //! * [`discharge`] — merges the workers' effect graphs, solves GC
 //!   reachability, checks `Ψ` bounds and the whole-program practice rules.
 //!

@@ -330,7 +330,7 @@ impl RuntimeShape {
     }
 }
 
-/// Every OCaml runtime entry point [`runtime_shape`] classifies.
+/// Every OCaml runtime entry point `runtime_shape` classifies.
 ///
 /// The [`crate::api::AnalysisService`] pre-interns these into the interner
 /// seed it clones into each request's session, so the names glue code

@@ -463,7 +463,16 @@ impl<'a> Checker<'a> {
             )),
             _ => {
                 if let Some(aliased) = self.program.aliases.get(name).cloned() {
-                    return self.classify(&aliased, use_span, use_desc, visiting);
+                    // Aliases share the walk path with ADTs under a key no
+                    // type name can take; an alias already on it is a
+                    // cycle, which stays opaque like an undeclared name.
+                    let key = format!("type {name}");
+                    if !visiting.insert(key.clone()) {
+                        return Shape::Opaque;
+                    }
+                    let shape = self.classify(&aliased, use_span, use_desc, visiting);
+                    visiting.remove(&key);
+                    return shape;
                 }
                 let Some(decl) = self.program.types.get(name).cloned() else {
                     return Shape::Opaque; // undeclared: treated opaquely
@@ -862,6 +871,45 @@ mod tests {
             "",
         );
         assert!(bag.is_empty(), "unexpected findings: {:?}", codes(&bag));
+    }
+
+    #[test]
+    fn self_referential_alias_terminates() {
+        let bag = run(
+            r#"
+            type A = *mut A;
+            extern "C" { fn f(x: A); }
+            "#,
+            "void f(void *x) { }",
+        );
+        assert!(bag.is_empty(), "unexpected findings: {:?}", codes(&bag));
+    }
+
+    #[test]
+    fn mutually_recursive_aliases_terminate() {
+        let bag = run(
+            r#"
+            type A = B;
+            type B = A;
+            extern "C" { fn f(x: A); }
+            "#,
+            "void f(void *x) { }",
+        );
+        assert!(bag.is_empty(), "unexpected findings: {:?}", codes(&bag));
+    }
+
+    #[test]
+    fn an_alias_cycle_through_a_struct_still_checks_its_fields() {
+        let bag = run(
+            r#"
+            #[repr(C)]
+            pub struct Node { next: *mut Link, name: String }
+            type Link = Node;
+            extern "C" { fn f(x: *mut Link); }
+            "#,
+            "void f(void *x) { }",
+        );
+        assert_eq!(codes(&bag), ["E014"]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   backpressure.
 //! - [`daemon`] — [`AnalysisServer`]: the wire handler for those ops,
 //!   per-client fair scheduling and the daemon's metric families.
-//! - [`watch`] — fingerprint-polling re-analysis of a source tree,
+//! - `watch` — fingerprint-polling re-analysis of a source tree,
 //!   streaming [`WatchEvent`]s to subscribers.
 //! - [`client`] — [`ServeClient`], the blocking client the CLI's
 //!   `--server-url` mode and the load harness use.

@@ -22,11 +22,12 @@
 //! attempts); a library that fails every attempt becomes a
 //! [`SweepFailure`] in the reduced report rather than sinking the sweep.
 //!
-//! Scheduling is **one queue, largest first**: the `jobs` workers claim
-//! libraries from one shared index over the libraries sorted by
+//! Scheduling is **one queue, largest first**: the map runs on
+//! [`ffisafe_support::pool`], whose `jobs` workers claim libraries from
+//! one shared counter over the libraries sorted by
 //! [`LibraryPlan::lines`](crate::LibraryPlan::lines) (descending, ties by
 //! name), so the long pole starts at once instead of queueing behind
-//! cheap libraries. Results land in per-library slots, so the reduced
+//! cheap libraries. The pool returns results by library, so the reduced
 //! output never depends on who ran what.
 
 use crate::planner::SweepPlan;
@@ -37,10 +38,9 @@ use ffisafe_core::{
     available_cores, fair_share_jobs, AnalysisOptions, AnalysisRequest, AnalysisService, ApiError,
     ServiceConfig,
 };
-use ffisafe_support::telemetry;
+use ffisafe_support::{pool, telemetry};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// How libraries are mapped onto compute.
@@ -150,11 +150,11 @@ pub struct MapOutput {
 
 /// Runs every library of `plan` under `config`.
 ///
-/// `jobs` workers claim libraries from one shared index over the
-/// largest-first order (each library's own inference-stage parallelism is
-/// governed by [`AnalysisOptions::jobs`]). Results land in per-library
-/// slots, so *which worker finishes first never changes the output* — the
-/// reducer sees plan order regardless of arrival order.
+/// `jobs` pool workers claim libraries in largest-first order (each
+/// library's own inference-stage parallelism is governed by
+/// [`AnalysisOptions::jobs`]). The pool returns results by library, so
+/// *which worker finishes first never changes the output* — the reducer
+/// sees plan order regardless of arrival order.
 pub fn execute(plan: &SweepPlan, config: &MapConfig) -> Result<MapOutput, ApiError> {
     let _span = telemetry::span_with("sweep.map", || {
         vec![
@@ -201,52 +201,17 @@ pub fn execute(plan: &SweepPlan, config: &MapConfig) -> Result<MapOutput, ApiErr
     // Largest first, ties by name: the stable sort keeps plan (name) order.
     let mut order: Vec<usize> = (0..n_libraries).collect();
     order.sort_by_key(|&member| std::cmp::Reverse(plan.libraries[member].lines));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<LibraryReport, SweepFailure>>>> =
-        (0..n_libraries).map(|_| Mutex::new(None)).collect();
     let retries_used = AtomicUsize::new(0);
-
-    let critical_path_seconds = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..width)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut path = 0.0f64;
-                    while let Some(&member) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        let result = run_with_retries(
-                            plan,
-                            member,
-                            service.as_ref(),
-                            config,
-                            infer_jobs,
-                            &retries_used,
-                        );
-                        if let Ok(report) = &result {
-                            path += report.exec.work_seconds;
-                        }
-                        *slots[member].lock().unwrap_or_else(PoisonError::into_inner) =
-                            Some(result);
-                    }
-                    // Scoped joins don't wait for thread-local teardown, so
-                    // the spans must be handed off before the closure ends.
-                    telemetry::flush_thread();
-                    path
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|worker| worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .fold(0.0, f64::max)
+    let (results, workers) = pool::run(width, &order, |member| {
+        run_with_retries(plan, member, service.as_ref(), config, infer_jobs, &retries_used)
     });
-
-    let results: Vec<Result<LibraryReport, SweepFailure>> = slots
-        .into_iter()
-        .map(|cell| {
-            cell.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every planned library completed")
+    let critical_path_seconds = workers
+        .iter()
+        .map(|worker| {
+            let done = worker.claimed.iter().filter_map(|&member| results[member].as_ref().ok());
+            done.fold(0.0, |path, report| path + report.exec.work_seconds)
         })
-        .collect();
+        .fold(0.0, f64::max);
 
     // A shard is warm when the *cache* served every member: a tier-2
     // report hit, or every function replayed from tier 1. `workers_executed

@@ -17,6 +17,8 @@
 //! * [`scan`] — the byte scanner, token type and token cursor the OCaml,
 //!   C and Rust frontends' lexers and parsers share, including their one
 //!   parse-error shape.
+//! * [`pool`] — the one worker pool every fan-out runs on: scoped workers
+//!   claim indices from a shared counter and results come back by index.
 //! * [`wire`] — the daemon skeleton both TCP daemons are built on: frame
 //!   codec, versioned HELLO, session loop and snapshot export.
 //!
@@ -38,6 +40,7 @@ pub mod diagnostics;
 pub mod fingerprint;
 pub mod intern;
 pub mod json;
+pub mod pool;
 pub mod rng;
 pub mod scan;
 pub mod session;

@@ -44,7 +44,7 @@ pub struct AnalysisOptions {
     /// Track GC effects and registration obligations (§2, (App)).
     pub gc_effects: bool,
     /// Worker threads for the per-function inference stage. `0` means
-    /// "auto": use [`std::thread::available_parallelism`].
+    /// "auto": use [`crate::pool::available_cores`].
     pub jobs: usize,
 }
 
@@ -56,12 +56,12 @@ impl Default for AnalysisOptions {
 
 impl AnalysisOptions {
     /// The number of worker threads the inference stage will actually use:
-    /// `jobs` if nonzero, otherwise the machine's available parallelism.
+    /// `jobs` if nonzero, otherwise [`crate::pool::available_cores`].
     pub fn effective_jobs(&self) -> usize {
         if self.jobs > 0 {
             self.jobs
         } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            crate::pool::available_cores()
         }
     }
 

@@ -220,9 +220,10 @@ pub fn span_with(
 /// Flush the current thread's span buffer into the global sink.
 ///
 /// Every worker closure that records spans must call this before
-/// returning: thread-exit flushing via the buffer's destructor is only a
-/// backstop, because scoped-thread joins do not wait for thread-local
-/// teardown and a drain right after the scope would race it.
+/// returning, as [`crate::pool::run`] does for its workers: thread-exit
+/// flushing via the buffer's destructor is only a backstop, because
+/// scoped-thread joins do not wait for thread-local teardown and a drain
+/// right after the scope would race it.
 pub fn flush_thread() {
     let _ = BUFFER.try_with(|buf| buf.borrow_mut().flush());
 }
@@ -740,8 +741,12 @@ pub fn log(level: LogLevel, component: &str, message: &str) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Held by every test in this crate that switches tracing on or drains
+    /// the sink, so that one test's drain cannot take another's spans.
+    pub(crate) static TRACING_LOCK: Mutex<()> = Mutex::new(());
 
     fn ev(name: &'static str, tid: u64, start: u64, end: u64) -> SpanEvent {
         SpanEvent { name, start_us: start, dur_us: end - start, tid, args: Vec::new() }
@@ -847,6 +852,7 @@ mod tests {
 
     #[test]
     fn trace_file_writer_accumulates_across_flushes_atomically() {
+        let _guard = TRACING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("ffisafe-tracewriter-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -895,6 +901,7 @@ mod live_tracing {
     /// closure returns (thread-exit flushing alone races the scope join).
     #[test]
     fn flushed_worker_spans_survive_an_immediate_drain() {
+        let _guard = tests::TRACING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_tracing(true);
         std::thread::scope(|s| {
             s.spawn(|| {

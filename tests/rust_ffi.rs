@@ -132,3 +132,14 @@ fn rust_findings_flow_through_the_versioned_report() {
     assert_eq!(stats.get("rust_externs").and_then(ffisafe::support::json::Json::as_u64), Some(1));
     assert!(report.render_stable().contains("lines Rust"), "{}", report.render_stable());
 }
+
+#[test]
+fn cyclic_type_aliases_are_analyzed_instead_of_overflowing_the_stack() {
+    for rust_src in [
+        "type A = *mut A;\nextern \"C\" { fn f(x: A); }\n",
+        "type A = B;\ntype B = A;\nextern \"C\" { fn f(x: A); }\n",
+    ] {
+        let report = analyze(rust_src, "void f(void *x) { }\n");
+        assert!(report.diagnostics.is_empty(), "{rust_src}: {}", report.render());
+    }
+}
