@@ -36,7 +36,13 @@
 //! * **large warm hits** — on the `serve-large` rows (the same daemon,
 //!   sent the ~156 KB Figure 9 cryptokit corpus), the warm p50 must stay
 //!   below 0.1× the cold p50: a report hit must cost time in proportion
-//!   to its request bytes, not a share of an analysis.
+//!   to its request bytes, not a share of an analysis;
+//! * **cold-cache overhead** — on every workload of the current artifact
+//!   with an uncached and a cold row at `jobs = 1` (the Figure 9
+//!   libraries and `scale-12k`), the cold run, which fills a fresh store,
+//!   must come in at ≤ 1.05× the uncached wall clock, with a small
+//!   absolute excess floor as for telemetry: writing the cache back must
+//!   cost almost nothing over not caching at all.
 //!
 //! `work_seconds` is jobs-independent but still wall-clock-derived, so
 //! runs on different hardware (or a noisy shared runner) drift even with
@@ -82,6 +88,18 @@ const MAX_TELEMETRY_RATIO: f64 = 1.05;
 /// workload a single scheduler quantum can exceed 5% of the wall clock,
 /// so a real overhead regression must also cost this much extra time.
 const MIN_TELEMETRY_EXCESS: f64 = 0.020;
+
+/// Cold-cache budget: a run that fills a fresh store may cost at most
+/// this factor of the uncached run of the same workload.
+const MAX_COLD_CACHE_RATIO: f64 = 1.05;
+
+/// Absolute floor (seconds) for the cold-cache gate: a cold run digests
+/// the base state and every function and writes the store's index, one
+/// pack and one report, which on a workload of a few tens of milliseconds
+/// is more than 5%, so a real write-back regression must also cost this
+/// much extra time. Writing one file per function instead of one pack
+/// cost ftplib 33 ms.
+const MIN_COLD_CACHE_EXCESS: f64 = 0.020;
 
 /// The daemon's warm-vs-cold gates: per serve workload, the warm p50 must
 /// stay below this fraction of the cold p50, or the message applies.
@@ -187,6 +205,27 @@ fn jobs_inflations(rows: &[Row]) -> Vec<String> {
         .collect()
 }
 
+/// Workloads whose cold `jobs = 1` run cost over [`MAX_COLD_CACHE_RATIO`]×
+/// their uncached `jobs = 1` run, by more than [`MIN_COLD_CACHE_EXCESS`]
+/// seconds. Needs only the current artifact; workloads without both rows
+/// are skipped.
+fn cold_cache_overheads(rows: &[Row]) -> Vec<String> {
+    let serial = |cache: &'static str| rows.iter().filter(move |r| r.cache == cache && r.jobs == 1);
+    serial("cold")
+        .filter_map(|cold| {
+            let off = serial("off").find(|r| r.name == cold.name && r.seconds > 0.0)?;
+            let ratio = cold.seconds / off.seconds;
+            let excess = cold.seconds - off.seconds;
+            (ratio > MAX_COLD_CACHE_RATIO && excess > MIN_COLD_CACHE_EXCESS).then(|| {
+                format!(
+                    "{}: cold {:.4}s is {ratio:.3}x the uncached {:.4}s",
+                    cold.name, cold.seconds, off.seconds
+                )
+            })
+        })
+        .collect()
+}
+
 /// The telemetry-overhead verdict over the current artifact, or `None`
 /// when it carries no telemetry pair (older artifacts). Returns
 /// `(message, failed)`.
@@ -276,6 +315,19 @@ fn main() -> ExitCode {
         failed = true;
         println!("REGRESSION: parallel runs inflate total work (budget {MAX_JOBS_INFLATION:.1}x):");
         for r in &inflations {
+            println!("  {r}");
+        }
+    }
+
+    let overheads = cold_cache_overheads(&current_rows);
+    if overheads.is_empty() {
+        println!(
+            "cold cache within {MAX_COLD_CACHE_RATIO:.2}x (or +{MIN_COLD_CACHE_EXCESS:.3}s) of no cache on every workload"
+        );
+    } else {
+        failed = true;
+        println!("REGRESSION: filling a cold cache costs more than not caching:");
+        for r in &overheads {
             println!("  {r}");
         }
     }

@@ -5,10 +5,12 @@
 //!
 //! Workloads: every Figure 9 benchmark (the paper's corpus, synthesized)
 //! plus a large parametric scaling corpus, each analyzed at `jobs = 1` and
-//! `jobs = available parallelism` with caching off, then once *cold*
+//! `jobs = available parallelism` with caching off, then *cold*
 //! (populating a fresh `--cache-dir`) and once *warm* (replaying it) — the
 //! cold/warm delta is the incremental-reanalysis subsystem's headline
-//! number.
+//! number. Uncached and cold rows keep the fastest of nine runs, the
+//! uncached and cold runs at `jobs = 1` alternating, since `bench_diff`
+//! compares those two rows within 5%.
 
 use crate::corpus::generate;
 use crate::runner::scaling_benchmark;
@@ -129,8 +131,21 @@ fn measure_with_report(
     (row, rendered)
 }
 
+/// Runs behind each uncached and cold row, which keeps the fastest. One
+/// run of a Figure 9 workload can take 1.5× another on a shared host,
+/// far more than the 5% `bench_diff` allows a cold cache over no cache;
+/// with five runs, scale-12k's fastest cold run still came out 5.3% over
+/// its fastest uncached run in one bench of eight.
+const RUNS_PER_ROW: usize = 9;
+
+/// The fastest of `runs`.
+fn fastest(runs: impl IntoIterator<Item = PipelineMeasurement>) -> PipelineMeasurement {
+    runs.into_iter().min_by(|a, b| a.seconds.total_cmp(&b.seconds)).expect("at least one run")
+}
+
 /// Measures one workload: uncached at every width in `jobs_list`, then a
-/// cold/warm cache pair at `jobs = 1`.
+/// cold/warm cache pair at `jobs = 1`. Each uncached and cold row is the
+/// fastest of [`RUNS_PER_ROW`] runs, each cold run on a fresh store.
 fn measure_workload(
     rows: &mut Vec<PipelineMeasurement>,
     name: &str,
@@ -138,16 +153,28 @@ fn measure_workload(
     c: &str,
     jobs_list: &[usize],
 ) {
-    for &jobs in jobs_list {
-        rows.push(measure(name, ml, c, jobs, None));
-    }
     let dir = std::env::temp_dir().join(format!(
         "ffisafe-bench-cache-{}-{}",
         name.replace('/', "_"),
         std::process::id()
     ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cold = measure(name, ml, c, 1, Some((&dir, "cold")));
+    // The uncached and the cold runs at `jobs = 1` alternate, so that a
+    // slow spell of the host slows both rows alike.
+    let (mut serial, mut cold) = (Vec::new(), Vec::new());
+    for _ in 0..RUNS_PER_ROW {
+        serial.push(measure(name, ml, c, 1, None));
+        let _ = std::fs::remove_dir_all(&dir);
+        cold.push(measure(name, ml, c, 1, Some((&dir, "cold"))));
+    }
+    let serial = fastest(serial);
+    for &jobs in jobs_list {
+        rows.push(if jobs == 1 {
+            serial.clone()
+        } else {
+            fastest((0..RUNS_PER_ROW).map(|_| measure(name, ml, c, jobs, None)))
+        });
+    }
+    let cold = fastest(cold);
     let mut warm = measure(name, ml, c, 1, Some((&dir, "warm")));
     // A warm report-tier hit skips analysis, so it cannot re-measure the
     // workload's shape; backfill it from the cold row so trajectory

@@ -5,7 +5,8 @@
 //! ```text
 //! <cache-dir>/
 //!   index.bin        header only: magic, format version, analyzer version
-//!   fn-<hex32>.bin   tier-1: one memoized per-function outcome
+//!   fn-<hex32>.bin   tier-1: one base state's pack of function outcomes,
+//!                    or one memoized Rust boundary check
 //!   rp-<hex32>.bin   tier-2: one rendered whole-corpus report
 //! ```
 //!

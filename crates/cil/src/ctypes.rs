@@ -2,7 +2,7 @@
 //! grammar of Figure 1b, extended with the forms real glue code uses).
 
 /// A C type expression parsed from source.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum CTypeExpr {
     /// `void`.
     Void,

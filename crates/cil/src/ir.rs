@@ -35,7 +35,7 @@ impl VarId {
 pub struct Label(pub u32);
 
 /// FFI primitives that appear in expression position.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PrimOp {
     /// `Tag_val(e)` outside a recognized test — an unknown int.
     TagVal,
@@ -54,7 +54,7 @@ pub enum PrimOp {
 }
 
 /// An IR expression with its source span.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct IrExpr {
     /// Expression form.
     pub kind: IrExprKind,
@@ -113,7 +113,7 @@ impl IrExpr {
 }
 
 /// Expression forms.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum IrExprKind {
     /// Integer constant.
     Int(i64),
@@ -150,7 +150,7 @@ pub enum IrExprKind {
 }
 
 /// L-values: `x` or `*(e +p e)`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum IrLval {
     /// A local variable.
     Var(VarId),
@@ -164,7 +164,7 @@ pub enum IrLval {
 }
 
 /// Call targets.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum Callee {
     /// A named function.
     Named(String),
@@ -174,7 +174,7 @@ pub enum Callee {
 
 /// Branch conditions. `Unboxed`/`Boxed`/`SumTagEq`/`IntTagEq` are the
 /// syntactically-recognized dynamic tests of §3.2.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum IrCond {
     /// Branch if the integer expression is non-zero.
     Expr(IrExpr),
@@ -189,7 +189,7 @@ pub enum IrCond {
 }
 
 /// An IR statement with its source span.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct IrStmt {
     /// Statement form.
     pub kind: IrStmtKind,
@@ -205,7 +205,7 @@ impl IrStmt {
 }
 
 /// Statement forms of Figure 5.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum IrStmtKind {
     /// `lval := e`.
     Assign(IrLval, IrExpr),
@@ -240,7 +240,7 @@ pub enum IrStmtKind {
 }
 
 /// A local variable (parameters first).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct IrLocal {
     /// Source name (synthesized temporaries are `%tN`).
     pub name: String,

@@ -12,7 +12,9 @@
 //! workspace's worker pool ([`ffisafe_support::pool::run_timed`], which
 //! also measures each worker's CPU time for the stage's work total; see
 //! `WorkTimer`); the same pool first fingerprints the functions for the
-//! tier-1 cache probe. Unification mutates the type table, so workers
+//! tier-1 cache probe. The probe reads the base state's whole tier-1 pack
+//! with one store `get`, and the write-back replaces it with one `put`
+//! (see [`run`]). Unification mutates the type table, so workers
 //! cannot share one mutable table; each function instead gets an O(1)
 //! copy-on-write *overlay* of the frozen base. Reads fall through to
 //! the shared arena; writes — re-bound base nodes, fresh allocations,
@@ -31,7 +33,7 @@
 //! per-function cost tracks what the function touched, not the size of
 //! the whole base state.
 
-use super::cache::PipelineCache;
+use super::cache::{self, PipelineCache};
 use crate::engine::{analyze_function, AnalysisOptions};
 use crate::registry::{FuncOrigin, Registry};
 use ffisafe_cache::Tier;
@@ -45,6 +47,8 @@ use ffisafe_types::{
     ConstraintSet, CtId, CtNode, FlatInt, FrozenTypeTable, GcId, GcNode, MtId, MtNode, PsiNode,
     PsiViolation, TypeTable,
 };
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The frozen post-link state every inference worker overlays.
@@ -493,22 +497,37 @@ fn bind_externals(
     }
 }
 
+/// A pack keeps at most this many records per function of the run that
+/// writes it: the run's own records, then as many older ones as fit.
+/// Without a cap, a daemon that sees ever new variants of one library
+/// (one base digest) would rewrite an ever larger pack on each of them.
+/// With too small a cap, records that a later variant would replay are
+/// dropped: on `warm-burst` (traced, seeds 51 and 52), 8 is the smallest
+/// multiple that kept the median tier-1 hit ratio and workers per
+/// request of one entry per function (0.95 and 2–3), where 4 and 6 gave
+/// 0.94 and 3–4 workers, and 2 gave 0.87 and 9.
+const PACK_RECORDS_PER_FUNCTION: usize = 8;
+
 /// Runs per-function inference over `program` on a worker pool sized by
 /// [`AnalysisOptions::jobs`]. Outcomes are collected in program order, so
 /// the artifact is identical for any worker count.
 ///
 /// With a [`PipelineCache`], every function is first fingerprinted against
-/// the cache's base-surface digest; hits replay the memoized
+/// the cache's base-surface digest and looked up in the base state's
+/// pack, fetched with one `get`; hits replay the memoized
 /// [`FunctionOutcome`] and **no worker runs for them**. Only misses reach
-/// the pool, and their fresh outcomes are stored back. Because a replayed
-/// outcome is byte-for-byte the plain data a worker would have produced,
-/// warm runs stay report-identical to cold runs at any worker count.
+/// the pool. When any ran, one `put` replaces the pack: this run's
+/// records in program order, then the old pack's other records in their
+/// stored order, up to `PACK_RECORDS_PER_FUNCTION` per function. Because
+/// a replayed outcome is byte-for-byte the plain data a worker would have
+/// produced, warm runs stay report-identical to cold runs at any worker
+/// count.
 pub fn run(
     session: &Session,
     base: &BaseState,
     program: &cil::IrProgram,
     phase1: &ocaml::translate::Phase1,
-    cache: Option<&PipelineCache>,
+    pcache: Option<&PipelineCache>,
 ) -> InferArtifact {
     let options = *session.options();
     let n = program.functions.len();
@@ -517,35 +536,44 @@ pub fn run(
     }
 
     // Tier-1 probe: replay every hit, queue every miss. Fingerprinting
-    // walks each function's whole IR, so it runs on the worker pool; only
-    // the store lookups (small file reads) stay serial.
+    // walks each function's whole IR, so it runs on the worker pool; the
+    // pack is one store read.
     let all: Vec<usize> = (0..n).collect();
-    let fingerprints: Vec<Fingerprint> = match cache {
+    let fingerprints: Vec<Fingerprint> = match pcache {
         Some(pc) => {
             let fingerprint =
-                |idx| super::cache::function_fingerprint(pc.base_digest, &program.functions[idx]);
+                |idx| cache::function_fingerprint(pc.base_digest, &program.functions[idx]);
             pool::run(options.effective_jobs(), &all, fingerprint).0
         }
         None => Vec::new(),
     };
-    let mut slots: Vec<Option<FunctionOutcome>> = (0..n).map(|_| None).collect();
+    let stored = pcache.and_then(|pc| pc.get(Tier::Function, cache::pack_key(pc.base_digest)));
     let mut cache_rejected = 0;
-    if let Some(pc) = cache {
-        for (idx, func) in program.functions.iter().enumerate() {
-            if let Some(bytes) = pc.get(Tier::Function, fingerprints[idx]) {
-                slots[idx] = super::cache::decode_outcome(
-                    &bytes,
-                    idx as u32,
-                    &func.name,
-                    phase1.signatures.len(),
-                );
-                cache_rejected += usize::from(slots[idx].is_none());
-            }
+    let records = match stored.as_deref().map(cache::decode_pack) {
+        // A pack that does not parse is one rejection; every function runs.
+        Some(None) => {
+            cache_rejected += 1;
+            Vec::new()
+        }
+        parsed => parsed.flatten().unwrap_or_default(),
+    };
+    // Records no function of this run has claimed yet, by fingerprint.
+    let mut unclaimed: HashMap<Fingerprint, &[u8]> = records.iter().copied().collect();
+    let mut slots: Vec<Option<FunctionOutcome>> = (0..n).map(|_| None).collect();
+    // The stored bytes of each replayed outcome, for the next pack.
+    let mut replayed: Vec<Option<&[u8]>> = vec![None; n];
+    for (idx, fp) in fingerprints.iter().enumerate() {
+        let Some(bytes) = unclaimed.remove(fp) else { continue };
+        let name = &program.functions[idx].name;
+        slots[idx] = cache::decode_outcome(bytes, idx as u32, name, phase1.signatures.len());
+        match slots[idx] {
+            Some(_) => replayed[idx] = Some(bytes),
+            None => cache_rejected += 1,
         }
     }
     let cache_hits = slots.iter().filter(|s| s.is_some()).count();
     let todo: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
-    let cache_misses = if cache.is_some() { todo.len() } else { 0 };
+    let cache_misses = if pcache.is_some() { todo.len() } else { 0 };
     let workers_executed = todo.len();
 
     let jobs = options.effective_jobs().clamp(1, todo.len().max(1));
@@ -559,14 +587,34 @@ pub fn run(
         analyze_one(base, &program.functions[idx], phase1, idx as u32, &options)
     });
     for (&idx, outcome) in todo.iter().zip(solved) {
-        if let Some(pc) = cache {
-            // An unencodable outcome or failed write only loses future
-            // warm hits; never fail the analysis over it.
-            if let Some(payload) = super::cache::encode_outcome(&outcome, idx as u32) {
-                pc.put(Tier::Function, fingerprints[idx], &payload);
-            }
-        }
         slots[idx] = Some(outcome);
+    }
+
+    if let Some(pc) = pcache.filter(|_| workers_executed > 0) {
+        // An unencodable outcome or failed write only loses future warm
+        // hits; never fail the analysis over it.
+        let mut fresh = 0;
+        let this_run = (0..n).filter_map(|idx| {
+            let payload = match replayed[idx] {
+                Some(bytes) => Cow::Borrowed(bytes),
+                None => {
+                    let payload = cache::encode_outcome(slots[idx].as_ref()?, idx as u32)?;
+                    fresh += 1;
+                    Cow::Owned(payload)
+                }
+            };
+            Some((fingerprints[idx], payload))
+        });
+        let older = records.iter().filter(|(fp, _)| unclaimed.contains_key(fp));
+        let older = older.map(|&(fp, bytes)| (fp, Cow::Borrowed(bytes)));
+        let pack = cache::encode_pack(this_run.chain(older).take(PACK_RECORDS_PER_FUNCTION * n));
+        // Every record kept from the old pack is in `pack` now; free the
+        // old one before the store frames a copy of the new one, so that
+        // at most two packs are alive at once.
+        drop(stored);
+        if fresh > 0 {
+            pc.put(Tier::Function, cache::pack_key(pc.base_digest), &pack);
+        }
     }
 
     let outcomes: Vec<FunctionOutcome> =
@@ -600,16 +648,12 @@ pub fn run(
 /// wall clock bills each worker for time it sat *descheduled* while a
 /// sibling held the core, so "total work" would appear to inflate with
 /// parallelism even though no extra computation happened. Per-thread CPU
-/// time (Linux `schedstat`, read by [`pool::thread_cpu_ns`]) is
-/// scheduling-invariant but coarse: the counter only advances at
-/// scheduler events (ticks, context switches), so a per-function delta is
-/// either zero or a whole multi-millisecond quantum. Per-function
-/// `seconds` therefore reports the *smaller* of the CPU delta and the wall
-/// clock — exact when the function ran uninterrupted, and clipped to
-/// on-CPU time when it was preempted. Stage-total work sums the pool's
-/// per-worker lifetime counters instead ([`pool::Worker::cpu_seconds`]),
-/// which telescope to the true total. Where `schedstat` does not exist,
-/// everything falls back to wall clock.
+/// time ([`pool::thread_cpu_ns`]) is scheduling-invariant and exact at
+/// every read, so per-function `seconds` is the CPU delta. Stage-total
+/// work sums the pool's per-worker counters instead
+/// ([`pool::Worker::cpu_seconds`]), which also cover the claim loop
+/// between functions. Where the clock does not exist, everything falls
+/// back to wall clock.
 struct WorkTimer {
     wall: std::time::Instant,
     cpu_ns: Option<u64>,
@@ -621,17 +665,16 @@ impl WorkTimer {
     }
 
     /// Wall seconds since `start`. Used for the overlay-setup split: the
-    /// setup is a handful of `Arc` clones, far below the CPU counter's
-    /// quantum, and short enough that a mid-setup preemption is rare.
+    /// setup is a handful of `Arc` clones, short enough that a mid-setup
+    /// preemption is rare.
     fn wall_seconds(&self) -> f64 {
         self.wall.elapsed().as_secs_f64()
     }
 
     fn elapsed_seconds(&self) -> f64 {
-        let wall = self.wall.elapsed().as_secs_f64();
         match (self.cpu_ns, pool::thread_cpu_ns()) {
-            (Some(start), Some(now)) => (now.saturating_sub(start) as f64 * 1e-9).min(wall),
-            _ => wall,
+            (Some(start), Some(now)) => now.saturating_sub(start) as f64 * 1e-9,
+            _ => self.wall_seconds(),
         }
     }
 }

@@ -176,6 +176,16 @@ impl FingerprintHasher {
         self.write_u64(fp.1);
     }
 
+    /// Feeds `v` through its [`std::hash::Hash`] impl, every integer as a
+    /// little-endian `u64`, so the result depends on neither the host's
+    /// byte order nor its word size. Derived `Hash` impls length-prefix
+    /// sequences, terminate strings and write enum discriminants, so
+    /// fields cannot run into each other. Far cheaper than streaming a
+    /// `Debug` rendering through the [`fmt::Write`] impl.
+    pub fn write_hash<T: std::hash::Hash + ?Sized>(&mut self, v: &T) {
+        v.hash(&mut HashSink(self));
+    }
+
     /// Total bytes fed so far. With the [`std::fmt::Write`] impl this lets
     /// callers stream a `Debug` rendering without materializing it and
     /// then delimit the field by writing the streamed byte count.
@@ -209,6 +219,31 @@ impl fmt::Write for FingerprintHasher {
         self.write_bytes(s.as_bytes());
         Ok(())
     }
+}
+
+/// The [`std::hash::Hasher`] that [`FingerprintHasher::write_hash`] hands
+/// to `Hash` impls: raw bytes pass through, integers widen to `u64`.
+struct HashSink<'a>(&'a mut FingerprintHasher);
+
+macro_rules! widen_to_u64 {
+    ($($method:ident: $ty:ty),*) => {
+        $(fn $method(&mut self, v: $ty) {
+            self.0.write_u64(v as u64);
+        })*
+    };
+}
+
+impl std::hash::Hasher for HashSink<'_> {
+    fn finish(&self) -> u64 {
+        self.0.clone().finish().0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write_bytes(bytes);
+    }
+
+    widen_to_u64!(write_u8: u8, write_u16: u16, write_u32: u32, write_u64: u64, write_usize: usize);
+    widen_to_u64!(write_i8: i8, write_i16: i16, write_i32: i32, write_i64: i64, write_isize: isize);
 }
 
 #[cfg(test)]
@@ -299,6 +334,26 @@ mod tests {
         assert_eq!(Fingerprint::parse_hex(&hex), Some(fp));
         assert_eq!(Fingerprint::parse_hex("nope"), None);
         assert_eq!(Fingerprint::parse_hex(&"z".repeat(32)), None);
+    }
+
+    #[test]
+    fn write_hash_widens_integers_and_keeps_fields_apart() {
+        let mut via_hash = FingerprintHasher::new();
+        via_hash.write_hash(&(7u32, "ab", vec![1i64, -2], true));
+        let mut by_hand = FingerprintHasher::new();
+        by_hand.write_u64(7);
+        by_hand.write_bytes(b"ab");
+        by_hand.write_u64(0xff); // `str`'s terminator
+        for word in [2, 1, -2i64 as u64, 1] {
+            by_hand.write_u64(word); // length, elements, `true`
+        }
+        assert_eq!(via_hash.finish(), by_hand.finish());
+        let pair = |a: &str, b: &str| {
+            let mut h = FingerprintHasher::new();
+            h.write_hash(&(a, b));
+            h.finish()
+        };
+        assert_ne!(pair("ab", "c"), pair("a", "bc"));
     }
 
     #[test]

@@ -50,9 +50,8 @@ where
     fan_out(width, order, job, false)
 }
 
-/// [`run`], also reading each worker's on-CPU seconds. An exact read
-/// forces a scheduler event, which can hand the core to another thread
-/// for a time slice, so only a caller that reports CPU time pays for it.
+/// [`run`], also reading each worker's on-CPU seconds from
+/// [`thread_cpu_ns`] when it starts and when it runs out of indices.
 pub fn run_timed<T, F>(width: usize, order: &[usize], job: F) -> (Vec<T>, Vec<Worker>)
 where
     T: Send,
@@ -67,7 +66,7 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let next = AtomicUsize::new(0);
-    let cpu = || if timed { thread_work_seconds() } else { None };
+    let cpu = || if timed { thread_cpu_ns().map(|ns| ns as f64 * 1e-9) } else { None };
     let claim = || {
         let start = cpu();
         let (mut claimed, mut results) = (Vec::new(), Vec::new());
@@ -120,23 +119,35 @@ pub fn available_cores() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Nanoseconds this thread has spent on-CPU (first field of the Linux
-/// per-thread `schedstat`). `None` where the interface does not exist
-/// (non-Linux); zero until the thread's first scheduler event.
+/// Nanoseconds this thread has spent on-CPU, from
+/// `clock_gettime(CLOCK_THREAD_CPUTIME_ID)`. The kernel brings the running
+/// slice up to date inside the call, so the value is exact to the
+/// nanosecond without a scheduler event. `None` off Linux.
 pub fn thread_cpu_ns() -> Option<u64> {
-    let text = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    text.split_whitespace().next()?.parse().ok()
-}
-
-/// This thread's total on-CPU seconds so far, read at a forced scheduler
-/// event so the counter is current to the nanosecond.
-/// [`std::thread::yield_now`] drives the kernel through `update_curr`,
-/// flushing the running slice into `schedstat` before the read; without
-/// it the boundary reads would be stale by up to a tick. `None` where the
-/// interface does not exist.
-fn thread_work_seconds() -> Option<f64> {
-    std::thread::yield_now();
-    thread_cpu_ns().map(|ns| ns as f64 * 1e-9)
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::raw::{c_int, c_long};
+        /// `struct timespec`: `time_t` is a C `long` in this ABI.
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: c_long,
+            tv_nsec: c_long,
+        }
+        extern "C" {
+            fn clock_gettime(clock: c_int, now: *mut Timespec) -> c_int;
+        }
+        const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+        let mut now = Timespec { tv_sec: 0, tv_nsec: 0 };
+        // SAFETY: `now` is a live, writable `timespec` for the call, which
+        // only fills it in.
+        if unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut now) } != 0 {
+            return None;
+        }
+        let (secs, nanos) = (u64::try_from(now.tv_sec).ok()?, u64::try_from(now.tv_nsec).ok()?);
+        Some(secs * 1_000_000_000 + nanos)
+    }
+    #[cfg(not(target_os = "linux"))]
+    None
 }
 
 #[cfg(test)]
@@ -181,6 +192,20 @@ mod tests {
             let counter = thread_cpu_ns().is_some();
             assert!(timed.iter().all(|w| w.cpu_seconds.is_some() == counter), "width {width}");
         }
+    }
+
+    #[test]
+    fn the_cpu_clock_advances_across_a_busy_loop_that_never_yields() {
+        let wall = std::time::Instant::now();
+        let Some(start) = thread_cpu_ns() else { return }; // no clock off Linux
+        let mut spins = 0u64;
+        while wall.elapsed() < std::time::Duration::from_micros(200) {
+            spins = std::hint::black_box(spins + 1);
+        }
+        let end = thread_cpu_ns().expect("the clock read once reads again");
+        let wall_ns = wall.elapsed().as_nanos() as u64;
+        assert!(end > start, "200 µs on-CPU without a scheduler event left the clock at {start}");
+        assert!(end - start <= wall_ns, "on-CPU {} ns over {wall_ns} ns of wall", end - start);
     }
 
     #[test]

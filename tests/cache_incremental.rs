@@ -313,25 +313,26 @@ fn corrupted_cache_files_are_misses_not_crashes() {
     let cold = analyze(&as_refs(&files), AnalysisOptions::default().with_jobs(1), Some(&dir));
     let reference = cold.render_stable();
 
-    // Damage every entry: truncate function entries, bit-flip the report
-    // entry, and scribble over the index for good measure.
-    let mut damaged = 0;
+    // Damage every entry: truncate the tier-1 pack (one entry holds all
+    // three functions), bit-flip the report entry, and scribble over the
+    // index for good measure.
+    let (mut packs, mut reports) = (0, 0);
     for dirent in std::fs::read_dir(&dir).unwrap().flatten() {
         let path = dirent.path();
         let name = dirent.file_name().to_string_lossy().into_owned();
         let bytes = std::fs::read(&path).unwrap();
         if name.starts_with("fn-") {
             std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
-            damaged += 1;
+            packs += 1;
         } else if name.starts_with("rp-") {
             let mut b = bytes.clone();
             let mid = b.len() / 2;
             b[mid] ^= 0xff;
             std::fs::write(&path, &b).unwrap();
-            damaged += 1;
+            reports += 1;
         }
     }
-    assert!(damaged >= 4, "expected 3 function entries and 1 report entry, found {damaged}");
+    assert_eq!((packs, reports), (1, 1), "expected one pack entry and one report entry");
 
     let warm = analyze(&as_refs(&files), AnalysisOptions::default().with_jobs(1), Some(&dir));
     assert!(!warm.stats.cache_report_hit, "corrupt report entry must miss");
@@ -349,6 +350,88 @@ fn corrupted_cache_files_are_misses_not_crashes() {
     let rebuilt = analyze(&as_refs(&files), AnalysisOptions::default().with_jobs(1), Some(&dir));
     assert!(!rebuilt.stats.cache_report_hit, "wiped store starts cold");
     assert_eq!(rebuilt.render_stable(), reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `B_C_BUGGY` padded to `B_C_CLEAN`'s length: no span outside the body
+/// moves, so both versions have one base digest and share one pack, but
+/// their `ml_b` outcomes differ.
+const B_C_BUGGY_PADDED: &str = r#"
+value ml_b(value n) { return Val_int(n);              }
+"#;
+
+/// Two writers that race on one pack lose only records to misses, never
+/// answers: each run replaces the pack with its own records first, so the
+/// loser of a race only misses its `ml_b` next time.
+#[test]
+fn two_writers_of_one_pack_lose_records_not_answers() {
+    let dir = temp_dir("two-writers");
+    let options = AnalysisOptions::default().with_jobs(1);
+    // A new trailing comment each round misses the report tier but moves
+    // no span, so every round reads the pack and rewrites it when it had
+    // to solve `ml_b`.
+    let tagged = |b_src: &str, tag: &str| {
+        let mut files = corpus(b_src);
+        files[1].1.push_str(&format!("/* {tag} */\n"));
+        files
+    };
+    let bodies = [B_C_CLEAN, B_C_BUGGY_PADDED];
+    assert_eq!(B_C_CLEAN.len(), B_C_BUGGY_PADDED.len());
+    let expected: Vec<String> = bodies
+        .iter()
+        .map(|b| analyze(&as_refs(&tagged(b, "cold")), options, None).render_stable())
+        .collect();
+    assert_ne!(expected[0], expected[1], "test premise: the two `ml_b` verdicts differ");
+    drop(AnalysisService::with_cache_dir(&dir).expect("temp cache dir opens"));
+
+    // The threads only collect; a failed assertion inside one would leave
+    // the other waiting at the barrier.
+    let barrier = std::sync::Barrier::new(bodies.len());
+    let runs: Vec<Vec<(bool, usize, String)>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = bodies
+            .iter()
+            .map(|b_src| {
+                let (dir, barrier) = (&dir, &barrier);
+                scope.spawn(move || {
+                    (0..25)
+                        .map(|round| {
+                            let files = tagged(b_src, &format!("round {round}"));
+                            barrier.wait();
+                            let report = analyze(&as_refs(&files), options, Some(dir));
+                            let stats = &report.stats;
+                            (
+                                stats.cache_report_hit,
+                                stats.cache_fn_rejected,
+                                report.render_stable(),
+                            )
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().expect("writer thread")).collect()
+    });
+    for (rounds, expected) in runs.iter().zip(&expected) {
+        for (round, (report_hit, rejected, rendered)) in rounds.iter().enumerate() {
+            assert!(!report_hit, "round {round}");
+            assert_eq!(*rejected, 0, "round {round}");
+            assert_eq!(rendered, expected, "round {round}");
+        }
+    }
+    let packs = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().starts_with("fn-"))
+        .count();
+    assert_eq!(packs, 1, "test premise: both corpora write one pack");
+
+    for (b_src, expected) in bodies.iter().zip(&expected) {
+        let warm = analyze(&as_refs(&tagged(b_src, "warm")), options, Some(&dir));
+        assert!(!warm.stats.cache_report_hit);
+        assert_eq!(warm.stats.cache_fn_rejected, 0);
+        assert!(warm.stats.cache_fn_hits >= 2, "every pack holds ml_a and ml_c");
+        assert_eq!(&warm.render_stable(), expected, "warm run equals the cold run");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

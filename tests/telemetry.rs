@@ -21,7 +21,7 @@ use ffisafe::bench::corpus::generate;
 use ffisafe::bench::figure9::benchmark_corpus;
 use ffisafe::bench::spec::paper_benchmarks;
 use ffisafe::cache::{CacheStore, Tier};
-use ffisafe::core::pipeline::cache::analyzer_cache_version;
+use ffisafe::core::pipeline::cache::{self, analyzer_cache_version};
 use ffisafe::shard::{sweep, SweepConfig, SweepOutput};
 use ffisafe::support::json::{self, Json};
 use ffisafe::support::telemetry::{
@@ -400,11 +400,27 @@ fn daemon_metrics_agree_with_the_per_request_outcomes() {
 
 // ---- tier-1 replay accounting ---------------------------------------------
 
-/// Analyzes `before` into a fresh store, optionally replaces every tier-1
-/// payload with bytes no decoder accepts, then analyzes `after` through a
-/// new service on that store. Returns the second run's metrics: the
-/// store's own counters next to the report's.
-fn tier1_metrics(tag: &str, before: &Corpus, after: &Corpus, sabotage: bool) -> MetricsRegistry {
+/// What [`tier1_metrics`] overwrites between its two runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Sabotage {
+    /// Nothing.
+    None,
+    /// Every record's payload in the pack, and the Rust check's entry.
+    Records,
+    /// Every tier-1 entry whole, so the pack does not parse either.
+    Entries,
+}
+
+/// Analyzes `before` into a fresh store, optionally makes its tier-1
+/// payloads undecodable, then analyzes `after` through a new service on
+/// that store. Returns the second run's metrics: the store's own counters
+/// next to the report's.
+fn tier1_metrics(
+    tag: &str,
+    before: &Corpus,
+    after: &Corpus,
+    sabotage: Sabotage,
+) -> MetricsRegistry {
     let dir = std::env::temp_dir().join(format!("ffisafe-tier1-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let analyze = |corpus: &Corpus| {
@@ -413,14 +429,21 @@ fn tier1_metrics(tag: &str, before: &Corpus, after: &Corpus, sabotage: bool) -> 
         (service, report)
     };
     drop(analyze(before));
-    if sabotage {
+    if sabotage != Sabotage::None {
+        const GARBAGE: &[u8] = b"not an outcome";
         let store = CacheStore::open(&dir, &analyzer_cache_version()).unwrap();
         for entry in std::fs::read_dir(&dir).unwrap().flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
             let hex = name.strip_prefix("fn-").and_then(|n| n.strip_suffix(".bin"));
-            if let Some(fp) = hex.and_then(Fingerprint::parse_hex) {
-                store.put(Tier::Function, fp, b"not an outcome").unwrap();
-            }
+            let Some(fp) = hex.and_then(Fingerprint::parse_hex) else { continue };
+            let bytes = store.get(Tier::Function, fp).expect("entry written by the first run");
+            let payload = match cache::decode_pack(&bytes) {
+                Some(records) if sabotage == Sabotage::Records => {
+                    cache::encode_pack(records.iter().map(|&(fp, _)| (fp, GARBAGE)))
+                }
+                _ => GARBAGE.to_vec(),
+            };
+            store.put(Tier::Function, fp, &payload).unwrap();
         }
     }
     let (service, report) = analyze(after);
@@ -431,23 +454,27 @@ fn tier1_metrics(tag: &str, before: &Corpus, after: &Corpus, sabotage: bool) -> 
     registry
 }
 
-/// Every tier-1 store hit is either replayed — a function outcome, or the
-/// Rust boundary check — or counted as a rejected decode. A rejection
-/// must never again be invisible.
+/// Every tier-1 record a run finds is either replayed — a function
+/// outcome from the pack, or the Rust boundary check — or counted as a
+/// rejected decode. A rejection must never again be invisible.
 #[test]
 fn every_tier1_store_hit_is_replayed_or_counted_as_rejected() {
     let counter = |reg: &MetricsRegistry, name: &str| {
         reg.counter(name, &[]).unwrap_or_else(|| panic!("{name} missing"))
     };
-    let conforms = |reg: &MetricsRegistry| {
-        let store_hits = counter(reg, "ffisafe_cache_store_fn_hits_total");
-        assert!(store_hits > 0, "the edit keeps tier-1 keys");
+    // After an edit that moves no span, the store holds one pack with a
+    // record per function, plus the Rust check's entry when there is
+    // one: each function and the check are replayed or rejected.
+    let conforms = |reg: &MetricsRegistry, rust_checks: u64| {
+        let functions = reg.gauge("ffisafe_c_functions", &[]).expect("function gauge") as u64;
+        assert_eq!(counter(reg, "ffisafe_cache_store_fn_hits_total"), 1 + rust_checks);
         assert_eq!(
-            store_hits,
+            functions + rust_checks,
             counter(reg, "ffisafe_cache_fn_hits_total")
                 + counter(reg, "ffisafe_frontend_rust_check_cache_hits_total")
                 + counter(reg, "ffisafe_cache_fn_rejected_total")
         );
+        functions
     };
     let trailing = |corpus: &Corpus| {
         let mut b = Corpus::builder();
@@ -461,29 +488,39 @@ fn every_tier1_store_hit_is_replayed_or_counted_as_rejected() {
         b.build()
     };
 
-    // A trailing comment on cryptokit's glue moves no span: every entry
-    // replays, none is rejected.
+    // A trailing comment on cryptokit's glue moves no span: one store hit
+    // (the pack) replays all 269 functions, and none is rejected.
     let specs = paper_benchmarks();
     let spec = specs.iter().find(|s| s.name == "cryptokit-1.2").unwrap();
     let cryptokit = benchmark_corpus(&generate(spec));
-    let reg = tier1_metrics("cryptokit", &cryptokit, &trailing(&cryptokit), false);
-    conforms(&reg);
+    let reg = tier1_metrics("cryptokit", &cryptokit, &trailing(&cryptokit), Sabotage::None);
+    assert_eq!(conforms(&reg, 0), 269);
+    assert_eq!(counter(&reg, "ffisafe_cache_fn_hits_total"), 269);
     assert_eq!(counter(&reg, "ffisafe_cache_fn_rejected_total"), 0);
     assert_eq!(counter(&reg, "ffisafe_workers_executed_total"), 0);
 
     // With a `.rs` file the boundary check is one more tier-1 get.
     let meshgrid = Corpus::from_dir(Path::new("examples/corpora/meshgrid")).unwrap();
-    let reg = tier1_metrics("meshgrid", &meshgrid, &trailing(&meshgrid), false);
-    conforms(&reg);
+    let reg = tier1_metrics("meshgrid", &meshgrid, &trailing(&meshgrid), Sabotage::None);
+    conforms(&reg, 1);
     assert_eq!(counter(&reg, "ffisafe_frontend_rust_check_cache_hits_total"), 1);
+    assert_eq!(counter(&reg, "ffisafe_cache_fn_rejected_total"), 0);
 
-    // Payloads no decoder accepts are store hits that all count as
-    // rejected, the Rust check's included.
-    let reg = tier1_metrics("sabotaged", &meshgrid, &trailing(&meshgrid), true);
-    conforms(&reg);
+    // Payloads no decoder accepts are found and all count as rejected:
+    // every function's record in the pack, and the Rust check.
+    let reg = tier1_metrics("records", &meshgrid, &trailing(&meshgrid), Sabotage::Records);
+    let functions = conforms(&reg, 1);
+    assert!(functions > 0);
     assert_eq!(counter(&reg, "ffisafe_cache_fn_hits_total"), 0);
-    assert_eq!(
-        counter(&reg, "ffisafe_cache_fn_rejected_total"),
-        counter(&reg, "ffisafe_cache_store_fn_hits_total")
-    );
+    assert_eq!(counter(&reg, "ffisafe_frontend_rust_check_cache_hits_total"), 0);
+    assert_eq!(counter(&reg, "ffisafe_cache_fn_rejected_total"), functions + 1);
+    assert_eq!(counter(&reg, "ffisafe_workers_executed_total"), functions);
+
+    // A pack that does not parse is one rejection, and every function
+    // runs.
+    let reg = tier1_metrics("entries", &meshgrid, &trailing(&meshgrid), Sabotage::Entries);
+    assert_eq!(counter(&reg, "ffisafe_cache_store_fn_hits_total"), 2);
+    assert_eq!(counter(&reg, "ffisafe_cache_fn_hits_total"), 0);
+    assert_eq!(counter(&reg, "ffisafe_cache_fn_rejected_total"), 2, "the pack and the check");
+    assert_eq!(counter(&reg, "ffisafe_workers_executed_total"), functions);
 }
